@@ -1,16 +1,27 @@
 """Nonconventional array averages A_N = (1/N) sum_n prod_j T^{P_j(n,N)} f_j.
 
 The exact path expands the squared L^2 distance of A_N to a scalar target
-into pairwise inner products <x_n, x_m> of the array terms; every inner
-product is a finite combination of measures of intersections of translated
-algebra sets, so the result is an exact rational.  The cost is O(N^2) set
-operations, with two shortcuts:
+into the mean of the terms x_n and the sum of their pairwise inner products
+<x_n, x_m>; every inner product is a finite combination of measures of
+intersections of translated algebra sets, so the result is an exact
+rational.  Single-transformation arrays and commuting families share one
+pair-sum engine that takes, per term, its row of shifts.  It picks the
+cheapest of three paths:
 
-* for a single factor whose exponent is linear in n the terms form a
-  stationary family and the expansion collapses to O(N) distinct products;
-* on product systems whose coordinates are independent, factors whose
-  (translated) supports do not meet split off as separate groups, and a
-  centered group of one factor kills the whole term.
+* stationary: for a single factor whose exponent is linear in n,
+  <x_{n+d}, x_n> depends on d only, so N distinct products suffice;
+* counted: when every observable is a plain single cylinder on an i.i.d.
+  product system, terms are grouped by their count of fixed coordinates
+  per symbol, pairs with disjoint supports are counted in integers, and
+  only the pairs that share a coordinate are visited, at a cost of
+  O(N*ell + overlapping pairs + distinct signatures^2);
+* generic: every pair of terms goes through the inner-product engine,
+  O(N^2) set operations; on systems with independent coordinates, factors
+  whose supports do not meet split off as separate groups, and a centered
+  group of one factor kills the whole term.
+
+The counted and generic paths are capped at max_quadratic_n terms, since
+overlapping pairs can still be quadratic in N.
 
 A seeded Monte Carlo estimator covers the sampled tier and doubles as a
 cross-check of the exact path.
@@ -19,8 +30,10 @@ cross-check of the exact path.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .intpoly import IntPoly2
@@ -248,52 +261,91 @@ def _is_plain_indicator(obs: Observable) -> bool:
     )
 
 
-def _fast_indicator_pairs(spec: ArraySpec, N: int) -> Fraction:
-    """(1/N^2) sum over pairs of <x_n, x_m> when all observables are plain
-    single cylinders on an independent-coordinate system.
+def _term_sums(eng: _Engine, observables, shift_rows) -> tuple[Fraction, Fraction]:
+    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) over the terms
+    x_t = prod_j T^{shift_rows[t][j]} f_j, the pair sum over ordered pairs.
 
-    Merging the translated coordinate constraints directly avoids building
-    set objects per pair.
+    Single-transformation arrays and commuting families differ only in how a
+    term index maps to its row of shifts, so both come through here.
     """
-    probs = spec.system.probs
-    base = []
-    for f in spec.observables:
-        S = f.terms[0][1]
-        row = next(iter(S.rows))
-        base.append(tuple(zip(S.coords, row)))
-    offsets = [
-        [p.eval(n, N) for p in spec.exponents] for n in range(N + 1)
-    ]  # offsets[n][j], index 0 unused
+    if eng.independent and all(_is_plain_indicator(f) for f in observables):
+        sets = [f.terms[0][1] for f in observables]
+        return _counted_sums(
+            eng.system.probs,
+            [[eng.shifted(S, s) for S, s in zip(sets, row)] for row in shift_rows],
+        )
+    per_t = [[eng.factor(f, s) for f, s in zip(observables, row)] for row in shift_rows]
+    mean_sum = pair_sum = Fraction(0)
+    for i, x in enumerate(per_t):
+        mean_sum += eng.inner(x)
+        for j in range(i, len(per_t)):
+            ip = eng.inner(x + per_t[j])
+            pair_sum += ip if i == j else 2 * ip
+    return mean_sum, pair_sum
 
-    def constraints(n):
-        out = []
-        for j, pairs in enumerate(base):
-            o = offsets[n][j]
-            out.extend((c + o, s) for c, s in pairs)
-        return out
 
-    per_n = [None] + [constraints(n) for n in range(1, N + 1)]
-    total = Fraction(0)
-    for n in range(1, N + 1):
-        for m in range(n, N + 1):
-            seen: dict = {}
-            ok = True
-            for c, s in per_n[n]:
-                if seen.setdefault(c, s) != s:
-                    ok = False
+def _counted_sums(probs, terms) -> tuple[Fraction, Fraction]:
+    """The sums of ``_term_sums`` for terms that are products of single
+    cylinders (given already shifted) on an i.i.d. product system.
+
+    A term fixes one symbol per coordinate of its support, or is zero when
+    two of its factors disagree; its measure depends only on its signature,
+    the number of fixed coordinates per symbol.  Terms with disjoint supports
+    are independent, so every pair is first counted as if disjoint, by
+    convolving the signature counts in integers; then only the pairs that
+    share a coordinate are visited, each moving its count from the disjoint
+    signature to the merged one (or to nowhere when the merge contradicts).
+    Fractions enter once per distinct signature.
+    """
+    fixed: list[dict] = []
+    sigs: list[tuple[int, ...]] = []
+    for cylinders in terms:
+        term: dict = {}
+        zero = False
+        for S in cylinders:
+            (row,) = S.rows
+            for c, s in zip(S.coords, row):
+                if term.setdefault(c, s) != s:
+                    zero = True
                     break
-            if ok:
-                for c, s in per_n[m]:
-                    if seen.setdefault(c, s) != s:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            val = Fraction(1)
-            for s in seen.values():
-                val *= probs[s]
-            total += val if m == n else 2 * val
-    return total / N**2
+        if not zero:
+            sig = [0] * len(probs)
+            for s in term.values():
+                sig[s] += 1
+            fixed.append(term)
+            sigs.append(tuple(sig))
+
+    singles = Counter(sigs)
+    pairs: Counter = Counter()
+    for a, ka in singles.items():
+        for b, kb in singles.items():
+            pairs[tuple(map(add, a, b))] += ka * kb
+    where: dict = {}  # coordinate -> indices of the terms that fix it
+    for t, term in enumerate(fixed):
+        for c in term:
+            where.setdefault(c, []).append(t)
+    for t, term in enumerate(fixed):
+        for u in {u for c in term for u in where[c] if u >= t}:
+            k = 1 if u == t else 2  # (t, u) and (u, t)
+            disjoint = tuple(map(add, sigs[t], sigs[u]))
+            pairs[disjoint] -= k
+            merged = list(disjoint)
+            for c, s in fixed[u].items():
+                r = term.get(c)
+                if r is None:
+                    continue
+                if r != s:
+                    break
+                merged[s] -= 1
+            else:
+                pairs[tuple(merged)] += k
+
+    def weight(sig) -> Fraction:
+        return math.prod((p**e for p, e in zip(probs, sig)), start=Fraction(1))
+
+    mean_sum = sum((k * weight(sig) for sig, k in singles.items()), Fraction(0))
+    pair_sum = sum((k * weight(sig) for sig, k in pairs.items() if k), Fraction(0))
+    return mean_sum, pair_sum
 
 
 def array_term_inner(spec: ArraySpec, N: int, n1: int, n2: int) -> Fraction:
@@ -339,32 +391,12 @@ def l2_distance_exact(
             f"N={N} exceeds the quadratic-path cap {max_quadratic_n}"
         )
 
-    if getattr(spec.system, "independent_coords", False) and all(
-        _is_plain_indicator(f) for f in spec.observables
-    ):
-        pair_sum = _fast_indicator_pairs(spec, N)
-        mean_sum = Fraction(0)
-        for n in range(1, N + 1):
-            factors = [
-                eng.factor(f, p.eval(n, N))
-                for f, p in zip(spec.observables, spec.exponents)
-            ]
-            mean_sum += eng.inner(factors)
-        return pair_sum - 2 * c * mean_sum / N + c * c
-
-    per_n = []
-    for n in range(1, N + 1):
-        per_n.append(
-            [eng.factor(f, p.eval(n, N)) for f, p in zip(spec.observables, spec.exponents)]
-        )
-    total = Fraction(0)
-    mean_sum = Fraction(0)
-    for i in range(N):
-        mean_sum += eng.inner(per_n[i])
-        for j in range(i, N):
-            ip = eng.inner(per_n[i] + per_n[j])
-            total += ip if i == j else 2 * ip
-    return total / N**2 - 2 * c * mean_sum / N + c * c
+    mean_sum, pair_sum = _term_sums(
+        eng,
+        spec.observables,
+        [[p.eval(n, N) for p in spec.exponents] for n in range(1, N + 1)],
+    )
+    return pair_sum / N**2 - 2 * c * mean_sum / N + c * c
 
 
 def commuting_average(
@@ -401,22 +433,12 @@ def commuting_average(
 
     if terms > max_quadratic_n:
         raise ResourceCapError(f"N={N} exceeds the quadratic-path cap")
-    per_n = []
-    for n in range(terms):
-        per_n.append(
-            [
-                eng.factor(f, action.shift_vector(j + 1, n, N))
-                for j, f in enumerate(cspec.observables)
-            ]
-        )
-    total = Fraction(0)
-    mean_sum = Fraction(0)
-    for i in range(terms):
-        mean_sum += eng.inner(per_n[i])
-        for j in range(i, terms):
-            ip = eng.inner(per_n[i] + per_n[j])
-            total += ip if i == j else 2 * ip
-    return total / terms**2 - 2 * c * mean_sum / terms + c * c
+    mean_sum, pair_sum = _term_sums(
+        eng,
+        cspec.observables,
+        [[action.shift_vector(j, n, N) for j in range(1, action.ell + 1)] for n in range(terms)],
+    )
+    return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
 # ---------------------------------------------------------------------------

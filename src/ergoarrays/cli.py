@@ -280,10 +280,11 @@ def _cmd_pattern_search(cfg: ExperimentConfig) -> int:
     spec = szemeredi.PatternSpec.parse(cfg.options["spec"])
     n_max = int(cfg.options["Nmax"])
     eps = cfg.options.get("eps", "auto")
-    rep = szemeredi.syndetic_pattern_report(
-        s, spec, n_max, "auto" if eps == "auto" else parse_fraction(eps)
-    )
     counts = {N: szemeredi.pattern_count(s, spec, N).count for N in range(1, n_max + 1)}
+    rep = recurrence.detect_syndetic(
+        {N: Fraction(c, N) for N, c in counts.items()},
+        "auto" if eps == "auto" else parse_fraction(eps),
+    )
     doc = {
         "experiment": "pattern-search",
         "window": list(s.window),

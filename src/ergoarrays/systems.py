@@ -758,9 +758,20 @@ def orbit_eval(sys, x, k: int):
 # JSON descriptors ({"kind": ..., "params": {...}})
 
 
+def _list_param(params: Mapping, name: str) -> list:
+    value = params[name]
+    if not isinstance(value, list):
+        raise ValueError(f"system parameter {name!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def build_system(descriptor: Mapping):
+    if not isinstance(descriptor, Mapping):
+        raise ValueError("system descriptor must be a JSON object")
     kind = descriptor.get("kind")
     params = descriptor.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ValueError("system params must be a JSON object")
     unknown = set(descriptor) - {"kind", "params"}
     if unknown:
         raise ValueError(f"unknown descriptor fields: {sorted(unknown)}")
@@ -769,17 +780,17 @@ def build_system(descriptor: Mapping):
     if kind == "circle-rotation-rational":
         return CircleRotation(parse_fraction(str(params["angle"])))
     if kind == "bernoulli-shift":
-        return BernoulliShift(tuple(parse_fraction(str(p)) for p in params["probs"]))
+        return BernoulliShift(tuple(parse_fraction(str(p)) for p in _list_param(params, "probs")))
     if kind == "markov-shift":
         return MarkovShift(_parse_matrix(params["matrix"]))
     if kind == "product":
         return CyclicLattice(
-            tuple(int(m) for m in params["moduli"]),
-            tuple(int(s) for s in params["steps"]) if "steps" in params else None,
+            tuple(int(m) for m in _list_param(params, "moduli")),
+            tuple(int(s) for s in _list_param(params, "steps")) if "steps" in params else None,
         )
     if kind == "bernoulli-lattice":
         return BernoulliLattice(
-            tuple(parse_fraction(str(p)) for p in params["probs"]), int(params["d"])
+            tuple(parse_fraction(str(p)) for p in _list_param(params, "probs")), int(params["d"])
         )
     if kind == "relabeled":
         base = build_system(params["base"])

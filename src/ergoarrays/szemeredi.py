@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .recurrence import SyndeticReport
+from .recurrence import SyndeticReport, detect_syndetic
 
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class IntegerSet:
     lo: int
     hi: int
@@ -30,6 +30,10 @@ class IntegerSet:
             raise ValueError("window must be nonempty")
         if self.bits < 0 or self.bits >> (self.hi - self.lo):
             raise ValueError("members outside the declared window")
+
+    def __repr__(self) -> str:
+        # the raw bitmask would pass the int-to-str digit limit on wide windows
+        return f"IntegerSet(lo={self.lo}, hi={self.hi}, members={len(self)})"
 
     # -- constructors --------------------------------------------------------
 
@@ -306,28 +310,8 @@ def syndetic_pattern_report(
 ) -> SyndeticReport:
     """N with pattern_count(N) >= eps*N, reported as a window certificate."""
     counter = pattern_count if isinstance(s, IntegerSet) else lattice_pattern_count
-    ratios = {}
-    for N in range(1, n_max + 1):
-        ratios[N] = Fraction(counter(s, spec, N).count, N)
-    if eps == "auto":
-        tail = [ratios[N] for N in ratios if N > n_max // 2]
-        peak = max(tail)
-        if peak == 0:
-            return SyndeticReport(None, (), None, "not-found", None, n_max)
-        eps = peak / 2
-    eps = Fraction(eps)
-    members = tuple(N for N in sorted(ratios) if ratios[N] >= eps)
-    if not members:
-        return SyndeticReport(eps, (), None, "not-found", None, n_max)
-    gaps = [b - a for a, b in zip(members, members[1:])]
-    return SyndeticReport(
-        eps,
-        members,
-        max(gaps) if gaps else None,
-        "syndetic-in-window",
-        min(ratios[N] for N in members),
-        n_max,
-    )
+    ratios = {N: Fraction(counter(s, spec, N).count, N) for N in range(1, n_max + 1)}
+    return detect_syndetic(ratios, eps)
 
 
 def empirical_cylinder_measure(

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergoarrays.averages import (
     ArraySpec,
@@ -13,6 +15,7 @@ from ergoarrays.averages import (
     l2_distance_exact,
     l2_distance_mc,
     vdc_correlations,
+    _Engine,
 )
 from ergoarrays.systems import (
     BernoulliLattice,
@@ -182,26 +185,94 @@ def test_constant_observables_trivial():
 
 
 def _single_mean(spec, N, n):
-    from ergoarrays.averages import _Engine
-
     eng = _Engine(spec.system)
     factors = [eng.factor(f, p.eval(n, N)) for f, p in zip(spec.observables, spec.exponents)]
     return eng.inner(factors)
 
 
 def test_fast_indicator_path_matches_generic_expansion():
-    # the merged-constraint shortcut must agree with the inner-product engine
-    spec = bernoulli_spec(exponents=("n", "2*n + N"), ell=2)
-    for N in (3, 8):
-        total = sum(
-            array_term_inner(spec, N, i, j)
-            for i in range(1, N + 1)
-            for j in range(1, N + 1)
-        )
-        mean_sum = sum(_single_mean(spec, N, n) for n in range(1, N + 1))
-        c = spec.product_of_integrals()
-        manual = total / N**2 - 2 * c * mean_sum / N + c * c
-        assert l2_distance_exact(spec, N) == manual
+    # the counted plain-cylinder path must agree with the inner-product
+    # engine; on the lattice its coordinates are tuples (this once raised
+    # TypeError)
+    lat = BernoulliLattice((Fraction(1, 3), Fraction(2, 3)), 2)
+    lattice_spec = ArraySpec.create(
+        lat,
+        [Observable.indicator(lat.cylinder({(0, 0): 0})), Observable.indicator(lat.cylinder({(0, 1): 1}))],
+        ["n", "2*n"],
+    )
+    for spec in (bernoulli_spec(exponents=("n", "2*n + N"), ell=2), lattice_spec):
+        for N in (3, 8):
+            total = sum(
+                array_term_inner(spec, N, i, j)
+                for i in range(1, N + 1)
+                for j in range(1, N + 1)
+            )
+            mean_sum = sum(_single_mean(spec, N, n) for n in range(1, N + 1))
+            c = spec.product_of_integrals()
+            manual = total / N**2 - 2 * c * mean_sum / N + c * c
+            assert l2_distance_exact(spec, N) == manual
+
+
+# -- counted path against the all-pairs oracle ----------------------------------
+
+ORACLE_EXPONENTS = ["n", "2*n", "n**2", "n*N", "N - n", "5*n - 2*N", "-n + 3", "3*n + N"]
+
+
+def all_pairs_distance(eng, rows, c) -> Fraction:
+    """|| mean_t x_t - c ||^2 with every ordered pair <x_t, x_u> evaluated
+    by the inner-product engine; rows[t] are the factors of x_t."""
+    T = len(rows)
+    pairs = sum((eng.inner(a + b) for a in rows for b in rows), Fraction(0))
+    means = sum((eng.inner(a) for a in rows), Fraction(0))
+    return pairs / T**2 - 2 * c * means / T + c * c
+
+
+@st.composite
+def iid_systems(draw, lattice_only=False):
+    """A Bernoulli shift or lattice and a drawer of single cylinders on a
+    small window, so that supports meet and symbols often disagree."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    probs = tuple(Fraction(w, sum(weights)) for w in weights)
+    d = draw(st.sampled_from([1, 2] if lattice_only else [0, 1, 2]))
+    system = BernoulliShift(probs) if d == 0 else BernoulliLattice(probs, d)
+    coord = st.integers(-2, 2) if d == 0 else st.tuples(*[st.integers(-1, 1)] * d)
+    symbol = st.integers(0, len(probs) - 1)
+    cylinder = st.dictionaries(coord, symbol, min_size=1, max_size=3).map(system.cylinder)
+    return system, cylinder
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_counted_path_matches_all_pairs_oracle(data):
+    system, cylinder = data.draw(iid_systems())
+    ell = data.draw(st.integers(1, 3))
+    obs = [Observable.indicator(data.draw(cylinder)) for _ in range(ell)]
+    exps = data.draw(st.lists(st.sampled_from(ORACLE_EXPONENTS), min_size=ell, max_size=ell))
+    N = data.draw(st.integers(1, 12))
+    spec = ArraySpec.create(system, obs, exps)
+    eng = _Engine(system)
+    rows = [[eng.factor(f, p.eval(n, N)) for f, p in zip(obs, spec.exponents)] for n in range(1, N + 1)]
+    assert l2_distance_exact(spec, N) == all_pairs_distance(eng, rows, spec.product_of_integrals())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_counted_commuting_path_matches_all_pairs_oracle(data):
+    system, cylinder = data.draw(iid_systems(lattice_only=True))
+    ell = data.draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * system.d)
+    z = data.draw(st.lists(vec.filter(any), min_size=ell, max_size=ell, unique=True))
+    zhat = data.draw(st.lists(vec, min_size=ell, max_size=ell))
+    obs = tuple(Observable.indicator(data.draw(cylinder)) for _ in range(ell))
+    N = data.draw(st.integers(1, 12))
+    action = build_lattice_action(system, z, zhat)
+    cspec = CommutingArraySpec(action, obs)
+    eng = _Engine(system, vector_shifts=True)
+    rows = [
+        [eng.factor(f, action.shift_vector(j, n, N)) for j, f in enumerate(obs, 1)]
+        for n in range(N + 1)
+    ]
+    assert commuting_average(cspec, N) == all_pairs_distance(eng, rows, cspec.product_of_integrals())
 
 
 def test_stationary_path_matches_quadratic_path():

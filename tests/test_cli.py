@@ -1,6 +1,8 @@
 import json
 
+from ergoarrays import szemeredi
 from ergoarrays.cli import main
+from ergoarrays.util import fraction_to_json
 
 ROT = '{"kind":"circle-rotation-rational","params":{"angle":"1/2"}}'
 BERN = '{"kind":"bernoulli-shift","params":{"probs":["1/2","1/2"]}}'
@@ -85,6 +87,18 @@ def test_malformed_json_is_argument_error(tmp_path):
     assert code == 2
 
 
+def test_malformed_probs_is_argument_error(tmp_path, capsys):
+    spec = json.dumps({"observables": [{"set": {"cylinder": {"0": 0}}}], "exponents": ["n"]})
+    for system in (
+        '{"kind": "bernoulli-shift", "params": {"probs": 5}}',
+        '{"kind": "bernoulli-lattice", "params": {"probs": 5, "d": 2}}',
+    ):
+        args = ["--out-dir", str(tmp_path), "avg-sweep", "--system", system, "--spec", spec, "--Ns", "4"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'probs' must be a list" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -101,6 +115,29 @@ def test_pattern_search(tmp_path):
     doc = json.loads((tmp_path / "pattern_search.json").read_text())
     assert doc["max_gap"] == 2
     assert doc["counts"]["7"] == 0 and doc["counts"]["8"] == 5
+
+
+def test_pattern_search_counts_each_N_once(tmp_path, monkeypatch):
+    s = szemeredi.IntegerSet.from_residue(0, 2, (0, 2000))
+    spec = szemeredi.PatternSpec.parse("(0,0),(1,0),(-1,1)")
+    counts = {str(N): szemeredi.pattern_count(s, spec, N).count for N in range(1, 31)}
+    rep = szemeredi.syndetic_pattern_report(s, spec, 30)
+    calls = []
+    real = szemeredi.pattern_count
+    monkeypatch.setattr(szemeredi, "pattern_count", lambda *a: calls.append(a[2]) or real(*a))
+    code = run(
+        [
+            "--out-dir", str(tmp_path), "pattern-search",
+            "--set", "0 mod 2", "--window", "0,2000",
+            "--spec", "(0,0),(1,0),(-1,1)", "--Nmax", "30",
+        ]
+    )
+    assert code == 0
+    assert sorted(calls) == list(range(1, 31))
+    doc = json.loads((tmp_path / "pattern_search.json").read_text())
+    assert doc["counts"] == counts
+    assert doc["members"] == list(rep.members) and doc["max_gap"] == rep.max_gap
+    assert doc["threshold"] == fraction_to_json(rep.threshold)
 
 
 def test_pet_reduce(tmp_path):

@@ -104,6 +104,12 @@ def test_dilation_consistency():
             assert pattern_count(s, SYM, N).count == pattern_count(dil, kspec, N).count
 
 
+def test_repr_of_wide_set():
+    # a 20000-bit mask has more digits than int-to-str conversion allows
+    s = IntegerSet.from_residue(0, 3, (0, 20000))
+    assert repr(s) == "IntegerSet(lo=0, hi=20000, members=6667)"
+
+
 def test_pattern_spec_validation():
     with pytest.raises(ValueError, match="nonzero"):
         PatternSpec(pairs=((0, 0), (0, 3)))
