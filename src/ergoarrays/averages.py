@@ -5,11 +5,13 @@ into the mean of the terms x_n and the sum of their pairwise inner products
 <x_n, x_m>; every inner product is a finite combination of measures of
 intersections of translated algebra sets, so the result is an exact
 rational.  Single-transformation arrays and commuting families share one
-pair-sum engine that takes, per term, its row of shifts.  It picks the
+distance routine that takes, per term, its row of shifts.  It picks the
 cheapest of three paths:
 
-* stationary: for a single factor whose exponent is linear in n,
-  <x_{n+d}, x_n> depends on d only, so N distinct products suffice;
+* stationary: for a single factor whose shifts are linear in n (one
+  observable with an exponent of degree <= 1 in n, or a commuting family
+  with one generator pair), <x_{n+d}, x_n> = <x_d, x_0> by invariance, so
+  N inner products suffice;
 * counted: when every observable is a plain single cylinder on an i.i.d.
   product system, terms are grouped by their count of fixed coordinates
   per symbol, pairs with disjoint supports are counted in integers, and
@@ -261,32 +263,49 @@ def _is_plain_indicator(obs: Observable) -> bool:
     )
 
 
-def _term_sums(eng: _Engine, observables, shift_rows) -> tuple[Fraction, Fraction]:
-    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) over the terms
-    x_t = prod_j T^{shift_rows[t][j]} f_j, the pair sum over ordered pairs.
+def _distance(
+    eng: _Engine, observables, shift_rows, c: Fraction, stationary: bool, max_quadratic_n: int
+) -> Fraction:
+    """|| mean_t x_t - c ||^2 over the terms x_t = prod_j T^{shift_rows[t][j]} f_j.
 
     Single-transformation arrays and commuting families differ only in how a
-    term index maps to its row of shifts, so both come through here.
+    term index maps to its row of shifts, so both come through here.  The
+    caller sets ``stationary`` when the shifts are one vector times t plus a
+    constant: then <x_{t+d}, x_t> = <x_d, x_0> by invariance, and the pair
+    sum needs one inner product per d.
     """
-    if eng.independent and all(_is_plain_indicator(f) for f in observables):
+    terms = len(shift_rows)
+    if not stationary and terms > max_quadratic_n:
+        raise ResourceCapError(
+            f"{terms} terms exceed the quadratic-path cap {max_quadratic_n}"
+        )
+    if not stationary and eng.independent and all(_is_plain_indicator(f) for f in observables):
         sets = [f.terms[0][1] for f in observables]
-        return _counted_sums(
+        mean_sum, pair_sum = _counted_sums(
             eng.system.probs,
             [[eng.shifted(S, s) for S, s in zip(sets, row)] for row in shift_rows],
         )
-    per_t = [[eng.factor(f, s) for f, s in zip(observables, row)] for row in shift_rows]
-    mean_sum = pair_sum = Fraction(0)
-    for i, x in enumerate(per_t):
-        mean_sum += eng.inner(x)
-        for j in range(i, len(per_t)):
-            ip = eng.inner(x + per_t[j])
-            pair_sum += ip if i == j else 2 * ip
-    return mean_sum, pair_sum
+    else:
+        per_t = [[eng.factor(f, s) for f, s in zip(observables, row)] for row in shift_rows]
+        mean_sum = pair_sum = Fraction(0)
+        if stationary:
+            x0 = per_t[0]
+            mean_sum = terms * eng.inner(x0)
+            for d, x in enumerate(per_t):
+                pair_sum += (terms if d == 0 else 2 * (terms - d)) * eng.inner(x + x0)
+        else:
+            for i, x in enumerate(per_t):
+                mean_sum += eng.inner(x)
+                for j in range(i, len(per_t)):
+                    ip = eng.inner(x + per_t[j])
+                    pair_sum += ip if i == j else 2 * ip
+    return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
 def _counted_sums(probs, terms) -> tuple[Fraction, Fraction]:
-    """The sums of ``_term_sums`` for terms that are products of single
-    cylinders (given already shifted) on an i.i.d. product system.
+    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) over ordered pairs, for terms
+    that are products of single cylinders (given already shifted) on an
+    i.i.d. product system.
 
     A term fixes one symbol per coordinate of its support, or is zero when
     two of its factors disagree; its measure depends only on its signature,
@@ -372,31 +391,14 @@ def l2_distance_exact(
     if N < 1:
         raise ValueError("N must be >= 1")
     c = spec.product_of_integrals() if target is None else Fraction(target)
-    eng = _Engine(spec.system)
-
-    if spec.ell == 1 and spec.exponents[0].deg_n <= 1:
-        # stationary family: <x_{n+d}, x_n> depends on d only
-        p = spec.exponents[0]
-        f = spec.observables[0]
-        step = p.eval(1, N) - p.eval(0, N)
-        mean = f.integral(eng.measure)
-        total = Fraction(0)
-        for d in range(N):
-            ip = eng.inner([eng.factor(f, step * d), eng.factor(f, 0)])
-            total += N * ip if d == 0 else 2 * (N - d) * ip
-        return total / N**2 - 2 * c * mean + c * c
-
-    if N > max_quadratic_n:
-        raise ResourceCapError(
-            f"N={N} exceeds the quadratic-path cap {max_quadratic_n}"
-        )
-
-    mean_sum, pair_sum = _term_sums(
-        eng,
+    return _distance(
+        _Engine(spec.system),
         spec.observables,
         [[p.eval(n, N) for p in spec.exponents] for n in range(1, N + 1)],
+        c,
+        spec.ell == 1 and spec.exponents[0].deg_n <= 1,
+        max_quadratic_n,
     )
-    return pair_sum / N**2 - 2 * c * mean_sum / N + c * c
 
 
 def commuting_average(
@@ -417,28 +419,14 @@ def commuting_average(
         raise ValueError("N must be >= 1")
     action = cspec.action
     c = cspec.product_of_integrals() if target is None else Fraction(target)
-    eng = _Engine(action.system, vector_shifts=True)
-    terms = N + 1  # n runs 0..N
-
-    if action.ell == 1:
-        f = cspec.observables[0]
-        z = action.z[0]
-        mean = f.integral(eng.measure)
-        total = Fraction(0)
-        for d in range(terms):
-            step = tuple(d * a for a in z)
-            ip = eng.inner([eng.factor(f, step), eng.factor(f, tuple(0 for _ in z))])
-            total += terms * ip if d == 0 else 2 * (terms - d) * ip
-        return total / terms**2 - 2 * c * mean + c * c
-
-    if terms > max_quadratic_n:
-        raise ResourceCapError(f"N={N} exceeds the quadratic-path cap")
-    mean_sum, pair_sum = _term_sums(
-        eng,
+    return _distance(
+        _Engine(action.system, vector_shifts=True),
         cspec.observables,
-        [[action.shift_vector(j, n, N) for j in range(1, action.ell + 1)] for n in range(terms)],
+        [[action.shift_vector(j, n, N) for j in range(1, action.ell + 1)] for n in range(N + 1)],
+        c,
+        action.ell == 1,
+        max_quadratic_n,
     )
-    return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
 # ---------------------------------------------------------------------------

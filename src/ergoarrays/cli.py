@@ -22,7 +22,7 @@ from . import averages, mixing, pet, recurrence, repro, szemeredi
 from .averages import ArraySpec, Observable
 from .intpoly import IntPoly2
 from .pet import PExpr
-from .systems import SampledSystem, build_system
+from .systems import MarkovShift, SampledSystem, build_system
 from .util import ResourceCapError, fraction_to_json, parse_fraction
 
 _KNOWN_KEYS = {
@@ -318,9 +318,9 @@ def _cmd_pet_reduce(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_chain(cfg: ExperimentConfig) -> mixing.MarkovChainModel:
+def _load_chain(cfg: ExperimentConfig) -> MarkovShift:
     doc = _load_json_arg(cfg.options["chain"])
-    return mixing.MarkovChainModel(tuple(tuple(x for x in row) for row in doc["matrix"]))
+    return MarkovShift(doc["matrix"])
 
 
 def _cmd_mixing(cfg: ExperimentConfig) -> int:

@@ -12,80 +12,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .systems import MarkovShift
 from .util import ResourceCapError, dist_to_int, lt_one_over_two_pi, parse_fraction
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class MarkovChainModel:
-    """Stationary finite-state Markov chain with exact rational transitions."""
-
-    matrix: Matrix
-    stationary: tuple[Fraction, ...] = field(init=False)
-
-    def __post_init__(self):
-        from .systems import _parse_matrix, _stationary_of
-
-        matrix = _parse_matrix(self.matrix)
-        for row in matrix:
-            if sum(row) != 1 or any(p < 0 for p in row):
-                raise ValueError("matrix rows must be stochastic")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "stationary", _stationary_of(matrix))
-        object.__setattr__(self, "_powers", {0: _eye(len(matrix)), 1: matrix})
-
-    @classmethod
-    def iid(cls, probs: Sequence) -> "MarkovChainModel":
-        probs = tuple(Fraction(p) for p in probs)
-        return cls(tuple(probs for _ in probs))
-
-    @classmethod
-    def two_state(cls, stay: Fraction) -> "MarkovChainModel":
-        stay = Fraction(stay)
-        move = 1 - stay
-        return cls(((stay, move), (move, stay)))
-
-    @property
-    def states(self) -> int:
-        return len(self.matrix)
-
-    def power(self, t: int) -> Matrix:
-        cache = self._powers
-        if t not in cache:
-            half = cache.get(t - 1)
-            if half is None:
-                half = self.power(t - 1)
-            cache[t] = _mul(half, self.matrix)
-        return cache[t]
-
-    def path_measure(self, constraints: Mapping[int, int]) -> Fraction:
-        """mu of the cylinder fixing symbols at the given coordinates."""
-        if not constraints:
-            return Fraction(1)
-        coords = sorted(constraints)
-        p = self.stationary[constraints[coords[0]]]
-        for a, b in zip(coords, coords[1:]):
-            p *= self.power(b - a)[constraints[a]][constraints[b]]
-        return p
-
-
-def _eye(s: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(int(i == j)) for j in range(s)) for i in range(s)
-    )
-
-
-def _mul(a: Matrix, b: Matrix) -> Matrix:
-    s = len(a)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(s)), Fraction(0)) for j in range(s))
-        for i in range(s)
-    )
+# the chain model of this module is the Markov shift itself; the old name
+# stays importable
+MarkovChainModel = MarkovShift
 
 
 @dataclass(frozen=True)
@@ -111,14 +47,14 @@ class WindowEvent:
         return cls(start, frozenset(tuple(r) for r in rows))
 
 
-def event_measure(chain: MarkovChainModel, ev: WindowEvent) -> Fraction:
+def event_measure(chain: MarkovShift, ev: WindowEvent) -> Fraction:
     total = Fraction(0)
     for row in ev.rows:
         total += chain.path_measure({ev.start + i: s for i, s in enumerate(row)})
     return total
 
 
-def joint_measure(chain: MarkovChainModel, events: Sequence[WindowEvent]) -> Fraction:
+def joint_measure(chain: MarkovShift, events: Sequence[WindowEvent]) -> Fraction:
     """mu of the intersection of events in disjoint ordered windows,
     via an interface dynamic program over the chain state."""
     events = sorted(events, key=lambda e: e.start)
@@ -147,7 +83,7 @@ def joint_measure(chain: MarkovChainModel, events: Sequence[WindowEvent]) -> Fra
     return sum(w, Fraction(0))
 
 
-def alpha_coefficient(chain: MarkovChainModel, n: int, horizon: int = 0) -> Fraction:
+def alpha_coefficient(chain: MarkovShift, n: int, horizon: int = 0) -> Fraction:
     """Exact sup of |mu(A&B) - mu(A)mu(B)| over past events A (coordinates
     [-horizon, 0]) and future events B (coordinates [n, n+horizon]).
 
@@ -185,7 +121,7 @@ def alpha_coefficient(chain: MarkovChainModel, n: int, horizon: int = 0) -> Frac
 
 
 def higher_mixing_gap(
-    chain: MarkovChainModel,
+    chain: MarkovShift,
     cylinders: Sequence[Mapping[int, int]],
     lags: Sequence[int],
 ) -> Fraction:
@@ -223,7 +159,7 @@ class InequalityCheck:
 
 
 def mixing_inequality_check(
-    chain: MarkovChainModel,
+    chain: MarkovShift,
     events: Sequence[WindowEvent],
     horizon: int = 0,
 ) -> InequalityCheck:

@@ -61,17 +61,17 @@ class RecurrenceSeries:
         return self.values[-1][0]
 
 
-def recurrence_series(spec: RecurrenceSpec, n_max: int) -> RecurrenceSeries:
-    """Exact S(N) for N = 1..n_max; preimages are memoized per shift."""
+def _series(A, preimage, measure, shift_fns, n_max: int, label: str) -> RecurrenceSeries:
+    """Exact S(N) = (1/N) sum_n measure(A & preimage(A, s(n, N)) & ...) over
+    the shift functions s, for N = 1..n_max; preimages are memoized per shift."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sys, A = spec.system, spec.A
-    shifted: dict[int, object] = {0: A}
+    shifted: dict = {}
 
-    def pre(shift: int):
+    def pre(shift):
         out = shifted.get(shift)
         if out is None:
-            out = sys.preimage(A, shift)
+            out = preimage(A, shift)
             shifted[shift] = out
         return out
 
@@ -80,50 +80,40 @@ def recurrence_series(spec: RecurrenceSpec, n_max: int) -> RecurrenceSeries:
         total = Fraction(0)
         for n in range(1, N + 1):
             inter = A
-            for p, q in spec.pairs[1:]:
-                inter = inter.intersect(pre(p * n + q * N))
+            for shift in shift_fns:
+                inter = inter.intersect(pre(shift(n, N)))
                 if inter.is_empty():
                     break
             else:
-                total += sys.measure(inter)
+                total += measure(inter)
         values.append((N, total / N))
-    return RecurrenceSeries(tuple(values), sys.measure(A), "single-transformation")
+    return RecurrenceSeries(tuple(values), measure(A), label)
+
+
+def recurrence_series(spec: RecurrenceSpec, n_max: int) -> RecurrenceSeries:
+    """Exact S(N) for N = 1..n_max."""
+    sys = spec.system
+    shift_fns = [lambda n, N, p=p, q=q: p * n + q * N for p, q in spec.pairs[1:]]
+    return _series(spec.A, sys.preimage, sys.measure, shift_fns, n_max, "single-transformation")
 
 
 def commuting_recurrence_series(spec: CommutingRecurrenceSpec, n_max: int) -> RecurrenceSeries:
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    action, A = spec.action, spec.A
-    shifted: dict[tuple, object] = {}
-
-    def pre(v: tuple):
-        out = shifted.get(v)
-        if out is None:
-            out = action.preimage_set(A, v)
-            shifted[v] = out
-        return out
-
-    values = []
-    for N in range(1, n_max + 1):
-        total = Fraction(0)
-        for n in range(1, N + 1):
-            inter = A
-            for j in range(1, action.ell + 1):
-                inter = inter.intersect(pre(action.shift_vector(j, n, N)))
-                if inter.is_empty():
-                    break
-            else:
-                total += action.measure(inter)
-        values.append((N, total / N))
-    return RecurrenceSeries(tuple(values), action.measure(A), "commuting-family")
+    """Exact S(N) with the j-th term shifted by T_j^n That_j^N."""
+    action = spec.action
+    shift_fns = [
+        lambda n, N, j=j: action.shift_vector(j, n, N) for j in range(1, action.ell + 1)
+    ]
+    return _series(spec.A, action.preimage_set, action.measure, shift_fns, n_max, "commuting-family")
 
 
 @dataclass(frozen=True)
 class SyndeticReport:
     """Window-limited certificate: every member N satisfies value(N) >= threshold.
 
-    ``max_gap`` is the largest difference between consecutive members (None
-    for fewer than two members); the certificate covers only [1, window].
+    ``max_gap`` is the largest difference between consecutive members of
+    0, the members and window + 1, so the gaps before the first member and
+    after the last one count too (None when there are no members); the
+    certificate covers only [1, window].
     """
 
     threshold: Fraction | None
@@ -154,11 +144,11 @@ def detect_syndetic(
     members = tuple(sorted(N for N, v in values.items() if v >= eps))
     if not members:
         return SyndeticReport(eps, (), None, "not-found", None, n_max)
-    gaps = [b - a for a, b in zip(members, members[1:])]
+    padded = (0,) + members + (n_max + 1,)
     return SyndeticReport(
         eps,
         members,
-        max(gaps) if gaps else None,
+        max(b - a for a, b in zip(padded, padded[1:])),
         "syndetic-in-window",
         min(values[N] for N in members),
         n_max,

@@ -21,6 +21,7 @@ from .systems import (
     BernoulliShift,
     CircleRotation,
     CyclicRotation,
+    MarkovShift,
     build_lattice_action,
 )
 from .util import fraction_to_json
@@ -53,18 +54,18 @@ def random_intpoly(rng: random.Random, max_deg_n: int = 4, max_deg_N: int = 2) -
             return p
 
 
-def random_markov_chain(rng: random.Random, max_states: int = 4) -> mixing.MarkovChainModel:
+def random_markov_chain(rng: random.Random, max_states: int = 4) -> MarkovShift:
     s = rng.randint(2, max_states)
     rows = []
     for _ in range(s):
         weights = [rng.randint(1, 9) for _ in range(s)]
         total = sum(weights)
         rows.append(tuple(Fraction(w, total) for w in weights))
-    return mixing.MarkovChainModel(tuple(rows))
+    return MarkovShift(tuple(rows))
 
 
 def random_window_events(
-    rng: random.Random, chain: mixing.MarkovChainModel, k: int, horizon: int
+    rng: random.Random, chain: MarkovShift, k: int, horizon: int
 ) -> list[mixing.WindowEvent]:
     events = []
     start = rng.randint(-5, 0)
@@ -248,14 +249,9 @@ def run_grid_extraction(trials: int = 100, seed: int = 11) -> CriterionResult:
 def run_parity_dichotomy(n_max: int = 500) -> CriterionResult:
     evens = szemeredi.IntegerSet.from_residue(0, 2, (0, 10**4))
     spec = szemeredi.PatternSpec.parse("(0,0),(1,0),(-1,1)")
-    ok = True
-    for N in range(1, n_max + 1):
-        c = szemeredi.pattern_count(evens, spec, N).count
-        if N % 2 == 1 and c != 0:
-            ok = False
-        if N % 2 == 0 and 2 * c < N:
-            ok = False
-    rep = szemeredi.syndetic_pattern_report(evens, spec, n_max, "auto")
+    counts = {N: szemeredi.pattern_count(evens, spec, N).count for N in range(1, n_max + 1)}
+    ok = all(c == 0 if N % 2 == 1 else 2 * c >= N for N, c in counts.items())
+    rep = recurrence.detect_syndetic({N: Fraction(c, N) for N, c in counts.items()}, "auto")
     ok = ok and rep.max_gap == 2
     return CriterionResult(
         6, "even-set parity dichotomy and syndetic gap 2", ok, {"max_gap": rep.max_gap}

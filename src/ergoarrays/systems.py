@@ -123,10 +123,19 @@ class CircleRotation(ExactSystem):
 
 
 def _parse_matrix(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    out = []
-    for row in rows:
-        out.append(tuple(Fraction(x) if not isinstance(x, str) else parse_fraction(x) for x in row))
-    return tuple(out)
+    if (
+        not isinstance(rows, (list, tuple))
+        or not rows
+        or any(not isinstance(row, (list, tuple)) or len(row) != len(rows) for row in rows)
+    ):
+        raise ValueError("Markov matrix must be a nonempty square list of lists")
+    try:
+        return tuple(
+            tuple(parse_fraction(x) if isinstance(x, str) else Fraction(x) for x in row)
+            for row in rows
+        )
+    except TypeError:
+        raise ValueError("Markov matrix entries must be numbers or fraction strings") from None
 
 
 def _stationary_of(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
@@ -237,17 +246,46 @@ class MarkovShift(ExactSystem):
             if sum(row) != 1 or any(p < 0 for p in row):
                 raise ValueError("matrix rows must be stochastic")
         object.__setattr__(self, "stationary", _stationary_of(matrix))
-        object.__setattr__(self, "_powers", {0: _identity(len(matrix)), 1: matrix})
+        object.__setattr__(self, "_powers", [_identity(len(matrix)), matrix])
+
+    @classmethod
+    def iid(cls, probs: Sequence) -> "MarkovShift":
+        probs = tuple(Fraction(p) for p in probs)
+        return cls(tuple(probs for _ in probs))
+
+    @classmethod
+    def two_state(cls, stay: Fraction) -> "MarkovShift":
+        stay = Fraction(stay)
+        move = 1 - stay
+        return cls(((stay, move), (move, stay)))
 
     @property
     def alphabet(self) -> int:
         return len(self.matrix)
 
+    states = alphabet
+
     def power(self, t: int) -> tuple[tuple[Fraction, ...], ...]:
+        if t < 0:
+            raise ValueError("matrix power must be >= 0")
         cache = self._powers
-        if t not in cache:
-            cache[t] = _mat_mul(self.power(t - 1), self.matrix)
+        while len(cache) <= t:
+            cache.append(_mat_mul(cache[-1], self.matrix))
         return cache[t]
+
+    def path_measure(self, constraints: Mapping[int, int]) -> Fraction:
+        """mu of the cylinder fixing symbols at the given coordinates."""
+        coords = sorted(constraints)
+        return self._path(coords, [constraints[c] for c in coords])
+
+    def _path(self, coords: Sequence[int], row: Sequence[int]) -> Fraction:
+        """mu of one row of symbols at increasing coordinates."""
+        if not row:
+            return Fraction(1)
+        p = self.stationary[row[0]]
+        for t in range(len(row) - 1):
+            p *= self.power(coords[t + 1] - coords[t])[row[t]][row[t + 1]]
+        return p
 
     def cylinder(self, constraints: Mapping[int, int]) -> CylinderUnion:
         return CylinderUnion.cylinder(constraints, self.alphabet)
@@ -259,16 +297,7 @@ class MarkovShift(ExactSystem):
         return CylinderUnion.empty(self.alphabet)
 
     def measure(self, S: CylinderUnion) -> Fraction:
-        total = Fraction(0)
-        for row in S.rows:
-            if not row:
-                return Fraction(1)
-            p = self.stationary[row[0]]
-            for t in range(len(row) - 1):
-                gap = S.coords[t + 1] - S.coords[t]
-                p *= self.power(gap)[row[t]][row[t + 1]]
-            total += p
-        return total
+        return sum((self._path(S.coords, row) for row in S.rows), Fraction(0))
 
     def preimage(self, S: CylinderUnion, k: int) -> CylinderUnion:
         return S.shift(k)
@@ -361,44 +390,16 @@ class CyclicLattice(ExactSystem):
 
 
 @dataclass(frozen=True)
-class BernoulliLattice(ExactSystem):
+class BernoulliLattice(BernoulliShift):
     """Z^d of shifts on {0,..,a-1}^{Z^d} with an i.i.d. product measure."""
 
-    probs: tuple[Fraction, ...]
     d: int
-
-    independent_coords = True
-
-    def __post_init__(self):
-        probs = tuple(Fraction(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if sum(probs) != 1 or any(p < 0 for p in probs):
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-
-    @property
-    def alphabet(self) -> int:
-        return len(self.probs)
 
     def cylinder(self, constraints: Mapping[Vector, int]) -> CylinderUnion:
         for c in constraints:
             if len(c) != self.d:
                 raise ValueError(f"coordinate {c} is not {self.d}-dimensional")
         return CylinderUnion.cylinder(constraints, self.alphabet)
-
-    def full_set(self) -> CylinderUnion:
-        return CylinderUnion.full(self.alphabet)
-
-    def empty_set(self) -> CylinderUnion:
-        return CylinderUnion.empty(self.alphabet)
-
-    def measure(self, S: CylinderUnion) -> Fraction:
-        total = Fraction(0)
-        for row in S.rows:
-            p = Fraction(1)
-            for sym in row:
-                p *= self.probs[sym]
-            total += p
-        return total
 
     def preimage(self, S: CylinderUnion, k: int) -> CylinderUnion:
         """T^{-k}S for the diagonal shift T = translation by (1, ..., 1)."""
@@ -407,22 +408,12 @@ class BernoulliLattice(ExactSystem):
     def translate_preimage(self, S: CylinderUnion, v: Vector) -> CylinderUnion:
         return S.shift(v)
 
-    def complement(self, S: CylinderUnion) -> CylinderUnion:
-        return S.complement()
-
     def random_set(self, rng: random.Random) -> CylinderUnion:
         constraints = {}
         for _ in range(rng.randint(1, 3)):
             coord = tuple(rng.randint(-4, 4) for _ in range(self.d))
             constraints[coord] = rng.randrange(self.alphabet)
         return self.cylinder(constraints)
-
-    def sample_point(self, seed: int, idx: int) -> "LazySequence":
-        return LazySequence(seed, idx, self.probs)
-
-    def point_in(self, x: "LazySequence", S: CylinderUnion) -> bool:
-        row = tuple(x.symbol(c) for c in S.coords)
-        return row in S.rows
 
 
 @dataclass(frozen=True)
@@ -782,7 +773,7 @@ def build_system(descriptor: Mapping):
     if kind == "bernoulli-shift":
         return BernoulliShift(tuple(parse_fraction(str(p)) for p in _list_param(params, "probs")))
     if kind == "markov-shift":
-        return MarkovShift(_parse_matrix(params["matrix"]))
+        return MarkovShift(params["matrix"])
     if kind == "product":
         return CyclicLattice(
             tuple(int(m) for m in _list_param(params, "moduli")),

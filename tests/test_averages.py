@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,14 @@ from ergoarrays.systems import (
     BernoulliLattice,
     BernoulliShift,
     CircleRotation,
+    CyclicLattice,
     GaussMap,
     IrrationalRotation,
     build_lattice_action,
 )
 from ergoarrays.util import ResourceCapError
+
+from conftest import exact_zoo
 
 
 def bernoulli_spec(center=False, exponents=("n",), ell=1):
@@ -272,6 +276,50 @@ def test_counted_commuting_path_matches_all_pairs_oracle(data):
         [eng.factor(f, action.shift_vector(j, n, N)) for j, f in enumerate(obs, 1)]
         for n in range(N + 1)
     ]
+    assert commuting_average(cspec, N) == all_pairs_distance(eng, rows, cspec.product_of_integrals())
+
+
+@st.composite
+def observables(draw, system):
+    """An affine combination of up to two of the system's random sets."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    coeff = st.fractions(-2, 2, max_denominator=3)
+    terms = tuple((draw(coeff), system.random_set(rng)) for _ in range(draw(st.integers(1, 2))))
+    return Observable(draw(coeff), terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stationary_path_matches_all_pairs_oracle(data):
+    system = data.draw(st.sampled_from(exact_zoo()))
+    f = data.draw(observables(system))
+    spec = ArraySpec.create(system, [f], [data.draw(st.sampled_from(["n", "n*N", "3*n + N", "-n + 2"]))])
+    N = data.draw(st.integers(1, 12))
+    eng = _Engine(system)
+    rows = [[eng.factor(f, spec.exponents[0].eval(n, N))] for n in range(1, N + 1)]
+    assert l2_distance_exact(spec, N) == all_pairs_distance(eng, rows, spec.product_of_integrals())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stationary_commuting_path_matches_all_pairs_oracle(data):
+    system = data.draw(
+        st.sampled_from(
+            [
+                CyclicLattice((2, 3)),
+                BernoulliLattice((Fraction(1, 3), Fraction(2, 3)), 2),
+                BernoulliShift((Fraction(1, 4), Fraction(3, 4))),
+            ]
+        )
+    )
+    d = getattr(system, "d", 1)
+    vec = st.tuples(*[st.integers(-2, 2)] * d)
+    action = build_lattice_action(system, [data.draw(vec.filter(any))], [data.draw(vec)])
+    f = data.draw(observables(system))
+    cspec = CommutingArraySpec(action, (f,))
+    N = data.draw(st.integers(1, 12))
+    eng = _Engine(system, vector_shifts=True)
+    rows = [[eng.factor(f, action.shift_vector(1, n, N))] for n in range(N + 1)]
     assert commuting_average(cspec, N) == all_pairs_distance(eng, rows, cspec.product_of_integrals())
 
 

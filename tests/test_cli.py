@@ -99,6 +99,33 @@ def test_malformed_probs_is_argument_error(tmp_path, capsys):
         assert err.count("\n") == 1 and "'probs' must be a list" in err
 
 
+BAD_MATRICES = (
+    [["1/2", "1/2", "0"], ["1/2", "1/2", "0"]],  # 2x3
+    5,
+    [["1/2", "1/2"], ["1"]],  # ragged
+    [],
+    [["1/2", None], ["1/2", "1/2"]],
+)
+
+
+def test_malformed_markov_matrix_is_argument_error(tmp_path, capsys):
+    for matrix in BAD_MATRICES:
+        system = json.dumps({"kind": "markov-shift", "params": {"matrix": matrix}})
+        args = [
+            "--out-dir", str(tmp_path), "recurrence", "--system", system,
+            "--set", '{"cylinder": {"0": 0}}', "--pq", "(1,0)", "--Nmax", "4",
+        ]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Markov matrix" in err
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"matrix": matrix}))
+        assert run(["--out-dir", str(tmp_path), "mixing", "--chain", str(chain), "--alpha", "1..2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Markov matrix" in err
+    assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "mixing_alpha.json").exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 

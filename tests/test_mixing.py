@@ -54,6 +54,10 @@ def test_alpha_two_state_example():
     # the Markov property makes the value horizon-invariant
     for h in (1, 2):
         assert alpha_coefficient(STAY, 1, h) == Fraction(1, 5)
+    # alpha = pi_0 * |P^n[0][0] - pi_0| = (4/5)^n / 4; far separations once
+    # overflowed the recursion in the matrix-power cache
+    far = MarkovChainModel.two_state(Fraction(9, 10))
+    assert alpha_coefficient(far, 1500) == Fraction(4, 5) ** 1500 / 4
 
 
 def test_alpha_zero_separation_warns():

@@ -97,6 +97,18 @@ def test_detect_syndetic_not_found():
     assert report.verdict == "not-found"
 
 
+def test_detect_syndetic_counts_edge_gaps():
+    # 1 for N <= 3, then 0 up to 500: the window shows a gap of 498 after
+    # the last member, which the certificate must report
+    values = {N: Fraction(1 if N <= 3 else 0) for N in range(1, 501)}
+    report = detect_syndetic(values, Fraction(1, 2))
+    assert report.members == (1, 2, 3)
+    assert report.max_gap == 498
+    # and the gap before the first member counts from 0
+    values = {N: Fraction(1 if N >= 40 else 0) for N in range(1, 51)}
+    assert detect_syndetic(values, Fraction(1, 2)).max_gap == 40
+
+
 def test_detect_syndetic_auto_uses_tail():
     # large early values must not inflate the auto threshold
     values = {N: Fraction(1, 100) for N in range(1, 41)}

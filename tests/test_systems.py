@@ -81,6 +81,12 @@ def test_markov_measures():
     assert mk.measure(mk.cylinder({0: 0, 2: 0})) == Fraction(1, 2) * Fraction(82, 100)
     assert mk.measure(mk.cylinder({0: 0, 1: 0})) == Fraction(9, 20)
     assert mk.measure(mk.full_set()) == 1
+    # closed form of the stay-2/3 chain, P^t[0][1] = (1 - (1/3)^t) / 2; far
+    # powers once overflowed the recursion in the matrix-power cache
+    mk = MarkovShift(((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3))))
+    for t in (1500, 1, 7, 0):
+        assert mk.power(t)[0][1] == (1 - Fraction(1, 3) ** t) / 2
+    assert mk.measure(mk.cylinder({0: 0, 1500: 1})) == (1 - Fraction(1, 3) ** 1500) / 4
 
 
 @settings(max_examples=25, deadline=None)
