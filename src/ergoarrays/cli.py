@@ -88,15 +88,24 @@ class ExperimentConfig:
         return cfg
 
 
-def _load_json_arg(text: str):
-    """Accept inline JSON or a path to a JSON file."""
+def _load_json_arg(text: str, what: str) -> dict:
+    """Accept inline JSON or a path to a JSON file holding one object."""
     text = text.strip()
     if text.startswith("{") or text.startswith("["):
-        return json.loads(text)
-    return json.loads(Path(text).read_text())
+        doc = json.loads(text)
+    else:
+        doc = json.loads(Path(text).read_text())
+    return _require(doc, dict, what)
+
+
+def _require(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
 
 
 def _build_set(system, descriptor):
+    _require(descriptor, dict, "set descriptor")
     if "arc" in descriptor:
         return system.arc(parse_fraction(str(descriptor["arc"][0])), parse_fraction(str(descriptor["arc"][1])))
     if "arcs" in descriptor:
@@ -113,6 +122,7 @@ def _build_set(system, descriptor):
 
 
 def _build_observable(system, descriptor) -> Observable:
+    _require(descriptor, dict, "observable descriptor")
     if "constant" in descriptor:
         return Observable.const(parse_fraction(str(descriptor["constant"])))
     obs = Observable.indicator(_build_set(system, descriptor["set"]))
@@ -151,13 +161,15 @@ def _emit(cfg: ExperimentConfig, name: str, report: dict, csv_rows: list[dict] |
 
 
 def _cmd_avg_sweep(cfg: ExperimentConfig) -> int:
-    system = build_system(_load_json_arg(cfg.options["system"]))
-    spec_doc = _load_json_arg(cfg.options["spec"])
-    observables = [_build_observable(system, o) for o in spec_doc["observables"]]
+    system = build_system(_load_json_arg(cfg.options["system"], "--system"))
+    spec_doc = _load_json_arg(cfg.options["spec"], "--spec")
+    observables = [
+        _build_observable(system, o) for o in _require(spec_doc["observables"], list, "observables")
+    ]
     spec = ArraySpec.create(
         system,
         observables,
-        [IntPoly2.parse(p) for p in spec_doc["exponents"]],
+        [IntPoly2.parse(p) for p in _require(spec_doc["exponents"], list, "exponents")],
         center=bool(spec_doc.get("center", False)),
         assert_distinct_linear=bool(spec_doc.get("assert_distinct", False)),
     )
@@ -202,8 +214,8 @@ def _cmd_avg_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_recurrence(cfg: ExperimentConfig) -> int:
-    system = build_system(_load_json_arg(cfg.options["system"]))
-    A = _build_set(system, _load_json_arg(cfg.options["set"]))
+    system = build_system(_load_json_arg(cfg.options["system"], "--system"))
+    A = _build_set(system, _load_json_arg(cfg.options["set"], "--set"))
     pairs = szemeredi.PatternSpec.parse(cfg.options["pq"]).pairs
     spec = recurrence.RecurrenceSpec(system, A, pairs)
     series = recurrence.recurrence_series(spec, int(cfg.options["Nmax"]))
@@ -302,10 +314,15 @@ def _cmd_pattern_search(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_pet_reduce(cfg: ExperimentConfig) -> int:
-    doc_in = _load_json_arg(cfg.options["exprs"])
-    system = [
-        PExpr.make(entry["n"], entry.get("N")) for entry in doc_in["system"]
-    ]
+    doc_in = _load_json_arg(cfg.options["exprs"], "--exprs")
+    system = []
+    for entry in _require(doc_in["system"], list, "system"):
+        _require(entry, dict, "system entry")
+        N_exps = entry.get("N")
+        system.append(PExpr.make(
+            _require(entry.get("n"), list, "n-exponents"),
+            None if N_exps is None else _require(N_exps, list, "N-exponents"),
+        ))
     chain = pet.pet_trace(system)
     doc = {
         "experiment": "pet-reduce",
@@ -319,7 +336,7 @@ def _cmd_pet_reduce(cfg: ExperimentConfig) -> int:
 
 
 def _load_chain(cfg: ExperimentConfig) -> MarkovShift:
-    doc = _load_json_arg(cfg.options["chain"])
+    doc = _load_json_arg(cfg.options["chain"], "--chain")
     return MarkovShift(doc["matrix"])
 
 

@@ -277,6 +277,8 @@ def _falling_expansion(k: int) -> list[tuple[int, Fraction]]:
 
 
 def _parse_monomials(text: str) -> _MONO:
+    if not isinstance(text, str):
+        raise ValueError(f"polynomial must be given as text, got {text!r}")
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:

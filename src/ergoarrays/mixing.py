@@ -6,6 +6,17 @@ extremal events depend only on the boundary coordinate (grouping atoms by
 their end state leaves a bilinear form over boxes, maximized at vertices),
 so the supremum reduces to subsets of states.  For a Markov measure this
 value is the same for every window horizon.
+
+Over subsets S (past) and T (future) of the s states the quantity is
+|sum_{a in S, b in T} M_ab| with M_ab = pi_a (P^n_ab - pi_b).  For a fixed T
+the best response S is {a : r_a > 0} or {a : r_a < 0}, where r_a is the row
+sum of M over T, so only future sets are enumerated.  The columns of M sum
+to 0 (pi is stationary), so both responses give the same value; its rows
+sum to 0 too, so T and its complement do, and only the 2^(s-1) sets T
+without the last state are needed.  They are walked along a Gray code,
+which updates the row sums in O(s) integer steps over one common
+denominator: O(2^s * s) in all, against O(4^s * s^2) for every pair of
+sets.  The state count is capped where 2^s * s passes 2^20 (17 states).
 """
 
 from __future__ import annotations
@@ -90,6 +101,7 @@ def alpha_coefficient(chain: MarkovShift, n: int, horizon: int = 0) -> Fraction:
     By the Markov property the supremum is attained on events measurable
     from the boundary coordinates 0 and n alone, so the value is the same
     for every horizon; larger horizons only validate the reduction.
+    Chains with more than 16 states raise ``ResourceCapError``.
     """
     if n < 0:
         raise ValueError("separation n must be >= 0")
@@ -97,6 +109,11 @@ def alpha_coefficient(chain: MarkovShift, n: int, horizon: int = 0) -> Fraction:
         raise ValueError("horizon must be >= 0")
     if chain.states ** (horizon + 1) > 1 << 20:
         raise ResourceCapError("window algebra too large for this horizon")
+    if chain.states * 2**chain.states > 1 << 20:
+        raise ResourceCapError(
+            f"{chain.states} states give 2^{chain.states} future sets; "
+            "alpha is capped at 16 states"
+        )
     if n == 0:
         warnings.warn(
             "alpha at separation 0 compares overlapping algebras; the value "
@@ -106,18 +123,22 @@ def alpha_coefficient(chain: MarkovShift, n: int, horizon: int = 0) -> Fraction:
     s = chain.states
     pi = chain.stationary
     P = chain.power(n)
-    best = Fraction(0)
-    for S in range(1, 1 << s):
-        for T in range(1, 1 << s):
-            val = Fraction(0)
-            for a in range(s):
-                if not (S >> a) & 1:
-                    continue
-                for b in range(s):
-                    if (T >> b) & 1:
-                        val += pi[a] * (P[a][b] - pi[b])
-            best = max(best, abs(val))
-    return best
+    # M[a][b] = pi_a (P^n_ab - pi_b) as integers over one common denominator
+    M = [[pi[a] * (P[a][b] - pi[b]) for b in range(s)] for a in range(s)]
+    den = math.lcm(*(x.denominator for row in M for x in row))
+    cols = [[M[a][b].numerator * (den // M[a][b].denominator) for a in range(s)] for b in range(s)]
+    # walk the future sets T that leave out the last state along a Gray code,
+    # one state in or out per step, keeping the row sums r_a over T
+    r = [0] * s
+    best = 0
+    for i in range(1, 1 << (s - 1)):
+        b = (i & -i).bit_length() - 1
+        if (i ^ (i >> 1)) >> b & 1:
+            r = [x + y for x, y in zip(r, cols[b])]
+        else:
+            r = [x - y for x, y in zip(r, cols[b])]
+        best = max(best, sum(x for x in r if x > 0))
+    return Fraction(best, den)
 
 
 def higher_mixing_gap(

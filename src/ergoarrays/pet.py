@@ -213,16 +213,32 @@ def precedes(m_prime: WeightMatrix, m: WeightMatrix) -> bool:
     return False
 
 
+def _first_collision(system: Sequence[PExpr]) -> tuple[int, int] | None:
+    """The lexicographically first pair i < j whose quotient is constant in n.
+
+    Exponents vanish at 0 and ``IntPoly2`` forms are canonical, so the
+    quotient e_i e_j^{-1} is constant in n exactly when the two n-parts are
+    equal: one dict of n-parts replaces the scan over all pairs.
+    """
+    groups: dict[tuple[IntPoly2, ...], list[int]] = {}
+    for i, e in enumerate(system):
+        groups.setdefault(e.n_exps, []).append(i)
+    return min(((g[0], g[1]) for g in groups.values() if len(g) > 1), default=None)
+
+
 def _check_hypotheses(system: Sequence[PExpr]) -> None:
     for i, e in enumerate(system):
         if e.is_constant_in_n():
             raise SystemHypothesisError(f"expression {i} is constant in n")
-    for i in range(len(system)):
-        for j in range(i + 1, len(system)):
-            if system[i].mul(system[j].inv()).is_constant_in_n():
-                raise SystemHypothesisError(
-                    f"expressions {i} and {j} have a quotient constant in n"
-                )
+    pair = _first_collision(system)
+    # the first member whose generator count differs from member 0's
+    odd = next((j for j, e in enumerate(system) if e.k != system[0].k), None)
+    if odd is not None and (pair is None or (0, odd) < pair):
+        raise ValueError("generator counts differ")
+    if pair is not None:
+        raise SystemHypothesisError(
+            f"expressions {pair[0]} and {pair[1]} have a quotient constant in n"
+        )
 
 
 def _auxiliary_system(system: Sequence[PExpr], h: int) -> list[PExpr]:
@@ -232,21 +248,23 @@ def _auxiliary_system(system: Sequence[PExpr], h: int) -> list[PExpr]:
     any other coincidence in n-parts means h is too small.
     """
     aux = list(system)
+    seen = set(aux)  # systems are sets of expressions; the list keeps order
     for e in system:
         if e.degree() >= 2:
             shifted = e.shift_n(h)
-            if shifted not in aux:  # systems are sets of expressions
+            if shifted not in seen:
+                seen.add(shifted)
                 aux.append(shifted)
-    for i in range(len(aux)):
-        for j in range(i + 1, len(aux)):
-            if aux[i].mul(aux[j].inv()).is_constant_in_n():
-                if i < len(system) and j < len(system):
-                    raise SystemHypothesisError(
-                        f"expressions {i} and {j} have a quotient constant in n"
-                    )
-                raise ShiftTooSmallError(
-                    h, f"auxiliary members {i} and {j} coincide in their n-parts"
-                )
+    pair = _first_collision(aux)
+    if pair is not None:
+        i, j = pair
+        if j < len(system):
+            raise SystemHypothesisError(
+                f"expressions {i} and {j} have a quotient constant in n"
+            )
+        raise ShiftTooSmallError(
+            h, f"auxiliary members {i} and {j} coincide in their n-parts"
+        )
     return aux
 
 
@@ -283,8 +301,7 @@ def reduce_step(system: Sequence[PExpr], h: int, pivot: int | None = None) -> li
         if reduced.is_constant_in_n():
             # cannot happen after the auxiliary-system scan; guard anyway
             raise ShiftTooSmallError(h, f"member {i} collapses onto the pivot")
-        if reduced not in out:
-            out.append(reduced)
+        out.append(reduced)  # distinct: aux is, and multiplying by piv_inv is injective
     before, after = weight_matrix(system), weight_matrix(out)
     if not precedes(after, before):
         raise RuntimeError("internal error: reduction did not descend in precedence")

@@ -395,6 +395,10 @@ class BernoulliLattice(BernoulliShift):
 
     d: int
 
+    @classmethod
+    def uniform(cls, d: int, symbols: int = 2) -> "BernoulliLattice":
+        return cls(tuple(Fraction(1, symbols) for _ in range(symbols)), d)
+
     def cylinder(self, constraints: Mapping[Vector, int]) -> CylinderUnion:
         for c in constraints:
             if len(c) != self.d:

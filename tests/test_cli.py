@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ergoarrays import szemeredi
 from ergoarrays.cli import main
 from ergoarrays.util import fraction_to_json
@@ -124,6 +126,43 @@ def test_malformed_markov_matrix_is_argument_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Markov matrix" in err
     assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "mixing_alpha.json").exists()
+
+
+GOOD_SYSTEM = '{"kind": "cyclic-rotation", "params": {"modulus": 5}}'
+GOOD_OBS = '[{"set": {"points": [0]}}]'
+
+
+def sweep(spec, system=GOOD_SYSTEM):
+    return ["avg-sweep", "--system", system, "--spec", spec, "--Ns", "4"]
+
+
+WRONG_SHAPES = [
+    ["mixing", "--chain", "[[1, 2]]"],
+    ["mixing-check", "--chain", "[[1, 2]]"],
+    ["pet-reduce", "--exprs", "[1]"],
+    ["pet-reduce", "--exprs", '{"system": 5}'],
+    ["pet-reduce", "--exprs", '{"system": [1]}'],
+    ["pet-reduce", "--exprs", '{"system": [{"N": ["N"]}]}'],
+    ["pet-reduce", "--exprs", '{"system": [{"n": "n**2"}]}'],
+    ["pet-reduce", "--exprs", '{"system": [{"n": ["n**2"], "N": 5}]}'],
+    ["pet-reduce", "--exprs", '{"system": [{"n": [null]}]}'],
+    sweep('{"observables": %s, "exponents": ["n"]}' % GOOD_OBS, system="[1]"),
+    sweep("[1]"),
+    sweep('{"observables": 5, "exponents": ["n"]}'),
+    sweep('{"observables": [1], "exponents": ["n"]}'),
+    sweep('{"observables": [{"set": [0]}], "exponents": ["n"]}'),
+    sweep('{"observables": %s, "exponents": [5]}' % GOOD_OBS),
+    ["recurrence", "--system", GOOD_SYSTEM, "--set", '[1, "a"]', "--pq", "(1,0)", "--Nmax", "4"],
+]
+
+
+@pytest.mark.parametrize("args", WRONG_SHAPES, ids=lambda a: a[0])
+def test_wrong_json_shape_is_argument_error(tmp_path, capsys, args):
+    # well-formed JSON of the wrong shape: one line on stderr, exit 2
+    assert run(["--out-dir", str(tmp_path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -256,3 +295,5 @@ def test_resource_cap_exit_code(tmp_path):
     )
     code = run(["avg-sweep", "--system", BERN, "--spec", str(spec), "--Ns", "8192"])
     assert code == 3
+    chain = json.dumps({"matrix": [["1/17"] * 17] * 17})
+    assert run(["--out-dir", str(tmp_path), "mixing", "--chain", chain, "--alpha", "1"]) == 3

@@ -3,6 +3,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ergoarrays.averages import ArraySpec, Observable, l2_distance_exact
 from ergoarrays.mixing import (
@@ -87,6 +89,48 @@ def test_alpha_matches_bruteforce_on_random_chains():
         chain = random_markov_chain(rng, max_states=3)
         n = rng.randint(1, 4)
         assert alpha_coefficient(chain, n) == brute_force_alpha(chain, n)
+
+
+PRIME = 7  # every transition probability is a multiple of 1/PRIME
+
+
+@st.composite
+def prime_chains(draw):
+    """Chains on 1..5 states over one prime denominator.  Rows are random
+    cuts of PRIME, so zero entries (reducible chains with transient states)
+    are common; every fourth chain is a cyclic permutation (periodic)."""
+    s = draw(st.integers(1, 5))
+    if draw(st.integers(0, 3)) == 0:
+        order = draw(st.permutations(range(s)))
+        rows = [[0] * s for _ in range(s)]
+        for a, b in zip(order, order[1:] + order[:1]):
+            rows[a][b] = PRIME
+    else:
+        rows = []
+        for _ in range(s):
+            cuts = sorted(draw(st.lists(st.integers(0, PRIME), min_size=s - 1, max_size=s - 1)))
+            rows.append([b - a for a, b in zip([0] + cuts, cuts + [PRIME])])
+    try:
+        return MarkovChainModel([[Fraction(c, PRIME) for c in row] for row in rows])
+    except ValueError:
+        assume(False)  # no unique stationary distribution
+
+
+@settings(max_examples=100, deadline=None)
+@given(prime_chains(), st.integers(0, 4))
+def test_alpha_matches_bruteforce_property(chain, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n = 0 warns
+        assert alpha_coefficient(chain, n) == brute_force_alpha(chain, n)
+
+
+def test_alpha_state_cap(monkeypatch):
+    # 17 states: 17 * 2^17 future-set steps pass the 2^20 budget; the cap
+    # fires before any matrix power is taken
+    chain = MarkovChainModel.iid([Fraction(1, 17)] * 17)
+    monkeypatch.setattr(MarkovChainModel, "power", lambda self, t: pytest.fail("power taken"))
+    with pytest.raises(ResourceCapError, match="17 states"):
+        alpha_coefficient(chain, 5)
 
 
 # -- higher-order gaps ----------------------------------------------------------

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergoarrays import pet
 from ergoarrays.intpoly import IntPoly2
 from ergoarrays.pet import (
     PExpr,
@@ -197,3 +199,120 @@ def test_make_rejects_mixed_variables():
             (IntPoly2.parse("n*N"),),
             (IntPoly2.zero(),),
         )
+
+
+# -- pairwise oracle for the n-part hashing ------------------------------------
+#
+# Brute-force copies of the hypothesis check, the auxiliary-family scan and
+# the reduction step that ask every pair of members whether its quotient
+# mul(inv()) is constant in n, with list membership for deduplication.
+
+
+def oracle_check_hypotheses(system):
+    for i, e in enumerate(system):
+        if e.is_constant_in_n():
+            raise SystemHypothesisError(f"expression {i} is constant in n")
+    for i in range(len(system)):
+        for j in range(i + 1, len(system)):
+            if system[i].mul(system[j].inv()).is_constant_in_n():
+                raise SystemHypothesisError(
+                    f"expressions {i} and {j} have a quotient constant in n"
+                )
+
+
+def oracle_auxiliary_system(system, h):
+    aux = list(system)
+    for e in system:
+        if e.degree() >= 2:
+            shifted = e.shift_n(h)
+            if shifted not in aux:
+                aux.append(shifted)
+    for i in range(len(aux)):
+        for j in range(i + 1, len(aux)):
+            if aux[i].mul(aux[j].inv()).is_constant_in_n():
+                if i < len(system) and j < len(system):
+                    raise SystemHypothesisError(
+                        f"expressions {i} and {j} have a quotient constant in n"
+                    )
+                raise ShiftTooSmallError(
+                    h, f"auxiliary members {i} and {j} coincide in their n-parts"
+                )
+    return aux
+
+
+def oracle_reduce_step(system, h):
+    system = list(system)
+    oracle_check_hypotheses(system)
+    aux = oracle_auxiliary_system(system, h)
+    min_w = min(weight(e) for e in aux)
+    candidates = [i for i, e in enumerate(aux) if weight(e) == min_w]
+    pivot = min(candidates, key=lambda i: aux[i].sort_key())
+    piv_inv = aux[pivot].inv()
+    out = []
+    for i, e in enumerate(aux):
+        if i == pivot:
+            continue
+        reduced = e.mul(piv_inv)
+        if reduced.is_constant_in_n():
+            raise ShiftTooSmallError(h, f"member {i} collapses onto the pivot")
+        if reduced not in out:
+            out.append(reduced)
+    if not precedes(weight_matrix(out), weight_matrix(system)):
+        raise RuntimeError("internal error: reduction did not descend in precedence")
+    return out
+
+
+def oracle_pet_trace(system, **kw):
+    with mock.patch.multiple(
+        pet, reduce_step=oracle_reduce_step, _check_hypotheses=oracle_check_hypotheses
+    ):
+        return pet_trace(system, **kw)
+
+
+def outcome(f, *args, **kw):
+    """The result of a call, or the type and message of its error."""
+    try:
+        return f(*args, **kw)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _n_parts(k):
+    poly = st.dictionaries(st.integers(1, 3), st.integers(-2, 2), min_size=1, max_size=3).map(
+        lambda c: IntPoly2.from_coeffs({(d, 0): v for d, v in c.items()})
+    )
+    return st.tuples(*[poly] * k)
+
+
+def _N_parts(k):
+    return st.tuples(*[st.integers(-2, 2).map(lambda c: IntPoly2.from_coeffs({(0, 1): c}))] * k)
+
+
+@st.composite
+def colliding_systems(draw):
+    """Systems whose members often draw n-parts from a small pool, so
+    n-parts repeat under differing N-parts; some members take the
+    h-differenced n-parts of a pool entry (colliding with an auxiliary
+    copy), and a few systems carry one member with an extra generator."""
+    k = draw(st.integers(1, 3))
+    pool = draw(st.lists(_n_parts(k), min_size=1, max_size=3))
+    system = []
+    for _ in range(draw(st.integers(1, 5))):
+        n_exps = draw(st.one_of(_n_parts(k), st.sampled_from(pool)))
+        if draw(st.integers(0, 3)) == 0:
+            h = draw(st.integers(1, 3))
+            n_exps = tuple(p.shift_n(h).drop_constant() for p in n_exps)
+        system.append(PExpr(n_exps, draw(_N_parts(k))))
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(system)))
+        system.insert(at, PExpr(draw(_n_parts(k + 1)), draw(_N_parts(k + 1))))
+    return system
+
+
+@settings(max_examples=150, deadline=None)
+@given(colliding_systems())
+def test_reduce_step_and_trace_match_pairwise_oracle(system):
+    for h in range(1, 7):
+        assert outcome(reduce_step, system, h) == outcome(oracle_reduce_step, system, h)
+    caps = dict(max_steps=8, max_system_size=12)
+    assert outcome(pet_trace, system, **caps) == outcome(oracle_pet_trace, system, **caps)

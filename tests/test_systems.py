@@ -174,6 +174,13 @@ def test_lattice_action_basics():
         build_lattice_action(lat, [(1, 0), (1, 0)], [(0, 0), (0, 0)])
 
 
+def test_bernoulli_lattice_uniform():
+    lat = BernoulliLattice.uniform(2)
+    assert lat == BernoulliLattice((Fraction(1, 2), Fraction(1, 2)), 2)
+    lat3 = BernoulliLattice.uniform(3, symbols=5)
+    assert lat3.d == 3 and lat3.measure(lat3.cylinder({(0, 1, -2): 4})) == Fraction(1, 5)
+
+
 def test_cyclic_lattice_action():
     lat = CyclicLattice((2, 2))
     act = build_lattice_action(lat, [(1, 0), (0, 1)], [(1, 1), (0, 0)])
