@@ -56,14 +56,6 @@ class IntPoly2:
         return cls.from_coeffs({(0, 0): c})
 
     @classmethod
-    def var_n(cls) -> "IntPoly2":
-        return cls.from_coeffs({(1, 0): 1})
-
-    @classmethod
-    def var_N(cls) -> "IntPoly2":
-        return cls.from_coeffs({(0, 1): 1})
-
-    @classmethod
     def from_monomials(cls, mono: Mapping[Key, Fraction | int]) -> "IntPoly2":
         """Convert sum a_uv n^u N^v; raise if not integer-valued.
 

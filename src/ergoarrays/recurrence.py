@@ -1,11 +1,13 @@
 """Multiple-recurrence series S(N) and syndetic-set certificates.
 
 S(N) = (1/N) sum_{n=1}^N mu( intersection_{j=0}^l T^{-(p_j n + q_j N)} A )
-with (p_0, q_0) = (0, 0), computed exactly on the exact tier.  Syndeticity
-is certified only inside the computed window [1, N_max]; reports always say
-so.  The grid-extraction routine turns a two-parameter family of nonnegative
-values whose every M-square contains a large entry into a sequence N_j of
-column indices with bounded gaps and a lower bound on the column averages.
+with (p_0, q_0) = (0, 0), computed exactly on the exact tier: O(q^2) terms
+plus O(N_max) additions when ``system.period`` is q, O(N_max^2) terms on
+aperiodic systems.  Syndeticity is certified only inside the computed window
+[1, N_max]; reports always say so.  The grid-extraction routine turns a
+two-parameter family of nonnegative values whose every M-square contains a
+large entry into a sequence N_j of column indices with bounded gaps and a
+lower bound on the column averages.
 """
 
 from __future__ import annotations
@@ -61,11 +63,15 @@ class RecurrenceSeries:
         return self.values[-1][0]
 
 
-def _series(A, preimage, measure, shift_fns, n_max: int, label: str) -> RecurrenceSeries:
+def _series(A, preimage, measure, shift_fns, n_max: int, label: str, period: int | None) -> RecurrenceSeries:
     """Exact S(N) = (1/N) sum_n measure(A & preimage(A, s(n, N)) & ...) over
-    the shift functions s, for N = 1..n_max; preimages are memoized per shift."""
+    the shift functions s, for N = 1..n_max; preimages are memoized per shift.
+    With a period q a term depends only on (n mod q, N mod q), so for N > q
+    the sum at N is the sum at N - q plus the row of terms n = 1..q at N mod q,
+    cached per residue; without one q = n_max + 1 and every term is summed."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    q = period or n_max + 1
     shifted: dict = {}
 
     def pre(shift):
@@ -75,10 +81,9 @@ def _series(A, preimage, measure, shift_fns, n_max: int, label: str) -> Recurren
             shifted[shift] = out
         return out
 
-    values = []
-    for N in range(1, n_max + 1):
+    def row(N, ns):
         total = Fraction(0)
-        for n in range(1, N + 1):
+        for n in ns:
             inter = A
             for shift in shift_fns:
                 inter = inter.intersect(pre(shift(n, N)))
@@ -86,15 +91,27 @@ def _series(A, preimage, measure, shift_fns, n_max: int, label: str) -> Recurren
                     break
             else:
                 total += measure(inter)
-        values.append((N, total / N))
-    return RecurrenceSeries(tuple(values), measure(A), label)
+        return total
+
+    rows: dict[int, Fraction] = {}
+    totals: list[Fraction] = []  # totals[N - 1] = sum of the terms n = 1..N
+    for N in range(1, n_max + 1):
+        if N <= q:
+            totals.append(row(N, range(1, N + 1)))
+        else:
+            t = N % q
+            if t not in rows:
+                rows[t] = row(t, range(1, q + 1))
+            totals.append(totals[N - q - 1] + rows[t])
+    values = tuple((N, total / N) for N, total in enumerate(totals, 1))
+    return RecurrenceSeries(values, measure(A), label)
 
 
 def recurrence_series(spec: RecurrenceSpec, n_max: int) -> RecurrenceSeries:
     """Exact S(N) for N = 1..n_max."""
     sys = spec.system
     shift_fns = [lambda n, N, p=p, q=q: p * n + q * N for p, q in spec.pairs[1:]]
-    return _series(spec.A, sys.preimage, sys.measure, shift_fns, n_max, "single-transformation")
+    return _series(spec.A, sys.preimage, sys.measure, shift_fns, n_max, "single-transformation", sys.period)
 
 
 def commuting_recurrence_series(spec: CommutingRecurrenceSpec, n_max: int) -> RecurrenceSeries:
@@ -103,7 +120,8 @@ def commuting_recurrence_series(spec: CommutingRecurrenceSpec, n_max: int) -> Re
     shift_fns = [
         lambda n, N, j=j: action.shift_vector(j, n, N) for j in range(1, action.ell + 1)
     ]
-    return _series(spec.A, action.preimage_set, action.measure, shift_fns, n_max, "commuting-family")
+    return _series(spec.A, action.preimage_set, action.measure, shift_fns, n_max, "commuting-family",
+                   action.system.period)
 
 
 @dataclass(frozen=True)

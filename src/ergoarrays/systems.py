@@ -33,6 +33,7 @@ class ExactSystem:
 
     is_exact = True
     independent_coords = False  # True when disjoint coordinate supports are independent
+    period = None  # q with T^q = id and every translation by q*e_i = id; None if none
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,10 @@ class CyclicRotation(ExactSystem):
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
+
+    @property
+    def period(self) -> int:
+        return self.modulus
 
     def point_set(self, members: Iterable[int]) -> FiniteSubset:
         return FiniteSubset.of(m % self.modulus for m in members)
@@ -87,6 +92,10 @@ class CircleRotation(ExactSystem):
 
     def __post_init__(self):
         object.__setattr__(self, "angle", frac_mod1(Fraction(self.angle)))
+
+    @property
+    def period(self) -> int:
+        return self.angle.denominator
 
     def arc(self, a, b) -> ArcUnion:
         return ArcUnion.from_arcs([(Fraction(a), Fraction(b))])
@@ -343,10 +352,16 @@ class CyclicLattice(ExactSystem):
     steps: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not self.moduli or min(self.moduli) < 1:
+            raise ValueError("moduli must be a nonempty list of integers >= 1")
         if self.steps is None:
             object.__setattr__(self, "steps", tuple(1 for _ in self.moduli))
         if len(self.steps) != len(self.moduli):
             raise ValueError("steps and moduli lengths differ")
+
+    @property
+    def period(self) -> int:
+        return math.lcm(*self.moduli)
 
     @property
     def d(self) -> int:
@@ -437,6 +452,10 @@ class RelabeledSystem(ExactSystem):
             raise ValueError("relabeling must cover the whole base space")
         object.__setattr__(self, "_fwd", fwd)
         object.__setattr__(self, "_back", back)
+
+    @property
+    def period(self) -> int | None:
+        return self.base.period
 
     def _pull(self, S: FiniteSubset) -> FiniteSubset:
         return FiniteSubset.of(self._back[p] for p in S.members)

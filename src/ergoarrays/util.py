@@ -44,16 +44,15 @@ def dist_to_int(x: Fraction) -> Fraction:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse "3/4", "-1/2", "5" or a decimal literal into a Fraction."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def fraction_to_json(x: Fraction) -> dict:
     """Serialize a rational as decimal strings to avoid precision loss."""
     return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def mix64(*parts: int) -> int:

@@ -165,6 +165,24 @@ def test_wrong_json_shape_is_argument_error(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        '{"kind": "product", "params": {"moduli": [0, 3]}}',
+        '{"kind": "product", "params": {"moduli": []}}',
+        '{"kind": "circle-rotation-rational", "params": {"angle": "1/0"}}',
+        '{"kind": "bernoulli-shift", "params": {"probs": ["1/0", "1/2"]}}',
+    ],
+    ids=["zero-modulus", "no-moduli", "zero-denominator-angle", "zero-denominator-probs"],
+)
+def test_degenerate_system_parameters_are_argument_errors(tmp_path, capsys, system):
+    args = ["recurrence", "--system", system, "--set", '{"points": [0]}', "--pq", "(1,0)", "--Nmax", "4"]
+    assert run(["--out-dir", str(tmp_path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergoarrays.recurrence import (
     CommutingRecurrenceSpec,
@@ -15,8 +17,10 @@ from ergoarrays.repro import random_hypothesis_grid
 from ergoarrays.systems import (
     BernoulliShift,
     CircleRotation,
+    CyclicLattice,
     CyclicRotation,
     GaussMap,
+    RelabeledSystem,
     build_lattice_action,
 )
 
@@ -126,6 +130,96 @@ def test_commuting_series_matches_single(rng):
     action = build_lattice_action(bern, [p for p, _ in pairs], [q for _, q in pairs])
     commuting = commuting_recurrence_series(CommutingRecurrenceSpec(action, A), 48)
     assert single.values == commuting.values
+
+
+# -- periodic residues against the direct O(Nmax^2) sum -------------------------
+
+
+def direct_series(A, preimage, measure, shift_fns, n_max):
+    """Oracle: every term of every N summed directly, no memo, no period."""
+    values = []
+    for N in range(1, n_max + 1):
+        total = Fraction(0)
+        for n in range(1, N + 1):
+            inter = A
+            for shift in shift_fns:
+                inter = inter.intersect(preimage(A, shift(n, N)))
+                if inter.is_empty():
+                    break
+            else:
+                total += measure(inter)
+        values.append((N, total / N))
+    return tuple(values)
+
+
+@st.composite
+def periodic_systems(draw):
+    """A system of period at most 12 and a random set of it."""
+    kind = draw(st.sampled_from(["cyclic", "circle", "lattice", "relabeled"]))
+    if kind in ("cyclic", "relabeled"):
+        m = draw(st.integers(1, 12))
+        system = CyclicRotation(m, draw(st.integers(-12, 12)))  # gcd(step, m) > 1 allowed
+        if kind == "relabeled":
+            perm = draw(st.permutations(range(m)))
+            system = RelabeledSystem(system, tuple((x, f"p{y}") for x, y in enumerate(perm)))
+    elif kind == "circle":
+        q = draw(st.integers(1, 12))
+        system = CircleRotation(Fraction(draw(st.integers(-2 * q, 2 * q)), q))
+    else:
+        moduli = draw(st.sampled_from([(2,), (5,), (2, 3), (3, 4), (4, 6), (2, 2, 3)]))
+        system = CyclicLattice(moduli, tuple(draw(st.integers(-6, 6)) for _ in moduli))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return system, system.random_set(rng)  # CircleRotation: a union of 1-3 arcs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_periodic_series_matches_direct_sum(data):
+    system, A = data.draw(periodic_systems())
+    coeff = st.integers(-4, 4)
+    pairs = data.draw(st.lists(st.tuples(coeff.filter(bool), coeff), min_size=1, max_size=3))
+    n_max = data.draw(st.integers(1, 40))
+    series = recurrence_series(RecurrenceSpec(system, A, pairs), n_max)
+    shift_fns = [lambda n, N, p=p, q=q: p * n + q * N for p, q in pairs]
+    assert series.values == direct_series(A, system.preimage, system.measure, shift_fns, n_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_periodic_commuting_series_matches_direct_sum(data):
+    # translations act by the modulus whatever the step, so the period must be
+    # the modulus, not the order of T
+    system = data.draw(
+        st.sampled_from([CyclicRotation(6, 2), CyclicRotation(9, 3), CyclicLattice((2, 3)), CyclicLattice((3, 4), (2, 2))])
+    )
+    d = getattr(system, "d", 1)
+    vec = st.tuples(*[st.integers(-3, 3)] * d)
+    ell = data.draw(st.integers(1, 2))
+    z = data.draw(st.lists(vec.filter(any), min_size=ell, max_size=ell, unique=True))
+    zhat = data.draw(st.lists(vec, min_size=ell, max_size=ell))
+    action = build_lattice_action(system, z, zhat)
+    A = system.random_set(random.Random(data.draw(st.integers(0, 10**6))))
+    n_max = data.draw(st.integers(1, 40))
+    series = commuting_recurrence_series(CommutingRecurrenceSpec(action, A), n_max)
+    shift_fns = [lambda n, N, j=j: action.shift_vector(j, n, N) for j in range(1, ell + 1)]
+    assert series.values == direct_series(A, action.preimage_set, action.measure, shift_fns, n_max)
+
+
+def test_periodic_series_preimages_stay_bounded(monkeypatch):
+    # rows are evaluated at residues, so the per-shift memo holds O(q) shifts
+    # however long the series
+    shifts = []
+    preimage = CyclicRotation.preimage
+    monkeypatch.setattr(CyclicRotation, "preimage", lambda self, S, k: shifts.append(k) or preimage(self, S, k))
+    z6 = CyclicRotation(6)
+    recurrence_series(RecurrenceSpec(z6, z6.point_set([0, 1]), [(1, 0), (-1, 1)]), 3000)
+    assert len(shifts) == len(set(shifts)) <= 4 * 6
+
+
+def test_half_rotation_long_series_is_cheap():
+    # period 2: the residue rows make Nmax = 20000 a few hundred terms
+    for N, v in half_rotation_series(20000).values:
+        assert v == (Fraction(1, 8) if N % 2 == 0 else 0)
 
 
 # -- grid extraction -----------------------------------------------------------

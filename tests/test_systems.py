@@ -258,3 +258,28 @@ def test_invariance_under_rotation_step():
     S = sys.point_set([0, 2, 3])
     for k in (-3, 1, 5):
         assert sys.measure(sys.preimage(S, k)) == sys.measure(S)
+
+
+def test_period_contract(zoo, rng):
+    # T^q = id and, where translations exist, a translation by q in every
+    # coordinate is the identity too; aperiodic systems have no period
+    periods = [sys.period for sys in zoo]
+    assert periods == [5, 2, 3, 7, None, None, None, 6, None, 4]
+    assert CyclicRotation(12, 4).period == 12  # the modulus, not the order 3 of T
+    assert CircleRotation(Fraction(5, 2)).period == 2
+    assert CyclicLattice((4, 6), (1, 5)).period == 12
+    for sys in zoo + [CyclicRotation(12, 4), CyclicLattice((4, 6), (3, 5))]:
+        if sys.period is None:
+            continue
+        for _ in range(5):
+            S = sys.random_set(rng)
+            assert sys.preimage(S, sys.period) == S
+            if hasattr(sys, "translate_preimage"):
+                d = getattr(sys, "d", 1)
+                assert sys.translate_preimage(S, (sys.period,) * d) == S
+
+
+def test_cyclic_lattice_rejects_bad_moduli():
+    for moduli in ((), (0, 3), (4, -2)):
+        with pytest.raises(ValueError, match="moduli"):
+            CyclicLattice(moduli)
