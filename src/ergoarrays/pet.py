@@ -280,6 +280,13 @@ def reduce_step(system: Sequence[PExpr], h: int, pivot: int | None = None) -> li
     select a member of minimal weight (ties in the automatic choice are
     broken by the lexicographic order on exponent coefficient vectors).
     """
+    return _reduce_step(system, h, pivot)[0]
+
+
+def _reduce_step(
+    system: Sequence[PExpr], h: int, pivot: int | None = None, before: WeightMatrix | None = None
+) -> tuple[list[PExpr], WeightMatrix]:
+    """reduce_step plus the output's weight matrix; ``before`` is the input's, if known."""
     system = list(system)
     _check_hypotheses(system)
     aux = _auxiliary_system(system, h)
@@ -302,10 +309,10 @@ def reduce_step(system: Sequence[PExpr], h: int, pivot: int | None = None) -> li
             # cannot happen after the auxiliary-system scan; guard anyway
             raise ShiftTooSmallError(h, f"member {i} collapses onto the pivot")
         out.append(reduced)  # distinct: aux is, and multiplying by piv_inv is injective
-    before, after = weight_matrix(system), weight_matrix(out)
-    if not precedes(after, before):
+    after = weight_matrix(out)
+    if not precedes(after, weight_matrix(system) if before is None else before):
         raise RuntimeError("internal error: reduction did not descend in precedence")
-    return out
+    return out, after
 
 
 def pet_trace(
@@ -343,19 +350,16 @@ def pet_trace(
         if h_schedule is not None:
             if step >= len(h_schedule):
                 raise ValueError("h_schedule exhausted before descent finished")
-            system = reduce_step(system, h_schedule[step])
+            system, nxt = _reduce_step(system, h_schedule[step], before=chain[-1])
         else:
             for h in range(1, h_cap + 1):
                 try:
-                    system = reduce_step(system, h)
+                    system, nxt = _reduce_step(system, h, before=chain[-1])
                     break
                 except ShiftTooSmallError:
                     continue
             else:
                 raise RuntimeError(f"no usable shift h <= {h_cap}")
-        nxt = weight_matrix(system)
-        if not precedes(nxt, chain[-1]):
-            raise RuntimeError("internal error: chain is not strictly descending")
-        chain.append(nxt)
+        chain.append(nxt)  # _reduce_step checked that it descends from chain[-1]
         step += 1
     return chain

@@ -201,6 +201,29 @@ def test_pattern_search(tmp_path):
     assert doc["counts"]["7"] == 0 and doc["counts"]["8"] == 5
 
 
+@pytest.mark.parametrize(
+    "descriptor, window, word",
+    [
+        ("1 mod 0", "0,100", "modulus"),
+        ("1 mod -3", "0,100", "modulus"),
+        ("random 1.5 7 0,100", None, "density"),
+        ("random nan 7 0,100", None, "density"),
+        ("{empty}", None, "window"),
+    ],
+    ids=["zero-modulus", "negative-modulus", "density-above-1", "nan-density", "empty-file"],
+)
+def test_malformed_set_descriptors_are_argument_errors(tmp_path, capsys, descriptor, window, word):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    out = tmp_path / "out"
+    args = ["--out-dir", str(out), "pattern-search", "--set", descriptor.format(empty=empty)]
+    args += ["--window", window] if window else []
+    assert run([*args, "--spec", "(0,0),(1,0)", "--Nmax", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and word in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_pattern_search_counts_each_N_once(tmp_path, monkeypatch):
     s = szemeredi.IntegerSet.from_residue(0, 2, (0, 2000))
     spec = szemeredi.PatternSpec.parse("(0,0),(1,0),(-1,1)")

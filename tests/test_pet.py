@@ -262,9 +262,14 @@ def oracle_reduce_step(system, h):
     return out
 
 
+def oracle_reduce_step_with_matrix(system, h, before=None):
+    out = oracle_reduce_step(system, h)
+    return out, weight_matrix(out)
+
+
 def oracle_pet_trace(system, **kw):
     with mock.patch.multiple(
-        pet, reduce_step=oracle_reduce_step, _check_hypotheses=oracle_check_hypotheses
+        pet, _reduce_step=oracle_reduce_step_with_matrix, _check_hypotheses=oracle_check_hypotheses
     ):
         return pet_trace(system, **kw)
 

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergoarrays.szemeredi import (
+    DensityResult,
     IntegerSet,
     LatticeSet,
     PatternSpec,
@@ -203,3 +207,122 @@ def test_integer_set_constructors():
     r = IntegerSet.from_residue(2, 5, (10, 40))
     assert all(m % 5 == 2 for m in r.members())
     assert len(IntegerSet.from_random(0.0, 1, (0, 50))) == 0
+
+
+# -- the quadratic IntegerSet code the linear one replaced, kept as oracles --
+
+
+def oracle_from_members(members, window) -> int:
+    lo, hi = window
+    bits = 0
+    for m in members:
+        if not lo <= m < hi:
+            raise ValueError(f"member {m} outside window [{lo}, {hi})")
+        bits |= 1 << (m - lo)
+    return bits
+
+
+def oracle_from_residue(r, mod, window) -> int:
+    lo, hi = window
+    bits = 0
+    start = lo + ((r - lo) % mod)
+    for m in range(start, hi, mod):
+        bits |= 1 << (m - lo)
+    return bits
+
+
+def oracle_from_random(density, seed, window) -> int:
+    rng = random.Random(seed)
+    lo, hi = window
+    bits = 0
+    for t in range(hi - lo):
+        if rng.random() < density:
+            bits |= 1 << t
+    return bits
+
+
+def oracle_members(bits, base) -> list[int]:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(base + low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def oracle_prefix_counts(bits, width) -> list[int]:
+    counts = [0]
+    for t in range(width):
+        counts.append(counts[-1] + ((bits >> t) & 1))
+    return counts
+
+
+def oracle_upper_density(s, window_sizes) -> DensityResult:
+    counts = oracle_prefix_counts(s.bits, s.hi - s.lo)
+    best = None
+    for w in window_sizes:
+        for a in range(s.hi - s.lo - w + 1):
+            d = Fraction(counts[a + w] - counts[a], w)
+            if best is None or d > best[0]:
+                best = (d, (s.lo + a, s.lo + a + w), w)
+    return DensityResult(*best)
+
+
+@st.composite
+def built_sets(draw):
+    """A set from one of the three constructors, with the oracle's bits for it.
+
+    Windows are up to 2000 wide with lo on either side of 0; member lists
+    repeat members; moduli run past the window, so the first residue can
+    fall outside it; densities include 0 and 1."""
+    lo = draw(st.integers(-3000, 3000))
+    window = (lo, lo + draw(st.integers(1, 2000)))
+    width = window[1] - lo
+    kind = draw(st.sampled_from(["members", "residue", "random"]))
+    if kind == "members":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        members = rng.choices(range(*window), k=draw(st.integers(0, 2 * width)))
+        return IntegerSet.from_members(members, window), oracle_from_members(members, window)
+    if kind == "residue":
+        mod = draw(st.integers(1, 12) | st.integers(1, 2 * width + 5))
+        r = draw(st.integers(lo - 3 * mod, window[1] + 3 * mod))
+        return IntegerSet.from_residue(r, mod, window), oracle_from_residue(r, mod, window)
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    seed = draw(st.integers(0, 2**32))
+    return IntegerSet.from_random(density, seed, window), oracle_from_random(density, seed, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_sets())
+def test_integer_sets_match_quadratic_oracles(built):
+    s, bits = built
+    assert s.bits == bits
+    assert list(s.members()) == oracle_members(bits, s.lo)
+    assert s.prefix_counts() == oracle_prefix_counts(bits, s.hi - s.lo)
+    assert IntegerSet.from_members(s.members(), s.window) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_sets(), st.data())
+def test_upper_density_matches_quadratic_oracle(built, data):
+    s, _ = built
+    width = s.hi - s.lo
+    # small widths tie often, across positions and across widths
+    size = st.integers(1, min(width, 6)) | st.integers(1, width)
+    sizes = data.draw(st.lists(size, min_size=1, max_size=4))
+    assert upper_density(s, sizes) == oracle_upper_density(s, sizes)
+
+
+def test_upper_density_ties_keep_first_position_and_first_width():
+    s = IntegerSet.from_members([5, 6, 20, 21], (0, 30))
+    res = upper_density(s, [2, 1])
+    assert res == DensityResult(Fraction(1), (5, 7), 2)
+    third = IntegerSet.from_residue(1, 3, (-10, 290))
+    assert upper_density(third, [6, 3, 30]) == DensityResult(Fraction(1, 3), (-10, -4), 6)
+
+
+def test_wide_window_round_trip():
+    s = IntegerSet.from_random(0.5, 7, (-17, 10**6 - 17))
+    assert IntegerSet.from_members(s.members(), s.window).bits == s.bits
+    assert s.prefix_counts()[-1] == len(s)
+
