@@ -5,25 +5,31 @@ into the mean of the terms x_n and the sum of their pairwise inner products
 <x_n, x_m>; every inner product is a finite combination of measures of
 intersections of translated algebra sets, so the result is an exact
 rational.  Single-transformation arrays and commuting families share one
-distance routine that takes, per term, its row of shifts.  It picks the
-cheapest of three paths:
+distance routine that takes, per term, its row of shifts.  Terms are first
+grouped into classes by that row, each shift reduced mod the system's period
+q when it has one (T^q = id), with multiplicities h_r; aperiodic rows key
+themselves.  It then picks the cheapest of three paths:
 
 * stationary: for a single factor whose shifts are linear in n (one
   observable with an exponent of degree <= 1 in n, or a commuting family
   with one generator pair), <x_{n+d}, x_n> = <x_d, x_0> by invariance, so
-  N inner products suffice;
+  one inner product per class suffices;
 * counted: when every observable is a plain single cylinder on an i.i.d.
   product system, terms are grouped by their count of fixed coordinates
   per symbol, pairs with disjoint supports are counted in integers, and
   only the pairs that share a coordinate are visited, at a cost of
   O(N*ell + overlapping pairs + distinct signatures^2);
-* generic: every pair of terms goes through the inner-product engine,
-  O(N^2) set operations; on systems with independent coordinates, factors
-  whose supports do not meet split off as separate groups, and a centered
-  group of one factor kills the whole term.
+* generic: every pair of classes goes through the inner-product engine,
+  weighted h_r*h_r', so O(N*ell + classes^2) set operations, with at most
+  q^ell classes (q^(ell*d) for d-vector shifts) at period q; on systems
+  with independent coordinates, factors whose supports do not meet split
+  off as separate groups, and a centered group of one factor kills the
+  whole term.
 
-The counted and generic paths are capped at max_quadratic_n terms, since
-overlapping pairs can still be quadratic in N.
+The generic path is capped at max_quadratic_n classes and the counted path
+at max_quadratic_n terms, since overlapping pairs can still be quadratic in
+N.  The van der Corput tables group the pairs (class(n), class(n+h)) the
+same way.
 
 A seeded Monte Carlo estimator covers the sampled tier and doubles as a
 cross-check of the exact path.
@@ -41,7 +47,7 @@ from typing import Sequence
 from .intpoly import IntPoly2
 from .sets import ArcUnion, CylinderUnion, intersect
 from .systems import GaussMap, LatticeAction, SampledSystem
-from .util import ResourceCapError, ordered_map
+from .util import ResourceCapError
 
 
 @dataclass(frozen=True)
@@ -263,42 +269,68 @@ def _is_plain_indicator(obs: Observable) -> bool:
     )
 
 
+def _residue_rows(eng: _Engine, shift_rows) -> list[tuple]:
+    """Each term's row of shifts as a hashable key, every shift reduced mod
+    ``eng.system.period`` when there is one (T^q and every translation by
+    q*e_i are the identity, so a vector reduces componentwise): terms with
+    equal keys are equal functions.  Aperiodic rows are kept as they are."""
+    q = eng.system.period
+    if not q:
+        return [tuple(row) for row in shift_rows]
+    mod = (lambda v: tuple(x % q for x in v)) if eng.vector else (lambda s: s % q)
+    return [tuple(map(mod, row)) for row in shift_rows]
+
+
 def _distance(
     eng: _Engine, observables, shift_rows, c: Fraction, stationary: bool, max_quadratic_n: int
 ) -> Fraction:
     """|| mean_t x_t - c ||^2 over the terms x_t = prod_j T^{shift_rows[t][j]} f_j.
 
     Single-transformation arrays and commuting families differ only in how a
-    term index maps to its row of shifts, so both come through here.  The
-    caller sets ``stationary`` when the shifts are one vector times t plus a
-    constant: then <x_{t+d}, x_t> = <x_d, x_0> by invariance, and the pair
-    sum needs one inner product per d.
+    term index maps to its row of shifts, so both come through here.  Terms
+    are grouped into classes by their residue row (see ``_residue_rows``),
+    class r with multiplicity h_r: the mean sum is sum_r h_r <x_r> and the
+    pair sum is sum_{r,r'} h_r h_r' <x_r, x_r'>, taken over unordered pairs
+    with factor 2 off the diagonal.  An aperiodic system keys each row by
+    itself, so its classes are its distinct rows.  The caller sets
+    ``stationary`` when the shifts are one vector times t plus a constant:
+    then <x_{t+d}, x_t> = <x_d, x_0> by invariance, and the pair weights of
+    every d are added into the bin of the class of x_d, one inner product
+    per class.  Off the stationary path the classes are capped at
+    ``max_quadratic_n`` (the terms, on the counted path).
     """
     terms = len(shift_rows)
-    if not stationary and terms > max_quadratic_n:
-        raise ResourceCapError(
-            f"{terms} terms exceed the quadratic-path cap {max_quadratic_n}"
-        )
-    if not stationary and eng.independent and all(_is_plain_indicator(f) for f in observables):
+    keys = _residue_rows(eng, shift_rows)
+    mult = Counter(keys)
+    counted = not stationary and eng.independent and all(_is_plain_indicator(f) for f in observables)
+    size, what = (terms, "terms") if counted else (len(mult), "classes")
+    if not stationary and size > max_quadratic_n:
+        raise ResourceCapError(f"{size} {what} exceed the quadratic-path cap {max_quadratic_n}")
+    if counted:
         sets = [f.terms[0][1] for f in observables]
         mean_sum, pair_sum = _counted_sums(
             eng.system.probs,
-            [[eng.shifted(S, s) for S, s in zip(sets, row)] for row in shift_rows],
+            [[eng.shifted(S, s) for S, s in zip(sets, row)] for row in keys],
         )
     else:
-        per_t = [[eng.factor(f, s) for f, s in zip(observables, row)] for row in shift_rows]
+        x = {k: [eng.factor(f, s) for f, s in zip(observables, k)] for k in mult}
         mean_sum = pair_sum = Fraction(0)
         if stationary:
-            x0 = per_t[0]
+            x0 = x[keys[0]]
             mean_sum = terms * eng.inner(x0)
-            for d, x in enumerate(per_t):
-                pair_sum += (terms if d == 0 else 2 * (terms - d)) * eng.inner(x + x0)
+            weight: Counter = Counter()
+            for d, k in enumerate(keys):
+                weight[k] += terms if d == 0 else 2 * (terms - d)
+            for k, w in weight.items():
+                pair_sum += w * eng.inner(x[k] + x0)
         else:
-            for i, x in enumerate(per_t):
-                mean_sum += eng.inner(x)
-                for j in range(i, len(per_t)):
-                    ip = eng.inner(x + per_t[j])
-                    pair_sum += ip if i == j else 2 * ip
+            classes = [(x[k], h) for k, h in mult.items()]
+            for i, (xr, h) in enumerate(classes):
+                mean_sum += h * eng.inner(xr)
+                for j in range(i, len(classes)):
+                    xs, g = classes[j]
+                    ip = eng.inner(xr + xs)
+                    pair_sum += (1 if i == j else 2) * h * g * ip
     return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
@@ -548,7 +580,6 @@ def convergence_sweep(
     samples: int = 200,
     seed: int = 0,
     tolerance: Fraction = Fraction(1, 1000),
-    jobs: int = 1,
 ) -> ConvergenceReport:
     """Distances per N plus a decaying / oscillating / inconclusive verdict.
 
@@ -567,7 +598,7 @@ def convergence_sweep(
         est = l2_distance_mc(spec, N, samples, seed + N)
         return SweepRow(N, est.value, "montecarlo", est.stderr)
 
-    rows = tuple(ordered_map(row, Ns, jobs))
+    rows = tuple(row(N) for N in Ns)
     burn = len(rows) // 4
     tail = rows[burn:]
     evens = [r for r in tail if r.N % 2 == 0]
@@ -615,18 +646,17 @@ def vdc_correlations(
     if isinstance(spec.system, SampledSystem):
         raise ValueError("sampled-tier system: correlations need the exact tier")
     eng = _Engine(spec.system)
-
-    def factors(n: int):
-        return [
-            eng.factor(f, p.eval(n, N)) for f, p in zip(spec.observables, spec.exponents)
-        ]
-
-    cache = {n: factors(n) for n in range(1, N + H + 1)}
+    keys = _residue_rows(eng, [[p.eval(n, N) for p in spec.exponents] for n in range(1, N + H + 1)])
+    x = {k: [eng.factor(f, s) for f, s in zip(spec.observables, k)] for k in keys}
+    inners: dict = {}  # one inner product per distinct (class(n), class(n+h))
     rows = []
     for h in range(1, H + 1):
         total = Fraction(0)
-        for n in range(1, N + 1):
-            total += eng.inner(cache[n] + cache[n + h])
+        for pair, count in Counter(zip(keys[:N], keys[h:])).items():
+            ip = inners.get(pair)
+            if ip is None:
+                ip = inners[pair] = eng.inner(x[pair[0]] + x[pair[1]])
+            total += ip if count == 1 else count * ip  # aperiodic pairs: skip the Fraction product
         rows.append((h, total / N))
     drop = math.ceil(H * trim_fraction)
     kept = sorted((abs(v), v) for _, v in rows)[: max(H - drop, 1)]

@@ -45,7 +45,6 @@ class ExperimentConfig:
     kind: str
     options: dict = field(default_factory=dict)
     seed: int = 0
-    jobs: int = 1
     out_dir: str = "."
     format: str = "json"
 
@@ -55,27 +54,24 @@ class ExperimentConfig:
         options = {
             k.replace("_", "-"): v
             for k, v in vars(args).items()
-            if k not in {"command", "seed", "jobs", "out_dir", "format", "config"}
+            if k not in {"command", "seed", "out_dir", "format", "config"}
             and v is not None
         }
         cfg = cls(
             kind,
             options,
             seed=args.seed,
-            jobs=args.jobs,
             out_dir=args.out_dir,
             format=args.format,
         )
         if args.config:
             overrides = json.loads(Path(args.config).read_text())
-            unknown = set(overrides) - _KNOWN_KEYS[kind] - {"seed", "jobs", "out-dir", "format"}
+            unknown = set(overrides) - _KNOWN_KEYS[kind] - {"seed", "out-dir", "format"}
             if unknown:
                 raise ValueError(f"unknown config fields for {kind}: {sorted(unknown)}")
             for k, v in overrides.items():
                 if k == "seed":
                     cfg.seed = int(v)
-                elif k == "jobs":
-                    cfg.jobs = int(v)
                 elif k == "out-dir":
                     cfg.out_dir = str(v)
                 elif k == "format":
@@ -185,7 +181,6 @@ def _cmd_avg_sweep(cfg: ExperimentConfig) -> int:
         method=method,
         samples=int(cfg.options.get("samples", 200)),
         seed=cfg.seed,
-        jobs=cfg.jobs,
     )
     rows = [
         {
@@ -449,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact experiments with nonconventional ergodic averages",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--out-dir", default=".")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
     parser.add_argument("--config", help="JSON config file; its values override flags")

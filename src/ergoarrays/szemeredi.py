@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import sub
+from operator import indexOf, sub
 from typing import Iterable, Mapping, Sequence
 
 from .recurrence import SyndeticReport, detect_syndetic
@@ -202,17 +202,18 @@ class DensityResult:
 def upper_density(s: IntegerSet | LatticeSet, window_sizes: Sequence[int]) -> DensityResult:
     """Best sliding-window density over the given window sizes."""
     if isinstance(s, IntegerSet):
-        counts = s.prefix_counts()
+        row = s._row().encode().translate(_DIGIT_VALUES)
         length = s.hi - s.lo
         best = None
         for w in window_sizes:
             if not 1 <= w <= length:
                 raise ValueError(f"window size {w} does not fit [{s.lo}, {s.hi})")
-            window_counts = list(map(sub, counts[w:], counts))
-            top = max(window_counts)
+            # members in [a, a + w) for every a: a running sum of what enters minus what leaves
+            windows = lambda: accumulate(map(sub, row[w:], row), initial=row[:w].count(1))
+            top = max(windows())
             d = Fraction(top, w)
             if best is None or d > best[0]:
-                a = window_counts.index(top)
+                a = indexOf(windows(), top)
                 best = (d, (s.lo + a, s.lo + a + w), w)
         return DensityResult(*best)
     best = None

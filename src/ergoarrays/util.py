@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 # Rational bounds on pi, enough digits for every comparison made here.
 PI_LO = Fraction(31415926535897932384, 10**19)
@@ -68,18 +63,6 @@ def mix64(*parts: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         acc = z ^ (z >> 31)
     return acc
-
-
-def ordered_map(fn: Callable[[T], U], items: Sequence[T], jobs: int = 1) -> list[U]:
-    """Map preserving input order; worker threads when jobs > 1.
-
-    The reduction order is fixed by the input order, so results are
-    deterministic regardless of scheduling.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 class ResourceCapError(RuntimeError):

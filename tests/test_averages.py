@@ -23,13 +23,14 @@ from ergoarrays.systems import (
     BernoulliShift,
     CircleRotation,
     CyclicLattice,
+    CyclicRotation,
     GaussMap,
     IrrationalRotation,
     build_lattice_action,
 )
 from ergoarrays.util import ResourceCapError
 
-from conftest import exact_zoo
+from conftest import exact_zoo, periodic_systems
 
 
 def bernoulli_spec(center=False, exponents=("n",), ell=1):
@@ -321,6 +322,94 @@ def test_stationary_commuting_path_matches_all_pairs_oracle(data):
     eng = _Engine(system, vector_shifts=True)
     rows = [[eng.factor(f, action.shift_vector(1, n, N))] for n in range(N + 1)]
     assert commuting_average(cspec, N) == all_pairs_distance(eng, rows, cspec.product_of_integrals())
+
+
+# -- residue-class grouping on finite-order systems against raw all-pairs sums --
+
+GROUPED_EXPONENTS = ORACLE_EXPONENTS + ["N", "7", "-3", "n**2 + N", "2*n**2 - n", "N*n**2 - 5"]
+
+
+def raw_factor(f, shifted):
+    """The engine's factor triple, built from a raw preimage of each set."""
+    return (f.constant, tuple((c, shifted(S)) for c, S in f.terms), None)
+
+
+def raw_rows(system, observables, exponents, ns, N):
+    return [
+        [raw_factor(f, lambda S, s=p.eval(n, N): system.preimage(S, s)) for f, p in zip(observables, exponents)]
+        for n in ns
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_grouped_distance_matches_all_pairs_oracle(data):
+    # shifts far beyond the period (n**2, n*N up to 1600) fold into few classes;
+    # ell = 1 with a linear exponent takes the stationary path
+    system = data.draw(periodic_systems())
+    ell = data.draw(st.integers(1, 2))
+    obs = [data.draw(observables(system)) for _ in range(ell)]
+    exps = data.draw(st.lists(st.sampled_from(GROUPED_EXPONENTS), min_size=ell, max_size=ell))
+    N = data.draw(st.integers(1, 40))
+    spec = ArraySpec.create(system, obs, exps)
+    rows = raw_rows(system, spec.observables, spec.exponents, range(1, N + 1), N)
+    oracle = all_pairs_distance(_Engine(system), rows, spec.product_of_integrals())
+    assert l2_distance_exact(spec, N) == oracle
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_grouped_commuting_average_matches_all_pairs_oracle(data):
+    moduli = data.draw(st.sampled_from([(2,), (5,), (2, 3), (3, 4), (2, 2, 3)]))
+    system = CyclicLattice(moduli)
+    vec = st.tuples(*[st.integers(-3, 3)] * system.d)
+    ell = data.draw(st.integers(1, 2))
+    z = data.draw(st.lists(vec.filter(any), min_size=ell, max_size=ell, unique=True))
+    zhat = data.draw(st.lists(vec, min_size=ell, max_size=ell))
+    action = build_lattice_action(system, z, zhat)
+    obs = tuple(data.draw(observables(system)) for _ in range(ell))
+    N = data.draw(st.integers(1, 40))
+    rows = [
+        [
+            raw_factor(f, lambda S, v=action.shift_vector(j, n, N): system.translate_preimage(S, v))
+            for j, f in enumerate(obs, 1)
+        ]
+        for n in range(N + 1)
+    ]
+    cspec = CommutingArraySpec(action, obs)
+    assert commuting_average(cspec, N) == all_pairs_distance(_Engine(system), rows, cspec.product_of_integrals())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_grouped_vdc_matches_per_n_sum(data):
+    system = data.draw(periodic_systems())
+    ell = data.draw(st.integers(1, 2))
+    obs = [data.draw(observables(system)) for _ in range(ell)]
+    exps = data.draw(st.lists(st.sampled_from(GROUPED_EXPONENTS), min_size=ell, max_size=ell))
+    N, H = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 5))
+    spec = ArraySpec.create(system, obs, exps)
+    x = raw_rows(system, spec.observables, spec.exponents, range(N + H + 1), N)
+    eng = _Engine(system)
+    expected = [(h, sum((eng.inner(x[n] + x[n + h]) for n in range(1, N + 1)), Fraction(0)) / N) for h in range(1, H + 1)]
+    assert list(vdc_correlations(spec, N, H).rows) == expected
+
+
+def test_periodic_distance_caps_classes_not_terms():
+    cyc = CyclicRotation(12)
+    spec = ArraySpec.create(cyc, [Observable.indicator(cyc.point_set([0, 1, 5, 7]))], ["n**2"], center=True)
+    rows = raw_rows(cyc, spec.observables, spec.exponents, range(1, 49), 48)
+    assert l2_distance_exact(spec, 48) == all_pairs_distance(_Engine(cyc), rows, Fraction(0))
+    value = l2_distance_exact(spec, 10**5)  # 12 classes, far under the cap
+    assert 0 <= value <= spec.observables[0].sup_bound() ** 2
+    # ell = 2 vector shifts on Z_3 x Z_4 (period 12): 2001 terms in 12 classes, one per n mod 12
+    lat = CyclicLattice((3, 4))
+    action = build_lattice_action(lat, [(1, 0), (1, 1)], [(0, 1), (2, 0)])
+    f = Observable.indicator(lat.point_set([(0, 0), (1, 2), (2, 3)]))
+    cspec = CommutingArraySpec(action, (f, f))
+    assert 0 <= commuting_average(cspec, 2000, max_quadratic_n=12) <= 1
+    with pytest.raises(ResourceCapError, match="12 classes"):
+        commuting_average(cspec, 2000, max_quadratic_n=11)
 
 
 def test_stationary_path_matches_quadratic_path():

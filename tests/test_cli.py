@@ -187,6 +187,18 @@ def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 
 
+def test_jobs_flag_and_config_key_are_gone(tmp_path, capsys):
+    # sweeps run in one thread: --jobs is an unknown argument, "jobs" an unknown key
+    args = ["avg-sweep", "--system", ROT, "--spec", '{"observables": [], "exponents": []}', "--Ns", "4"]
+    assert run(["--out-dir", str(tmp_path), *args, "--jobs", "2"]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines[-1] == "ergoarrays: error: unrecognized arguments: --jobs 2"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    assert run(["--out-dir", str(tmp_path), "--config", str(cfg), *args]) == 2
+    assert capsys.readouterr().err == "error: unknown config fields for avg-sweep: ['jobs']\n"
+
+
 def test_pattern_search(tmp_path):
     code = run(
         [

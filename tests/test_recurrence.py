@@ -20,9 +20,10 @@ from ergoarrays.systems import (
     CyclicLattice,
     CyclicRotation,
     GaussMap,
-    RelabeledSystem,
     build_lattice_action,
 )
+
+from conftest import periodic_systems
 
 
 def half_rotation_series(n_max=20):
@@ -152,30 +153,11 @@ def direct_series(A, preimage, measure, shift_fns, n_max):
     return tuple(values)
 
 
-@st.composite
-def periodic_systems(draw):
-    """A system of period at most 12 and a random set of it."""
-    kind = draw(st.sampled_from(["cyclic", "circle", "lattice", "relabeled"]))
-    if kind in ("cyclic", "relabeled"):
-        m = draw(st.integers(1, 12))
-        system = CyclicRotation(m, draw(st.integers(-12, 12)))  # gcd(step, m) > 1 allowed
-        if kind == "relabeled":
-            perm = draw(st.permutations(range(m)))
-            system = RelabeledSystem(system, tuple((x, f"p{y}") for x, y in enumerate(perm)))
-    elif kind == "circle":
-        q = draw(st.integers(1, 12))
-        system = CircleRotation(Fraction(draw(st.integers(-2 * q, 2 * q)), q))
-    else:
-        moduli = draw(st.sampled_from([(2,), (5,), (2, 3), (3, 4), (4, 6), (2, 2, 3)]))
-        system = CyclicLattice(moduli, tuple(draw(st.integers(-6, 6)) for _ in moduli))
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    return system, system.random_set(rng)  # CircleRotation: a union of 1-3 arcs
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_periodic_series_matches_direct_sum(data):
-    system, A = data.draw(periodic_systems())
+    system = data.draw(periodic_systems())
+    A = system.random_set(random.Random(data.draw(st.integers(0, 10**6))))  # CircleRotation: 1-3 arcs
     coeff = st.integers(-4, 4)
     pairs = data.draw(st.lists(st.tuples(coeff.filter(bool), coeff), min_size=1, max_size=3))
     n_max = data.draw(st.integers(1, 40))
