@@ -15,10 +15,10 @@ themselves.  It then picks the cheapest of three paths:
   with one generator pair), <x_{n+d}, x_n> = <x_d, x_0> by invariance, so
   one inner product per class suffices;
 * counted: when every observable is a plain single cylinder on an i.i.d.
-  product system, terms are grouped by their count of fixed coordinates
+  product system, classes are grouped by their count of fixed coordinates
   per symbol, pairs with disjoint supports are counted in integers, and
-  only the pairs that share a coordinate are visited, at a cost of
-  O(N*ell + overlapping pairs + distinct signatures^2);
+  only the pairs of classes that share a coordinate are visited, at a cost
+  of O(N*ell + overlapping class pairs + distinct signatures^2);
 * generic: every pair of classes goes through the inner-product engine,
   weighted h_r*h_r', so O(N*ell + classes^2) set operations, with at most
   q^ell classes (q^(ell*d) for d-vector shifts) at period q; on systems
@@ -26,10 +26,8 @@ themselves.  It then picks the cheapest of three paths:
   off as separate groups, and a centered group of one factor kills the
   whole term.
 
-The generic path is capped at max_quadratic_n classes and the counted path
-at max_quadratic_n terms, since overlapping pairs can still be quadratic in
-N.  The van der Corput tables group the pairs (class(n), class(n+h)) the
-same way.
+Both quadratic paths are capped at max_quadratic_n classes.  The van der
+Corput tables group the pairs (class(n), class(n+h)) the same way.
 
 A seeded Monte Carlo estimator covers the sampled tier and doubles as a
 cross-check of the exact path.
@@ -297,20 +295,18 @@ def _distance(
     then <x_{t+d}, x_t> = <x_d, x_0> by invariance, and the pair weights of
     every d are added into the bin of the class of x_d, one inner product
     per class.  Off the stationary path the classes are capped at
-    ``max_quadratic_n`` (the terms, on the counted path).
+    ``max_quadratic_n``.
     """
     terms = len(shift_rows)
     keys = _residue_rows(eng, shift_rows)
     mult = Counter(keys)
-    counted = not stationary and eng.independent and all(_is_plain_indicator(f) for f in observables)
-    size, what = (terms, "terms") if counted else (len(mult), "classes")
-    if not stationary and size > max_quadratic_n:
-        raise ResourceCapError(f"{size} {what} exceed the quadratic-path cap {max_quadratic_n}")
-    if counted:
+    if not stationary and len(mult) > max_quadratic_n:
+        raise ResourceCapError(f"{len(mult)} classes exceed the quadratic-path cap {max_quadratic_n}")
+    if not stationary and eng.independent and all(_is_plain_indicator(f) for f in observables):
         sets = [f.terms[0][1] for f in observables]
         mean_sum, pair_sum = _counted_sums(
             eng.system.probs,
-            [[eng.shifted(S, s) for S, s in zip(sets, row)] for row in keys],
+            [([eng.shifted(S, s) for S, s in zip(sets, k)], h) for k, h in mult.items()],
         )
     else:
         x = {k: [eng.factor(f, s) for f, s in zip(observables, k)] for k in mult}
@@ -334,10 +330,11 @@ def _distance(
     return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
-def _counted_sums(probs, terms) -> tuple[Fraction, Fraction]:
-    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) over ordered pairs, for terms
-    that are products of single cylinders (given already shifted) on an
-    i.i.d. product system.
+def _counted_sums(probs, classes) -> tuple[Fraction, Fraction]:
+    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) over ordered pairs of terms, for
+    terms that are products of single cylinders on an i.i.d. product system,
+    given as classes (cylinders already shifted, multiplicity h): a single
+    counts h times and a pair of classes h*h' times.
 
     A term fixes one symbol per coordinate of its support, or is zero when
     two of its factors disagree; its measure depends only on its signature,
@@ -350,7 +347,9 @@ def _counted_sums(probs, terms) -> tuple[Fraction, Fraction]:
     """
     fixed: list[dict] = []
     sigs: list[tuple[int, ...]] = []
-    for cylinders in terms:
+    hs: list[int] = []
+    singles: Counter = Counter()
+    for cylinders, h in classes:
         term: dict = {}
         zero = False
         for S in cylinders:
@@ -365,8 +364,9 @@ def _counted_sums(probs, terms) -> tuple[Fraction, Fraction]:
                 sig[s] += 1
             fixed.append(term)
             sigs.append(tuple(sig))
+            hs.append(h)
+            singles[sigs[-1]] += h
 
-    singles = Counter(sigs)
     pairs: Counter = Counter()
     for a, ka in singles.items():
         for b, kb in singles.items():
@@ -377,7 +377,7 @@ def _counted_sums(probs, terms) -> tuple[Fraction, Fraction]:
             where.setdefault(c, []).append(t)
     for t, term in enumerate(fixed):
         for u in {u for c in term for u in where[c] if u >= t}:
-            k = 1 if u == t else 2  # (t, u) and (u, t)
+            k = (1 if u == t else 2) * hs[t] * hs[u]  # (t, u) and (u, t)
             disjoint = tuple(map(add, sigs[t], sigs[u]))
             pairs[disjoint] -= k
             merged = list(disjoint)

@@ -141,7 +141,7 @@ def _emit(cfg: ExperimentConfig, name: str, report: dict, csv_rows: list[dict] |
     base = cfg.options.get("out", name)
     if cfg.format in ("json", "both"):
         path = out_dir / f"{base}.json" if not str(base).endswith(".json") else out_dir / str(base)
-        path.write_text(json.dumps(_rationalize(report), indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(_rationalize(report), sort_keys=True) + "\n")
         print(f"wrote {path}")
     if csv_rows and cfg.format in ("csv", "both"):
         path = out_dir / f"{base}.csv"

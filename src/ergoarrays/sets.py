@@ -168,17 +168,18 @@ class CylinderUnion:
         return not self.rows
 
     def shift(self, offset) -> "CylinderUnion":
-        """Rename coordinates by +offset (int, or vector for tuple coords)."""
+        """Rename coordinates by +offset (int, or vector for tuple coords).
+
+        Adding one offset keeps the sorted (for vectors, lexicographic) order
+        of the support, so the rows carry over unchanged.
+        """
         if not self.coords:
             return self
         if isinstance(self.coords[0], tuple):
-            moved = [tuple(x + o for x, o in zip(c, offset)) for c in self.coords]
+            coords = tuple(tuple(x + o for x, o in zip(c, offset)) for c in self.coords)
         else:
-            moved = [c + offset for c in self.coords]
-        order = sorted(range(len(moved)), key=lambda i: moved[i])
-        coords = tuple(moved[i] for i in order)
-        rows = frozenset(tuple(row[i] for i in order) for row in self.rows)
-        return CylinderUnion(coords, rows, self.alphabet)
+            coords = tuple(c + offset for c in self.coords)
+        return CylinderUnion(coords, self.rows, self.alphabet)
 
     def _expand_to(self, coords: tuple) -> frozenset[tuple[int, ...]]:
         """Rows of this set over a superset support (exponential in the gap)."""
@@ -209,10 +210,13 @@ class CylinderUnion:
         if len(self.rows) == 1 and len(other.rows) == 1:
             a = dict(zip(self.coords, next(iter(self.rows))))
             for c, s in zip(other.coords, next(iter(other.rows))):
-                if a.get(c, s) != s:
+                if a.setdefault(c, s) != s:
                     return CylinderUnion.empty(self.alphabet)
-                a[c] = s
-            return CylinderUnion.cylinder(a, self.alphabet)
+            if self.alphabet == 1:
+                return CylinderUnion.cylinder(a, 1)
+            # with two or more symbols one row depends on every coordinate
+            coords = tuple(sorted(a))
+            return CylinderUnion(coords, frozenset({tuple(map(a.__getitem__, coords))}), self.alphabet)
         coords = tuple(sorted(set(self.coords) | set(other.coords)))
         rows = self._expand_to(coords) & other._expand_to(coords)
         return CylinderUnion._canonical(coords, rows, self.alphabet)

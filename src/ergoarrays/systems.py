@@ -13,10 +13,11 @@ implement translate_preimage(S, v) for commuting-family actions.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .sets import ArcUnion, CylinderUnion, FiniteSubset
 from .util import frac_mod1, mix64, parse_fraction
@@ -189,6 +190,10 @@ class BernoulliShift(ExactSystem):
         object.__setattr__(self, "probs", probs)
         if sum(probs) != 1 or any(p < 0 for p in probs):
             raise ValueError("probabilities must be nonnegative and sum to 1")
+        # probs[s] = nums[s] / den over one common denominator
+        den = math.lcm(*(p.denominator for p in probs))
+        object.__setattr__(self, "_nums", tuple(p.numerator * (den // p.denominator) for p in probs))
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def uniform(cls, symbols: int = 2) -> "BernoulliShift":
@@ -208,13 +213,9 @@ class BernoulliShift(ExactSystem):
         return CylinderUnion.empty(self.alphabet)
 
     def measure(self, S: CylinderUnion) -> Fraction:
-        total = Fraction(0)
-        for row in S.rows:
-            p = Fraction(1)
-            for sym in row:
-                p *= self.probs[sym]
-            total += p
-        return total
+        nums = self._nums
+        total = sum(math.prod(map(nums.__getitem__, row)) for row in S.rows)
+        return Fraction(total, self._den ** len(S.coords))
 
     def preimage(self, S: CylinderUnion, k: int) -> CylinderUnion:
         return S.shift(k)
@@ -243,7 +244,14 @@ class BernoulliShift(ExactSystem):
 
 @dataclass(frozen=True)
 class MarkovShift(ExactSystem):
-    """Left shift with the stationary Markov measure of a stochastic matrix."""
+    """Left shift with the stationary Markov measure of a stochastic matrix.
+
+    Measures are computed in integers: with D the lcm of the matrix
+    denominators, the powers of A = D*P are cached, and the stationary vector
+    is kept as integers over the lcm of its denominators, so a row of symbols
+    spanning coordinates c_0 < ... < c_k has measure
+    pi[r_0] * prod_t A^(c_{t+1} - c_t)[r_t][r_{t+1}] / (pi_den * D^(c_k - c_0)).
+    """
 
     matrix: tuple[tuple[Fraction, ...], ...]
     stationary: tuple[Fraction, ...] = field(init=False)
@@ -254,8 +262,15 @@ class MarkovShift(ExactSystem):
         for row in matrix:
             if sum(row) != 1 or any(p < 0 for p in row):
                 raise ValueError("matrix rows must be stochastic")
-        object.__setattr__(self, "stationary", _stationary_of(matrix))
-        object.__setattr__(self, "_powers", [_identity(len(matrix)), matrix])
+        pi = _stationary_of(matrix)
+        object.__setattr__(self, "stationary", pi)
+        den = math.lcm(*(p.denominator for row in matrix for p in row))
+        pi_den = math.lcm(*(p.denominator for p in pi))
+        A = tuple(tuple(p.numerator * (den // p.denominator) for p in row) for row in matrix)
+        identity = tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_pi", (tuple(p.numerator * (pi_den // p.denominator) for p in pi), pi_den))
+        object.__setattr__(self, "_int_powers", [identity, A])
 
     @classmethod
     def iid(cls, probs: Sequence) -> "MarkovShift":
@@ -274,27 +289,39 @@ class MarkovShift(ExactSystem):
 
     states = alphabet
 
+    def _int_power(self, t: int) -> tuple[tuple[int, ...], ...]:
+        """A^t = D^t * P^t, from the cache."""
+        cache = self._int_powers
+        if len(cache) <= t:
+            cols = tuple(zip(*cache[1]))
+            while len(cache) <= t:
+                cache.append(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in cache[-1]))
+        return cache[t]
+
     def power(self, t: int) -> tuple[tuple[Fraction, ...], ...]:
         if t < 0:
             raise ValueError("matrix power must be >= 0")
-        cache = self._powers
-        while len(cache) <= t:
-            cache.append(_mat_mul(cache[-1], self.matrix))
-        return cache[t]
+        scale = self._den**t
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in self._int_power(t))
 
     def path_measure(self, constraints: Mapping[int, int]) -> Fraction:
         """mu of the cylinder fixing symbols at the given coordinates."""
         coords = sorted(constraints)
-        return self._path(coords, [constraints[c] for c in coords])
+        return self._paths(coords, [[constraints[c] for c in coords]])
 
-    def _path(self, coords: Sequence[int], row: Sequence[int]) -> Fraction:
-        """mu of one row of symbols at increasing coordinates."""
-        if not row:
-            return Fraction(1)
-        p = self.stationary[row[0]]
-        for t in range(len(row) - 1):
-            p *= self.power(coords[t + 1] - coords[t])[row[t]][row[t + 1]]
-        return p
+    def _paths(self, coords: Sequence[int], rows: Collection[Sequence[int]]) -> Fraction:
+        """Total mu of rows of symbols at the same increasing coordinates."""
+        if not coords:
+            return Fraction(len(rows))  # the full set's one empty row, or none
+        pi, pi_den = self._pi
+        steps = [self._int_power(b - a) for a, b in zip(coords, coords[1:])]
+        total = 0
+        for row in rows:
+            p = pi[row[0]]
+            for A, a, b in zip(steps, row, row[1:]):
+                p *= A[a][b]
+            total += p
+        return Fraction(total, pi_den * self._den ** (coords[-1] - coords[0]))
 
     def cylinder(self, constraints: Mapping[int, int]) -> CylinderUnion:
         return CylinderUnion.cylinder(constraints, self.alphabet)
@@ -306,7 +333,7 @@ class MarkovShift(ExactSystem):
         return CylinderUnion.empty(self.alphabet)
 
     def measure(self, S: CylinderUnion) -> Fraction:
-        return sum((self._path(S.coords, row) for row in S.rows), Fraction(0))
+        return self._paths(S.coords, S.rows)
 
     def preimage(self, S: CylinderUnion, k: int) -> CylinderUnion:
         return S.shift(k)
@@ -324,20 +351,6 @@ class MarkovShift(ExactSystem):
             for _ in range(rng.randint(1, 3))
         }
         return self.cylinder(constraints)
-
-
-def _identity(s: int):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(s)) for i in range(s)
-    )
-
-
-def _mat_mul(a, b):
-    s = len(a)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(s)), Fraction(0)) for j in range(s))
-        for i in range(s)
-    )
 
 
 @dataclass(frozen=True)
@@ -682,83 +695,6 @@ class GaussMap(SampledSystem):
 
     def point_in(self, x: Fraction, S: ArcUnion) -> bool:
         return S.contains_point(x)
-
-
-@dataclass(frozen=True)
-class SkewProduct(SampledSystem):
-    """T(y, z) = (S y, sigma(y) z) over a sampled base system.
-
-    ``cocycle(y, z)`` returns the new fiber point; an optional
-    ``cocycle_inv`` makes the product invertible when the base is.
-    """
-
-    base: SampledSystem
-    cocycle: Callable
-    cocycle_inv: Callable | None = None
-
-    @property
-    def invertible(self) -> bool:  # type: ignore[override]
-        return self.base.invertible and self.cocycle_inv is not None
-
-    def forward(self, point):
-        y, z = point
-        return (self.base.forward(y), self.cocycle(y, z))
-
-    def backward(self, point):
-        if not self.invertible:
-            raise ValueError("skew product is not invertible")
-        y, z = point
-        y0 = self.base.backward(y)
-        return (y0, self.cocycle_inv(y0, z))
-
-    def orbit(self, point, k: int):
-        if k >= 0:
-            for _ in range(k):
-                point = self.forward(point)
-        else:
-            for _ in range(-k):
-                point = self.backward(point)
-        return point
-
-    def sample_point(self, seed: int, idx: int):
-        y = self.base.sample_point(seed, idx)
-        z = self.base.sample_point(mix64(seed, 0xF1BE), idx)
-        return (y, z)
-
-
-@dataclass(frozen=True)
-class UserSystem(SampledSystem):
-    """User-supplied maps and sampler; forward-only unless backward given."""
-
-    forward_map: Callable
-    backward_map: Callable | None = None
-    sampler: Callable | None = None  # (seed, idx) -> point
-
-    @property
-    def invertible(self) -> bool:  # type: ignore[override]
-        return self.backward_map is not None
-
-    def forward(self, x):
-        return self.forward_map(x)
-
-    def backward(self, x):
-        if self.backward_map is None:
-            raise ValueError("system is not invertible")
-        return self.backward_map(x)
-
-    def orbit(self, x, k: int):
-        if k >= 0:
-            for _ in range(k):
-                x = self.forward(x)
-        else:
-            for _ in range(-k):
-                x = self.backward(x)
-        return x
-
-    def sample_point(self, seed: int, idx: int):
-        if self.sampler is None:
-            raise ValueError("system has no sampler")
-        return self.sampler(seed, idx)
 
 
 def orbit_eval(sys, x, k: int):

@@ -280,6 +280,34 @@ def test_counted_commuting_path_matches_all_pairs_oracle(data):
     assert commuting_average(cspec, N) == all_pairs_distance(eng, rows, cspec.product_of_integrals())
 
 
+CONSTANT_IN_N = ["N", "2*N", "N - 2", "3*N + 1", "N**2", "7", "-3", "0"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_counted_classes_match_all_pairs_oracle(data):
+    # exponents constant in n put every term in one class of multiplicity N
+    system, cylinder = data.draw(iid_systems())
+    ell = data.draw(st.integers(1, 3))
+    obs = [Observable.indicator(data.draw(cylinder)) for _ in range(ell)]
+    exps = data.draw(st.lists(st.sampled_from(CONSTANT_IN_N), min_size=ell, max_size=ell))
+    N = data.draw(st.integers(1, 30))
+    spec = ArraySpec.create(system, obs, exps)
+    eng = _Engine(system)
+    rows = [[eng.factor(f, p.eval(n, N)) for f, p in zip(obs, spec.exponents)] for n in range(1, N + 1)]
+    assert l2_distance_exact(spec, N, max_quadratic_n=1) == all_pairs_distance(eng, rows, spec.product_of_integrals())
+
+
+def test_counted_path_caps_classes_not_terms():
+    # x_n = 1{w_N = 0} 1{w_{2N+1} = 1} for every n: one class, || x - 1/4 ||^2 = 3/16
+    bern = BernoulliShift.uniform(2)
+    obs = [Observable.indicator(bern.cylinder({0: 0})), Observable.indicator(bern.cylinder({1: 1}))]
+    spec = ArraySpec.create(bern, obs, ["N", "2*N"])
+    assert l2_distance_exact(spec, 4096, max_quadratic_n=1) == Fraction(3, 16)
+    with pytest.raises(ResourceCapError, match="2 classes"):
+        l2_distance_exact(ArraySpec.create(bern, obs, ["n", "2*N"]), 2, max_quadratic_n=1)
+
+
 @st.composite
 def observables(draw, system):
     """An affine combination of up to two of the system's random sets."""

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ergoarrays.sets import ArcUnion, intersect
+from ergoarrays.sets import ArcUnion, CylinderUnion, intersect
 from ergoarrays.systems import (
     BernoulliLattice,
     BernoulliShift,
@@ -283,3 +283,126 @@ def test_cyclic_lattice_rejects_bad_moduli():
     for moduli in ((), (0, 3), (4, -2)):
         with pytest.raises(ValueError, match="moduli"):
             CyclicLattice(moduli)
+
+
+# -- integer cylinder kernels against the Fraction implementations they replaced --
+
+
+def oracle_shift(S: CylinderUnion, offset) -> CylinderUnion:
+    """Move the support, re-sort it and permute every row to match."""
+    if not S.coords:
+        return S
+    if isinstance(S.coords[0], tuple):
+        moved = [tuple(x + o for x, o in zip(c, offset)) for c in S.coords]
+    else:
+        moved = [c + offset for c in S.coords]
+    order = sorted(range(len(moved)), key=lambda i: moved[i])
+    rows = frozenset(tuple(row[i] for i in order) for row in S.rows)
+    return CylinderUnion(tuple(moved[i] for i in order), rows, S.alphabet)
+
+
+def oracle_intersect(a: CylinderUnion, b: CylinderUnion) -> CylinderUnion:
+    """Expand both sets to the joint support, intersect rows, canonicalize."""
+    if a.is_empty() or b.is_empty():
+        return CylinderUnion.empty(a.alphabet)
+    coords = tuple(sorted(set(a.coords) | set(b.coords)))
+    return CylinderUnion._canonical(coords, a._expand_to(coords) & b._expand_to(coords), a.alphabet)
+
+
+def oracle_bernoulli_measure(probs, S: CylinderUnion) -> Fraction:
+    return sum((math.prod((probs[s] for s in row), start=Fraction(1)) for row in S.rows), Fraction(0))
+
+
+def oracle_powers(matrix, t_max: int) -> list:
+    """P^0, ..., P^t_max by repeated Fraction matrix products."""
+    s = len(matrix)
+    out = [tuple(tuple(Fraction(int(i == j)) for j in range(s)) for i in range(s))]
+    for _ in range(t_max):
+        a = out[-1]
+        out.append(tuple(
+            tuple(sum((a[i][k] * matrix[k][j] for k in range(s)), Fraction(0)) for j in range(s))
+            for i in range(s)
+        ))
+    return out
+
+
+def oracle_path(chain: MarkovShift, powers, coords, row) -> Fraction:
+    if not row:
+        return Fraction(1)
+    p = chain.stationary[row[0]]
+    for t in range(len(row) - 1):
+        p *= powers[coords[t + 1] - coords[t]][row[t]][row[t + 1]]
+    return p
+
+
+@st.composite
+def cylinder_sets(draw, alphabet: int, d: int, radius: int = 4):
+    """Empty, full, one cylinder, or a union of two (sometimes complemented),
+    on integer coordinates (d = 0) or Z^d vectors.  At most 4 coordinates, so
+    that intersections stay far below the row cap."""
+    coord = st.integers(-radius, radius) if d == 0 else st.tuples(*[st.integers(-2, 2)] * d)
+    cylinder = st.dictionaries(coord, st.integers(0, alphabet - 1), max_size=2).map(
+        lambda c: CylinderUnion.cylinder(c, alphabet)
+    )
+    kind = draw(st.sampled_from(["empty", "full", "one", "one", "union", "complement"]))
+    if kind == "empty":
+        return CylinderUnion.empty(alphabet)
+    if kind == "full":
+        return CylinderUnion.full(alphabet)
+    S = draw(cylinder)
+    if kind != "one":
+        S = S.union(draw(cylinder))
+    return S.complement() if kind == "complement" else S
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cylinder_shift_and_intersect_match_oracles(data):
+    alphabet = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(0, 2))
+    a = data.draw(cylinder_sets(alphabet, d))
+    b = data.draw(cylinder_sets(alphabet, d))
+    offset = data.draw(st.integers(-50, 50) if d == 0 else st.tuples(*[st.integers(-50, 50)] * d))
+    moved = a.shift(offset)
+    assert moved == oracle_shift(a, offset)
+    assert list(moved.coords) == sorted(moved.coords)
+    assert moved.shift(tuple(-o for o in offset) if d else -offset) == a
+    for x, y in ((a, b), (moved, b), (b, moved)):
+        assert x.intersect(y) == oracle_intersect(x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bernoulli_measure_matches_fraction_oracle(data):
+    weights = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=3).filter(any))
+    probs = tuple(Fraction(w, sum(weights)) for w in weights)
+    d = data.draw(st.integers(0, 2))
+    system = BernoulliShift(probs) if d == 0 else BernoulliLattice(probs, d)
+    a = data.draw(cylinder_sets(len(probs), d))
+    b = data.draw(cylinder_sets(len(probs), d))
+    for S in (a, b, intersect(a, b), a.union(b), a.complement()):
+        assert system.measure(S) == oracle_bernoulli_measure(probs, S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_markov_kernels_match_fraction_oracle(data):
+    s = data.draw(st.integers(2, 4))
+    weights = data.draw(
+        st.lists(st.lists(st.integers(0, 6), min_size=s, max_size=s).filter(any), min_size=s, max_size=s)
+    )
+    matrix = tuple(tuple(Fraction(w, sum(row)) for w in row) for row in weights)
+    try:
+        chain = MarkovShift(matrix)
+    except ValueError:  # no unique stationary distribution
+        assume(False)
+    powers = oracle_powers(matrix, 60)
+    for t in data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=4)):
+        assert chain.power(t) == powers[t]
+    constraints = data.draw(st.dictionaries(st.integers(-30, 30), st.integers(0, s - 1), max_size=4))
+    coords = sorted(constraints)
+    expected = oracle_path(chain, powers, coords, [constraints[c] for c in coords])
+    assert chain.path_measure(constraints) == expected
+    S = data.draw(cylinder_sets(s, 0, radius=30))
+    assert chain.measure(S) == sum((oracle_path(chain, powers, S.coords, row) for row in S.rows), Fraction(0))
+    assert chain.measure(S.shift(data.draw(st.integers(-40, 40)))) == chain.measure(S)
