@@ -84,10 +84,6 @@ class Observable:
         return total
 
 
-def _measure_of(system):
-    return lambda S: system.measure(S)
-
-
 @dataclass(frozen=True)
 class ArraySpec:
     """System, observables f_j and exponent polynomials P_j(n, N)."""
@@ -112,10 +108,7 @@ class ArraySpec:
         if len(obs) != len(exps) or not obs:
             raise ValueError("need one exponent per observable, at least one of each")
         if center:
-            if isinstance(system, SampledSystem):
-                obs = tuple(f.shifted_by(f.integral(_invariant_measure(system))) for f in obs)
-            else:
-                obs = tuple(f.shifted_by(f.integral(_measure_of(system))) for f in obs)
+            obs = tuple(f.shifted_by(f.integral(_invariant_measure(system))) for f in obs)
         if assert_distinct_linear:
             ps = []
             for p in exps:
@@ -134,11 +127,7 @@ class ArraySpec:
         return len(self.observables)
 
     def product_of_integrals(self) -> Fraction:
-        m = _measure_of(self.system)
-        prod = Fraction(1)
-        for f in self.observables:
-            prod *= f.integral(m)
-        return prod
+        return _product_of_integrals(self.system, self.observables)
 
 
 @dataclass(frozen=True)
@@ -153,11 +142,15 @@ class CommutingArraySpec:
             raise ValueError("need one observable per generator pair")
 
     def product_of_integrals(self) -> Fraction:
-        m = lambda S: self.action.measure(S)
-        prod = Fraction(1)
-        for f in self.observables:
-            prod *= f.integral(m)
-        return prod
+        return _product_of_integrals(self.action.system, self.observables)
+
+
+def _product_of_integrals(system, observables) -> Fraction:
+    m = _invariant_measure(system)
+    prod = Fraction(1)
+    for f in observables:
+        prod *= f.integral(m)
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +392,12 @@ def _counted_sums(probs, classes) -> tuple[Fraction, Fraction]:
     return mean_sum, pair_sum
 
 
+def _shift_rows(spec: ArraySpec, N: int, n_start: int, count: int) -> list[tuple[int, ...]]:
+    """Rows (P_1(n, N), ..., P_ell(n, N)) for n = n_start .. n_start+count-1,
+    each exponent walked along n by its difference table."""
+    return list(zip(*(p.values_along_n(N, n_start, count) for p in spec.exponents)))
+
+
 def array_term_inner(spec: ArraySpec, N: int, n1: int, n2: int) -> Fraction:
     """Exact <x_{n1,N}, x_{n2,N}> for the array terms of the spec."""
     eng = _Engine(spec.system)
@@ -426,7 +425,7 @@ def l2_distance_exact(
     return _distance(
         _Engine(spec.system),
         spec.observables,
-        [[p.eval(n, N) for p in spec.exponents] for n in range(1, N + 1)],
+        _shift_rows(spec, N, 1, N),
         c,
         spec.ell == 1 and spec.exponents[0].deg_n <= 1,
         max_quadratic_n,
@@ -478,7 +477,7 @@ def _invariant_measure(system):
         return gauss_measure
     if isinstance(system, SampledSystem):
         return lambda S: S.measure()
-    return _measure_of(system)
+    return system.measure
 
 
 @dataclass(frozen=True)
@@ -500,13 +499,12 @@ def l2_distance_mc(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     system = spec.system
+    if not hasattr(system, "sample_point"):
+        raise ValueError(f"{type(system).__name__} has no sampler: use the exact method")
     sampled = isinstance(system, SampledSystem)
-    measure_fn = _invariant_measure(system)
     if target is None:
-        target = Fraction(1)
-        for f in spec.observables:
-            target *= f.integral(measure_fn)
-    shifts = [[p.eval(n, N) for p in spec.exponents] for n in range(N + 1)]
+        target = spec.product_of_integrals()
+    shifts = _shift_rows(spec, N, 0, N + 1)
     if not getattr(system, "invertible", True):
         if any(s < 0 for row in shifts[1:] for s in row):
             raise ValueError("negative exponents on a non-invertible system")
@@ -646,7 +644,7 @@ def vdc_correlations(
     if isinstance(spec.system, SampledSystem):
         raise ValueError("sampled-tier system: correlations need the exact tier")
     eng = _Engine(spec.system)
-    keys = _residue_rows(eng, [[p.eval(n, N) for p in spec.exponents] for n in range(1, N + H + 1)])
+    keys = _residue_rows(eng, _shift_rows(spec, N, 1, N + H))
     x = {k: [eng.factor(f, s) for f, s in zip(spec.observables, k)] for k in keys}
     inners: dict = {}  # one inner product per distinct (class(n), class(n+h))
     rows = []

@@ -22,6 +22,7 @@ from . import averages, mixing, pet, recurrence, repro, szemeredi
 from .averages import ArraySpec, Observable
 from .intpoly import IntPoly2
 from .pet import PExpr
+from .sets import ArcUnion
 from .systems import MarkovShift, SampledSystem, build_system
 from .util import ResourceCapError, fraction_to_json, parse_fraction
 
@@ -102,14 +103,9 @@ def _require(value, kind: type, what: str):
 
 def _build_set(system, descriptor):
     _require(descriptor, dict, "set descriptor")
-    if "arc" in descriptor:
-        return system.arc(parse_fraction(str(descriptor["arc"][0])), parse_fraction(str(descriptor["arc"][1])))
-    if "arcs" in descriptor:
-        from .sets import ArcUnion
-
-        return ArcUnion.from_arcs(
-            [(parse_fraction(str(a)), parse_fraction(str(b))) for a, b in descriptor["arcs"]]
-        )
+    if "arc" in descriptor or "arcs" in descriptor:
+        arcs = [descriptor["arc"]] if "arc" in descriptor else descriptor["arcs"]
+        return ArcUnion.from_arcs([(parse_fraction(str(a)), parse_fraction(str(b))) for a, b in arcs])
     if "cylinder" in descriptor:
         return system.cylinder({int(k): int(v) for k, v in descriptor["cylinder"].items()})
     if "points" in descriptor:

@@ -59,39 +59,17 @@ class WindowEvent:
 
 
 def event_measure(chain: MarkovShift, ev: WindowEvent) -> Fraction:
-    total = Fraction(0)
-    for row in ev.rows:
-        total += chain.path_measure({ev.start + i: s for i, s in enumerate(row)})
-    return total
+    return chain.block_measure([(range(ev.start, ev.end + 1), ev.rows)])
 
 
 def joint_measure(chain: MarkovShift, events: Sequence[WindowEvent]) -> Fraction:
-    """mu of the intersection of events in disjoint ordered windows,
-    via an interface dynamic program over the chain state."""
+    """mu of the intersection of events in disjoint ordered windows, by the
+    chain's integer forward pass over the state at each window's end."""
     events = sorted(events, key=lambda e: e.start)
     for a, b in zip(events, events[1:]):
         if b.start <= a.end:
             raise ValueError("event windows must be ordered and disjoint")
-    w = None  # state vector at the end coordinate of the previous event
-    for ev in events:
-        if w is None:
-            incoming = chain.stationary
-        else:
-            gap = ev.start - prev_end
-            P = chain.power(gap)
-            incoming = tuple(
-                sum((w[x] * P[x][y] for x in range(chain.states)), Fraction(0))
-                for y in range(chain.states)
-            )
-        nxt = [Fraction(0)] * chain.states
-        for row in ev.rows:
-            p = incoming[row[0]]
-            for a, b in zip(row, row[1:]):
-                p *= chain.matrix[a][b]
-            nxt[row[-1]] += p
-        w = tuple(nxt)
-        prev_end = ev.end
-    return sum(w, Fraction(0))
+    return chain.block_measure((range(e.start, e.end + 1), e.rows) for e in events)
 
 
 def alpha_coefficient(chain: MarkovShift, n: int, horizon: int = 0) -> Fraction:

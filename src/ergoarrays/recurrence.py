@@ -19,6 +19,17 @@ from typing import Mapping, Sequence
 from .systems import LatticeAction, SampledSystem
 
 
+def normalize_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Integer pairs (p_j, q_j) led by (0, 0), prepended when missing; every
+    later p_j must be nonzero."""
+    pairs = tuple((int(p), int(q)) for p, q in pairs)
+    if not pairs or pairs[0] != (0, 0):
+        pairs = ((0, 0),) + pairs
+    if any(p == 0 for p, _ in pairs[1:]):
+        raise ValueError("p_j must be nonzero for j >= 1")
+    return pairs
+
+
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """System, target set A and exponent pairs (p_j, q_j), j = 0..l.
@@ -31,12 +42,7 @@ class RecurrenceSpec:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple((int(p), int(q)) for p, q in self.pairs)
-        if not pairs or pairs[0] != (0, 0):
-            pairs = ((0, 0),) + pairs
-        object.__setattr__(self, "pairs", pairs)
-        if any(p == 0 for p, _ in pairs[1:]):
-            raise ValueError("p_j must be nonzero for j >= 1")
+        object.__setattr__(self, "pairs", normalize_pairs(self.pairs))
         if isinstance(self.system, SampledSystem):
             raise ValueError("recurrence series need an exact-tier system")
 

@@ -217,9 +217,24 @@ class CylinderUnion:
             # with two or more symbols one row depends on every coordinate
             coords = tuple(sorted(a))
             return CylinderUnion(coords, frozenset({tuple(map(a.__getitem__, coords))}), self.alphabet)
+        if set(self.coords).isdisjoint(other.coords):
+            return self._product(other)
         coords = tuple(sorted(set(self.coords) | set(other.coords)))
         rows = self._expand_to(coords) & other._expand_to(coords)
         return CylinderUnion._canonical(coords, rows, self.alphabet)
+
+    def _product(self, other: "CylinderUnion") -> "CylinderUnion":
+        """Intersection with a set on a disjoint support: every pair of rows,
+        merged in coordinate order.  A coordinate the product does not
+        depend on would be one that a factor does not depend on, so the
+        product of two canonical sets is canonical."""
+        n_rows = len(self.rows) * len(other.rows)
+        if n_rows > _MAX_ROWS:
+            raise ResourceCapError(f"cylinder product of {n_rows} rows exceeds cap {_MAX_ROWS}")
+        coords = self.coords + other.coords
+        order = sorted(range(len(coords)), key=coords.__getitem__)
+        rows = frozenset(tuple(map((r + s).__getitem__, order)) for r in self.rows for s in other.rows)
+        return CylinderUnion(tuple(map(coords.__getitem__, order)), rows, self.alphabet)
 
     def union(self, other: "CylinderUnion") -> "CylinderUnion":
         if self.alphabet != other.alphabet:
@@ -265,9 +280,3 @@ def intersect(a, b):
     if type(a) is not type(b):
         raise TypeError(f"cannot intersect {type(a).__name__} with {type(b).__name__}")
     return a.intersect(b)
-
-
-def union(a, b):
-    if type(a) is not type(b):
-        raise TypeError(f"cannot union {type(a).__name__} with {type(b).__name__}")
-    return a.union(b)

@@ -2,12 +2,14 @@
 
 EXACT systems answer measure queries with exact rationals on a closed set
 algebra and support T^{-k} for every integer k.  SAMPLED systems supply
-forward (and, when invertible, backward) orbit evaluation plus deterministic
+orbit evaluation T^k x (k < 0 only when invertible) plus deterministic
 measure-distributed sampling; they feed the Monte Carlo paths.
 
-All exact systems implement: full_set, empty_set, measure, preimage(S, k),
-complement, random_set(rng).  Shift-type and lattice systems additionally
-implement translate_preimage(S, v) for commuting-family actions.
+All exact systems implement: full_set, measure, preimage(S, k), complement,
+random_set(rng) and period.  Shift-type and lattice systems additionally
+implement translate_preimage(S, v) for commuting-family actions.  The shifts
+share their cylinder-union methods through ``_ShiftSystem``, and the
+finite-point systems share counting measure through ``_PointSystem``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,22 @@ Vector = tuple[int, ...]
 class ExactSystem:
     """Marker base; concrete systems are frozen dataclasses."""
 
-    is_exact = True
     independent_coords = False  # True when disjoint coordinate supports are independent
     period = None  # q with T^q = id and every translation by q*e_i = id; None if none
 
 
+class _PointSystem(ExactSystem):
+    """Finite point space of ``size`` points with normalized counting measure."""
+
+    def measure(self, S: FiniteSubset) -> Fraction:
+        return Fraction(len(S.members), self.size)
+
+    def complement(self, S: FiniteSubset) -> FiniteSubset:
+        return FiniteSubset(self.full_set().members - S.members)
+
+
 @dataclass(frozen=True)
-class CyclicRotation(ExactSystem):
+class CyclicRotation(_PointSystem):
     """Rotation x -> x + step on Z_m with normalized counting measure."""
 
     modulus: int
@@ -52,17 +63,13 @@ class CyclicRotation(ExactSystem):
     def period(self) -> int:
         return self.modulus
 
+    size = period
+
     def point_set(self, members: Iterable[int]) -> FiniteSubset:
         return FiniteSubset.of(m % self.modulus for m in members)
 
     def full_set(self) -> FiniteSubset:
         return FiniteSubset.of(range(self.modulus))
-
-    def empty_set(self) -> FiniteSubset:
-        return FiniteSubset.of(())
-
-    def measure(self, S: FiniteSubset) -> Fraction:
-        return Fraction(len(S.members), self.modulus)
 
     def preimage(self, S: FiniteSubset, k: int) -> FiniteSubset:
         delta = (k * self.step) % self.modulus
@@ -71,9 +78,6 @@ class CyclicRotation(ExactSystem):
     def translate_preimage(self, S: FiniteSubset, v: int | Vector) -> FiniteSubset:
         (v,) = v if isinstance(v, tuple) else (v,)
         return FiniteSubset.of((x - v) % self.modulus for x in S.members)
-
-    def complement(self, S: FiniteSubset) -> FiniteSubset:
-        return FiniteSubset(self.full_set().members - S.members)
 
     def random_set(self, rng: random.Random) -> FiniteSubset:
         return FiniteSubset.of(x for x in range(self.modulus) if rng.random() < 0.5)
@@ -103,9 +107,6 @@ class CircleRotation(ExactSystem):
 
     def full_set(self) -> ArcUnion:
         return ArcUnion.full()
-
-    def empty_set(self) -> ArcUnion:
-        return ArcUnion.empty()
 
     def measure(self, S: ArcUnion) -> Fraction:
         return S.measure()
@@ -177,8 +178,40 @@ def _stationary_of(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, 
     return pi
 
 
+class _ShiftSystem(ExactSystem):
+    """Shift on alphabet^Z: sets are cylinder unions, T^{-k} renames
+    coordinates by +k.  ``random_set`` fixes 1 to 3 symbols at coordinates
+    within +-_RANDOM_SPAN."""
+
+    _RANDOM_SPAN = 6
+
+    def cylinder(self, constraints: Mapping[int, int]) -> CylinderUnion:
+        return CylinderUnion.cylinder(constraints, self.alphabet)
+
+    def full_set(self) -> CylinderUnion:
+        return CylinderUnion.full(self.alphabet)
+
+    def preimage(self, S: CylinderUnion, k: int) -> CylinderUnion:
+        return S.shift(k)
+
+    def translate_preimage(self, S: CylinderUnion, v: int | Vector) -> CylinderUnion:
+        (v,) = v if isinstance(v, tuple) else (v,)
+        return S.shift(v)
+
+    def complement(self, S: CylinderUnion) -> CylinderUnion:
+        return S.complement()
+
+    def random_set(self, rng: random.Random) -> CylinderUnion:
+        span = self._RANDOM_SPAN
+        constraints = {
+            rng.randint(-span, span): rng.randrange(self.alphabet)
+            for _ in range(rng.randint(1, 3))
+        }
+        return self.cylinder(constraints)
+
+
 @dataclass(frozen=True)
-class BernoulliShift(ExactSystem):
+class BernoulliShift(_ShiftSystem):
     """Left shift on alphabet^Z with an i.i.d. product measure."""
 
     probs: tuple[Fraction, ...]
@@ -203,36 +236,10 @@ class BernoulliShift(ExactSystem):
     def alphabet(self) -> int:
         return len(self.probs)
 
-    def cylinder(self, constraints: Mapping[int, int]) -> CylinderUnion:
-        return CylinderUnion.cylinder(constraints, self.alphabet)
-
-    def full_set(self) -> CylinderUnion:
-        return CylinderUnion.full(self.alphabet)
-
-    def empty_set(self) -> CylinderUnion:
-        return CylinderUnion.empty(self.alphabet)
-
     def measure(self, S: CylinderUnion) -> Fraction:
         nums = self._nums
         total = sum(math.prod(map(nums.__getitem__, row)) for row in S.rows)
         return Fraction(total, self._den ** len(S.coords))
-
-    def preimage(self, S: CylinderUnion, k: int) -> CylinderUnion:
-        return S.shift(k)
-
-    def translate_preimage(self, S: CylinderUnion, v: int | Vector) -> CylinderUnion:
-        (v,) = v if isinstance(v, tuple) else (v,)
-        return S.shift(v)
-
-    def complement(self, S: CylinderUnion) -> CylinderUnion:
-        return S.complement()
-
-    def random_set(self, rng: random.Random) -> CylinderUnion:
-        constraints = {
-            rng.randint(-6, 6): rng.randrange(self.alphabet)
-            for _ in range(rng.randint(1, 3))
-        }
-        return self.cylinder(constraints)
 
     def sample_point(self, seed: int, idx: int) -> "LazySequence":
         return LazySequence(seed, idx, self.probs)
@@ -243,18 +250,20 @@ class BernoulliShift(ExactSystem):
 
 
 @dataclass(frozen=True)
-class MarkovShift(ExactSystem):
+class MarkovShift(_ShiftSystem):
     """Left shift with the stationary Markov measure of a stochastic matrix.
 
-    Measures are computed in integers: with D the lcm of the matrix
-    denominators, the powers of A = D*P are cached, and the stationary vector
-    is kept as integers over the lcm of its denominators, so a row of symbols
-    spanning coordinates c_0 < ... < c_k has measure
+    Measures are computed in integers by ``block_measure``: with D the lcm
+    of the matrix denominators, the powers of A = D*P are cached, and the
+    stationary vector is kept as integers over the lcm of its denominators,
+    so a row of symbols spanning coordinates c_0 < ... < c_k has measure
     pi[r_0] * prod_t A^(c_{t+1} - c_t)[r_t][r_{t+1}] / (pi_den * D^(c_k - c_0)).
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
     stationary: tuple[Fraction, ...] = field(init=False)
+
+    _RANDOM_SPAN = 5
 
     def __post_init__(self):
         matrix = _parse_matrix(self.matrix)
@@ -304,57 +313,54 @@ class MarkovShift(ExactSystem):
         scale = self._den**t
         return tuple(tuple(Fraction(x, scale) for x in row) for row in self._int_power(t))
 
+    def block_measure(self, blocks: Iterable[tuple[Sequence[int], Collection[Sequence[int]]]]) -> Fraction:
+        """mu of the intersection of events on ordered blocks of coordinates.
+
+        Each block is (coords, rows): the admissible rows of symbols at the
+        increasing coords, all of them after the previous block's.  One
+        integer forward pass carries, per state, the weight of the admitted
+        paths that sit in that state at the block's last coordinate; steps
+        inside a row and gaps between blocks multiply by cached powers of
+        A, so the total is one Fraction over pi_den * D^(last - first).  A
+        block with no coordinates is the full set (one empty row) or the
+        empty set (no rows).
+        """
+        pi, pi_den = self._pi
+        w = first = last = None
+        for coords, rows in blocks:
+            if not coords:
+                if not rows:
+                    return Fraction(0)
+                continue
+            if w is None:
+                first, incoming = coords[0], pi
+            elif coords[0] <= last:
+                raise ValueError("blocks must be ordered and disjoint")
+            else:
+                incoming = [sum(map(operator.mul, w, col)) for col in zip(*self._int_power(coords[0] - last))]
+            steps = [self._int_power(b - a) for a, b in zip(coords, coords[1:])]
+            w = [0] * len(pi)
+            for row in rows:
+                p = incoming[row[0]]
+                for A, a, b in zip(steps, row, row[1:]):
+                    p *= A[a][b]
+                w[row[-1]] += p
+            last = coords[-1]
+        if w is None:
+            return Fraction(1)
+        return Fraction(sum(w), pi_den * self._den ** (last - first))
+
     def path_measure(self, constraints: Mapping[int, int]) -> Fraction:
         """mu of the cylinder fixing symbols at the given coordinates."""
         coords = sorted(constraints)
-        return self._paths(coords, [[constraints[c] for c in coords]])
-
-    def _paths(self, coords: Sequence[int], rows: Collection[Sequence[int]]) -> Fraction:
-        """Total mu of rows of symbols at the same increasing coordinates."""
-        if not coords:
-            return Fraction(len(rows))  # the full set's one empty row, or none
-        pi, pi_den = self._pi
-        steps = [self._int_power(b - a) for a, b in zip(coords, coords[1:])]
-        total = 0
-        for row in rows:
-            p = pi[row[0]]
-            for A, a, b in zip(steps, row, row[1:]):
-                p *= A[a][b]
-            total += p
-        return Fraction(total, pi_den * self._den ** (coords[-1] - coords[0]))
-
-    def cylinder(self, constraints: Mapping[int, int]) -> CylinderUnion:
-        return CylinderUnion.cylinder(constraints, self.alphabet)
-
-    def full_set(self) -> CylinderUnion:
-        return CylinderUnion.full(self.alphabet)
-
-    def empty_set(self) -> CylinderUnion:
-        return CylinderUnion.empty(self.alphabet)
+        return self.block_measure([(coords, [[constraints[c] for c in coords]])])
 
     def measure(self, S: CylinderUnion) -> Fraction:
-        return self._paths(S.coords, S.rows)
-
-    def preimage(self, S: CylinderUnion, k: int) -> CylinderUnion:
-        return S.shift(k)
-
-    def translate_preimage(self, S: CylinderUnion, v: int | Vector) -> CylinderUnion:
-        (v,) = v if isinstance(v, tuple) else (v,)
-        return S.shift(v)
-
-    def complement(self, S: CylinderUnion) -> CylinderUnion:
-        return S.complement()
-
-    def random_set(self, rng: random.Random) -> CylinderUnion:
-        constraints = {
-            rng.randint(-5, 5): rng.randrange(self.alphabet)
-            for _ in range(rng.randint(1, 3))
-        }
-        return self.cylinder(constraints)
+        return self.block_measure([(S.coords, S.rows)])
 
 
 @dataclass(frozen=True)
-class CyclicLattice(ExactSystem):
+class CyclicLattice(_PointSystem):
     """Product of cyclic rotations on Z_{m_1} x ... x Z_{m_d}.
 
     Serves both as the "product" exact kind (T rotates every factor by its
@@ -377,6 +383,10 @@ class CyclicLattice(ExactSystem):
         return math.lcm(*self.moduli)
 
     @property
+    def size(self) -> int:
+        return math.prod(self.moduli)
+
+    @property
     def d(self) -> int:
         return len(self.moduli)
 
@@ -392,15 +402,6 @@ class CyclicLattice(ExactSystem):
             pts = [p + (x,) for p in pts for x in range(m)]
         return FiniteSubset.of(pts)
 
-    def empty_set(self) -> FiniteSubset:
-        return FiniteSubset.of(())
-
-    def space_size(self) -> int:
-        return math.prod(self.moduli)
-
-    def measure(self, S: FiniteSubset) -> Fraction:
-        return Fraction(len(S.members), self.space_size())
-
     def preimage(self, S: FiniteSubset, k: int) -> FiniteSubset:
         v = tuple(k * s for s in self.steps)
         return self.translate_preimage(S, v)
@@ -409,9 +410,6 @@ class CyclicLattice(ExactSystem):
         return FiniteSubset.of(
             self._wrap(tuple(x - dv for x, dv in zip(p, v))) for p in S.members
         )
-
-    def complement(self, S: FiniteSubset) -> FiniteSubset:
-        return FiniteSubset(self.full_set().members - S.members)
 
     def random_set(self, rng: random.Random) -> FiniteSubset:
         return FiniteSubset.of(p for p in self.full_set().members if rng.random() < 0.5)
@@ -429,7 +427,7 @@ class BernoulliLattice(BernoulliShift):
 
     def cylinder(self, constraints: Mapping[Vector, int]) -> CylinderUnion:
         for c in constraints:
-            if len(c) != self.d:
+            if not isinstance(c, tuple) or len(c) != self.d:
                 raise ValueError(f"coordinate {c} is not {self.d}-dimensional")
         return CylinderUnion.cylinder(constraints, self.alphabet)
 
@@ -449,7 +447,7 @@ class BernoulliLattice(BernoulliShift):
 
 
 @dataclass(frozen=True)
-class RelabeledSystem(ExactSystem):
+class RelabeledSystem(_PointSystem):
     """Isomorphic copy of a finite-point system under a point bijection."""
 
     base: ExactSystem
@@ -470,6 +468,10 @@ class RelabeledSystem(ExactSystem):
     def period(self) -> int | None:
         return self.base.period
 
+    @property
+    def size(self) -> int:
+        return len(self._fwd)
+
     def _pull(self, S: FiniteSubset) -> FiniteSubset:
         return FiniteSubset.of(self._back[p] for p in S.members)
 
@@ -482,17 +484,8 @@ class RelabeledSystem(ExactSystem):
     def full_set(self) -> FiniteSubset:
         return self._push(self.base.full_set())
 
-    def empty_set(self) -> FiniteSubset:
-        return FiniteSubset.of(())
-
-    def measure(self, S: FiniteSubset) -> Fraction:
-        return self.base.measure(self._pull(S))
-
     def preimage(self, S: FiniteSubset, k: int) -> FiniteSubset:
         return self._push(self.base.preimage(self._pull(S), k))
-
-    def complement(self, S: FiniteSubset) -> FiniteSubset:
-        return FiniteSubset(self.full_set().members - S.members)
 
     def random_set(self, rng: random.Random) -> FiniteSubset:
         return self._push(self.base.random_set(rng))
@@ -611,7 +604,6 @@ def build_lattice_action(
 
 
 class SampledSystem:
-    is_exact = False
     invertible = False
 
 
@@ -637,12 +629,6 @@ class IrrationalRotation(SampledSystem):
     @property
     def angle(self) -> Fraction:
         return Fraction(self.angle_fp, 1 << self.bits)
-
-    def forward(self, x: Fraction) -> Fraction:
-        return frac_mod1(x + self.angle)
-
-    def backward(self, x: Fraction) -> Fraction:
-        return frac_mod1(x - self.angle)
 
     def orbit(self, x: Fraction, k: int) -> Fraction:
         return frac_mod1(x + k * self.angle)

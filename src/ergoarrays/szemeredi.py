@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import indexOf, sub
 from typing import Iterable, Mapping, Sequence
 
-from .recurrence import SyndeticReport, detect_syndetic
+from .recurrence import SyndeticReport, detect_syndetic, normalize_pairs
 
 Vector = tuple[int, ...]
 # indicator-row digits to the 0/1 byte values they stand for
@@ -161,12 +161,7 @@ class PatternSpec:
 
     def __post_init__(self):
         if self.pairs:
-            pairs = tuple((int(p), int(q)) for p, q in self.pairs)
-            if pairs[0] != (0, 0):
-                pairs = ((0, 0),) + pairs
-            object.__setattr__(self, "pairs", pairs)
-            if any(p == 0 for p, _ in pairs[1:]):
-                raise ValueError("p_j must be nonzero for j >= 1")
+            object.__setattr__(self, "pairs", normalize_pairs(self.pairs))
         if self.gamma:
             g = tuple(tuple(v) for v in self.gamma)
             gh = tuple(tuple(v) for v in self.gamma_hat)
@@ -221,7 +216,7 @@ def upper_density(s: IntegerSet | LatticeSet, window_sizes: Sequence[int]) -> De
         if any(w > b - a for a, b in zip(s.lo, s.hi)):
             raise ValueError(f"window size {w} does not fit the box")
         ranges = [range(a, b - w + 1) for a, b in zip(s.lo, s.hi)]
-        for corner in _product(ranges):
+        for corner in product(*ranges):
             cnt = sum(
                 1
                 for p in s.members
@@ -232,15 +227,6 @@ def upper_density(s: IntegerSet | LatticeSet, window_sizes: Sequence[int]) -> De
                 hi = tuple(c + w for c in corner)
                 best = (d, (tuple(corner), hi), w)
     return DensityResult(*best)
-
-
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for rest in _product(ranges[1:]):
-            yield (head,) + rest
 
 
 @dataclass(frozen=True)

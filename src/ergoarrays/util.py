@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Rational bounds on pi, enough digits for every comparison made here.
-PI_LO = Fraction(31415926535897932384, 10**19)
+# A rational upper bound on pi, enough digits for every comparison made here.
 PI_HI = Fraction(31415926535897932385, 10**19)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from ergoarrays.averages import (
     l2_distance_mc,
     vdc_correlations,
     _Engine,
+    _shift_rows,
 )
+from ergoarrays.sets import ArcUnion
 from ergoarrays.systems import (
     BernoulliLattice,
     BernoulliShift,
@@ -26,6 +29,7 @@ from ergoarrays.systems import (
     CyclicRotation,
     GaussMap,
     IrrationalRotation,
+    MarkovShift,
     build_lattice_action,
 )
 from ergoarrays.util import ResourceCapError
@@ -597,6 +601,34 @@ def test_mc_rejects_negative_time_on_gauss():
     spec = ArraySpec.create(g, [Observable.indicator(A)], ["-n"])
     with pytest.raises(ValueError, match="negative exponents"):
         l2_distance_mc(spec, 8, samples=10)
+
+
+def test_mc_sweep_on_sampled_systems():
+    A = ArcUnion.from_arcs([(Fraction(1, 4), Fraction(1, 2))])
+    for system, mass in (
+        (IrrationalRotation.sqrt2_minus_1(), Fraction(1, 4)),
+        (GaussMap(), Fraction(math.log2(1.5 / 1.25)).limit_denominator(10**12)),
+    ):
+        spec = ArraySpec.create(system, [Observable.indicator(A)], ["n"])
+        report = convergence_sweep(spec, [4, 8], method="mc", samples=20)
+        assert report.target == mass
+        assert [r.method for r in report.rows] == ["montecarlo", "montecarlo"]
+
+
+def test_mc_rejects_exact_system_without_sampler():
+    chain = MarkovShift.two_state(Fraction(2, 3))
+    spec = ArraySpec.create(chain, [Observable.indicator(chain.cylinder({0: 0}))], ["n"])
+    with pytest.raises(ValueError, match="MarkovShift has no sampler"):
+        convergence_sweep(spec, [4, 8], method="mc")
+
+
+def test_shift_rows_match_pointwise_eval():
+    system = CyclicRotation(7)
+    polys = ["n**2", "3", "N - n", "n*N - 2*n**3", "-n + 5*N"]
+    spec = ArraySpec.create(system, [Observable.const(1)] * len(polys), polys)
+    for N, n_start, count in ((1, 1, 1), (9, 1, 9), (9, 0, 10), (40, 3, 25)):
+        expected = [tuple(p.eval(n, N) for p in spec.exponents) for n in range(n_start, n_start + count)]
+        assert _shift_rows(spec, N, n_start, count) == expected
 
 
 # -- commuting families ----------------------------------------------------------

@@ -350,3 +350,43 @@ def test_resource_cap_exit_code(tmp_path):
     assert code == 3
     chain = json.dumps({"matrix": [["1/17"] * 17] * 17})
     assert run(["--out-dir", str(tmp_path), "mixing", "--chain", chain, "--alpha", "1"]) == 3
+
+
+IRR = '{"kind":"circle-rotation-irrational","params":{"angle":"sqrt2-1"}}'
+GAUSS = '{"kind":"gauss-map"}'
+
+
+@pytest.mark.parametrize("system", [IRR, GAUSS])
+@pytest.mark.parametrize("set_doc", [{"arc": ["0", "1/4"]}, {"arcs": [["0", "1/8"], ["1/2", "5/8"]]}])
+def test_avg_sweep_mc_on_sampled_systems(tmp_path, system, set_doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"observables": [{"set": set_doc}], "exponents": ["n"], "center": True}))
+    args = ["avg-sweep", "--system", system, "--spec", str(spec), "--Ns", "4,8", "--method", "mc", "--samples", "20"]
+    assert run(["--out-dir", str(tmp_path), *args]) == 0
+    doc = json.loads((tmp_path / "avg_sweep.json").read_text())
+    assert [r["method"] for r in doc["rows"]] == ["montecarlo", "montecarlo"]
+
+
+MARKOV = '{"kind":"markov-shift","params":{"matrix":[["1/2","1/2"],["1/3","2/3"]]}}'
+LATTICE = '{"kind":"bernoulli-lattice","params":{"probs":["1/2","1/2"],"d":2}}'
+
+
+def _sweep_exit(tmp_path, capsys, system, *extra):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"observables": [{"set": {"cylinder": {"0": 0}}}], "exponents": ["n"]}))
+    args = ["avg-sweep", "--system", system, "--spec", str(spec), "--Ns", "4,8", *extra]
+    code = run(["--out-dir", str(tmp_path), *args])
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) <= 1
+    return code, err
+
+
+def test_avg_sweep_mc_without_sampler_exits_2(tmp_path, capsys):
+    code, err = _sweep_exit(tmp_path, capsys, MARKOV, "--method", "mc")
+    assert code == 2 and "no sampler" in err
+
+
+def test_lattice_cylinder_with_integer_coordinate_exits_2(tmp_path, capsys):
+    # a key "0" is one integer, not a coordinate of Z^2
+    code, err = _sweep_exit(tmp_path, capsys, LATTICE)
+    assert code == 2 and "not 2-dimensional" in err

@@ -406,3 +406,95 @@ def test_markov_kernels_match_fraction_oracle(data):
     S = data.draw(cylinder_sets(s, 0, radius=30))
     assert chain.measure(S) == sum((oracle_path(chain, powers, S.coords, row) for row in S.rows), Fraction(0))
     assert chain.measure(S.shift(data.draw(st.integers(-40, 40)))) == chain.measure(S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_disjoint_intersect_matches_expand_oracle(data):
+    alphabet = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(0, 2))
+    a = data.draw(cylinder_sets(alphabet, d))
+    offset = data.draw(st.integers(-9, 9) if d == 0 else st.tuples(*[st.integers(-5, 5)] * d))
+    b = data.draw(cylinder_sets(alphabet, d)).shift(offset)
+    assume(set(a.coords).isdisjoint(b.coords))
+    got = a.intersect(b)
+    assert got == oracle_intersect(a, b)
+    assert got == b.intersect(a)
+
+
+# -- the Markov block kernel against path enumeration --
+
+
+def enumerated_block_measure(chain: MarkovShift, blocks) -> Fraction:
+    """Sum over every state path from the first to the last blocked
+    coordinate, built one step of P at a time, of the paths every block
+    admits."""
+    first, last = blocks[0][0][0], blocks[-1][0][-1]
+    paths = {(x,): p for x, p in enumerate(chain.stationary)}
+    for _ in range(last - first):
+        paths = {
+            path + (y,): w * chain.matrix[path[-1]][y]
+            for path, w in paths.items()
+            for y in range(chain.states)
+        }
+    return sum(
+        (
+            w
+            for path, w in paths.items()
+            if all(tuple(path[c - first] for c in coords) in set(rows) for coords, rows in blocks)
+        ),
+        Fraction(0),
+    )
+
+
+@st.composite
+def markov_blocks(draw):
+    """A chain on 2-3 states and 1-3 ordered blocks with gaps >= 1 between
+    them, at most 8 coordinates from the first to the last."""
+    s = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.lists(st.integers(1, 4), min_size=s, max_size=s), min_size=s, max_size=s))
+    chain = MarkovShift(tuple(tuple(Fraction(w, sum(row)) for w in row) for row in weights))
+    first = c = draw(st.integers(-5, 5))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        coords = [c]
+        for _ in range(draw(st.integers(0, 2))):
+            coords.append(coords[-1] + draw(st.integers(1, 2)))
+        rows = draw(st.lists(st.tuples(*[st.integers(0, s - 1)] * len(coords)), max_size=5, unique=True))
+        blocks.append((coords, rows))
+        c = coords[-1] + draw(st.integers(1, 3))
+    assume(blocks[-1][0][-1] - first < 8)
+    return chain, blocks
+
+
+@settings(max_examples=120, deadline=None)
+@given(markov_blocks())
+def test_block_measure_matches_path_enumeration(case):
+    chain, blocks = case
+    assert chain.block_measure(blocks) == enumerated_block_measure(chain, blocks)
+
+
+def test_block_measure_edge_blocks():
+    chain = MarkovShift.two_state(Fraction(2, 3))
+    assert chain.block_measure([]) == 1
+    assert chain.block_measure([((), [()]), ([0], [(1,)])]) == Fraction(1, 2)
+    assert chain.block_measure([([0], [(1,)]), ((), [])]) == 0
+    with pytest.raises(ValueError, match="ordered and disjoint"):
+        chain.block_measure([([0, 2], [(0, 0)]), ([2], [(0,)])])
+
+
+def test_zoo_exposes_exact_protocol(zoo):
+    for system in zoo:
+        for name in ("full_set", "measure", "preimage", "complement", "random_set"):
+            assert callable(getattr(system, name)), (type(system).__name__, name)
+        assert system.period is None or system.period >= 1
+        S = system.random_set(random.Random(3))
+        assert system.measure(system.full_set()) == 1
+        assert system.measure(S) + system.measure(system.complement(S)) == 1
+
+
+def test_shift_random_sets_keep_their_spans():
+    for system, span in ((BernoulliShift.uniform(3), 6), (MarkovShift.two_state(Fraction(1, 3)), 5)):
+        rng = random.Random(11)
+        coords = {c for _ in range(300) for c in system.random_set(rng).coords}
+        assert max(map(abs, coords)) == span
