@@ -5,15 +5,38 @@ into the mean of the terms x_n and the sum of their pairwise inner products
 <x_n, x_m>; every inner product is a finite combination of measures of
 intersections of translated algebra sets, so the result is an exact
 rational.  Single-transformation arrays and commuting families share one
-distance routine that takes, per term, its row of shifts.  Terms are first
-grouped into classes by that row, each shift reduced mod the system's period
-q when it has one (T^q = id), with multiplicities h_r; aperiodic rows key
-themselves.  It then picks the cheapest of three paths:
+distance routine that takes, per term, its row of shifts.
 
-* stationary: for a single factor whose shifts are linear in n (one
-  observable with an exponent of degree <= 1 in n, or a commuting family
-  with one generator pair), <x_{n+d}, x_n> = <x_d, x_0> by invariance, so
-  one inner product per class suffices;
+The inner-product kernel works in integers: plain indicators (coefficient
+1, no constant) are intersected into one set, and affine factors carry
+integer numerators over their common denominator, with equal intersections
+merged, so each distinct intersection costs one measure and the product one
+division at the end.
+
+With one factor (ell = 1, or a commuting family with one generator pair)
+every pair term is a correlation C_f(d) = <T^d f, f> of the difference of
+two shifts, so the pair sum is sum_d w_d C_f(d):
+
+* weights: shifts linear in n give d = k*step the weight 2(N - k); other
+  shifts are swept directly where the system allows it (below), or grouped
+  into residue classes whose pairs weigh their differences; differences
+  reduce mod the system's period q when it has one (T^q = id), and
+  C_f(d) = C_f(-d);
+* rotations: C_f(d) is a sum of k^2 piecewise-linear arc overlaps for k
+  arcs, in integers over one common denominator; non-linear exponents
+  integrate the square of the step function sum_n x_n by sorting its 2kN
+  arc ends, O(kN log kN);
+* independent coordinates (Bernoulli shifts and lattices): C_f(d) =
+  (integral f)^2 once |d| exceeds the support diameter of f (per axis on
+  lattices); non-linear exponents sort the shifts and visit only the
+  neighbours within that diameter;
+* other systems (Markov shifts, finite point systems): ``_Engine.inner``
+  memoized by difference.
+
+With more factors terms are grouped into classes by their row of shifts,
+each shift reduced mod q, with multiplicities h_r (aperiodic rows key
+themselves), and one of two paths runs:
+
 * counted: when every observable is a plain single cylinder on an i.i.d.
   product system, classes are grouped by their count of fixed coordinates
   per symbol, pairs with disjoint supports are counted in integers, and
@@ -26,8 +49,9 @@ themselves.  It then picks the cheapest of three paths:
   off as separate groups, and a centered group of one factor kills the
   whole term.
 
-Both quadratic paths are capped at max_quadratic_n classes.  The van der
-Corput tables group the pairs (class(n), class(n+h)) the same way.
+Wherever pairs of classes are visited they are capped at max_quadratic_n.
+The van der Corput tables take C_f(s_{n+h} - s_n) for one factor and group
+the pairs (class(n), class(n+h)) otherwise.
 
 A seeded Monte Carlo estimator covers the sampled tier and doubles as a
 cross-check of the exact path.
@@ -36,15 +60,15 @@ cross-check of the exact path.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from .intpoly import IntPoly2
-from .sets import ArcUnion, CylinderUnion, intersect
-from .systems import GaussMap, LatticeAction, SampledSystem
+from .sets import ArcUnion, CylinderUnion
+from .systems import CircleRotation, GaussMap, LatticeAction, SampledSystem
 from .util import ResourceCapError
 
 
@@ -186,47 +210,66 @@ class _Engine:
         return out
 
     def factor(self, obs: Observable, shift):
-        """(constant, ((coeff, shifted set), ...), support-or-None)."""
-        terms = tuple((c, self.shifted(S, shift)) for c, S in obs.terms)
+        """(den, constant numerator, ((numerator, shifted set), ...),
+        support-or-None): the observable over the common denominator of its
+        coefficients, zero terms dropped."""
+        const = obs.constant
+        den = math.lcm(const.denominator, *(c.denominator for c, _ in obs.terms))
+        terms = tuple((c.numerator * (den // c.denominator), self.shifted(S, shift)) for c, S in obs.terms if c)
         support = None
         if self.independent and all(isinstance(S, CylinderUnion) for _, S in terms):
             support = frozenset(c for _, S in terms for c in S.coords)
-        return (obs.constant, terms, support)
+        return (den, const.numerator * (den // const.denominator), terms, support)
 
     def inner(self, factors) -> Fraction:
         """Exact integral of the product of the given factors."""
-        if self.independent and all(f[2] is not None for f in factors):
-            groups = _group_by_overlap(factors)
+        if self.independent and all(f[3] is not None for f in factors):
             total = Fraction(1)
-            for g in groups:
+            for g in _group_by_overlap(factors):
                 val = self._expand(g)
-                if val == 0:
-                    return Fraction(0)
+                if not val:
+                    return val
                 total *= val
             return total
         return self._expand(factors)
 
     def _expand(self, factors) -> Fraction:
-        total = Fraction(0)
-        n = len(factors)
+        """Plain indicators (coefficient 1, no constant) are intersected into
+        one set first.  Each affine factor then maps every (set, integer
+        weight) pair to its constant and to each of its terms, and equal
+        intersections are merged; the total takes one measure per distinct
+        set and one division by the product of the factor denominators."""
+        inter = None
+        affine = []
+        for f in factors:
+            den, cnum, terms, _ = f
+            if cnum or den != 1 or len(terms) != 1 or terms[0][0] != 1:
+                affine.append(f)
+                continue
+            S = terms[0][1]
+            inter = S if inter is None else inter.intersect(S)
+            if inter.is_empty():
+                return _ZERO
+        if not affine:
+            return self.measure(inter)
+        weights = {inter: 1}
+        scale = 1
+        for den, cnum, terms, _ in affine:
+            scale *= den
+            nxt: dict = {}
+            for S0, w in weights.items():
+                if cnum:
+                    nxt[S0] = nxt.get(S0, 0) + w * cnum
+                for num, S in terms:
+                    S1 = S if S0 is None else S0.intersect(S)
+                    if not S1.is_empty():
+                        nxt[S1] = nxt.get(S1, 0) + w * num
+            weights = nxt
+        total = sum((w if S is None else w * self.measure(S) for S, w in weights.items() if w), _ZERO)
+        return total / scale
 
-        def rec(idx, coeff, inter):
-            nonlocal total
-            if idx == n:
-                total += coeff if inter is None else coeff * self.measure(inter)
-                return
-            const, terms, _ = factors[idx]
-            if const != 0:
-                rec(idx + 1, coeff * const, inter)
-            for c, S in terms:
-                if c == 0:
-                    continue
-                nxt = S if inter is None else intersect(inter, S)
-                if not nxt.is_empty():
-                    rec(idx + 1, coeff * c, nxt)
 
-        rec(0, Fraction(1), None)
-        return total
+_ZERO = Fraction(0)
 
 
 def _group_by_overlap(factors):
@@ -242,12 +285,183 @@ def _group_by_overlap(factors):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if factors[i][2] & factors[j][2]:
+            if factors[i][3] & factors[j][3]:
                 parent[find(i)] = find(j)
     groups: dict[int, list] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(factors[i])
     return [groups[k] for k in sorted(groups)]
+
+
+# ---------------------------------------------------------------------------
+# one-factor correlations C_f(d) = <T^d f, f>
+
+
+class _Correlation:
+    """C_f(d) for one observable through ``_Engine.inner``, memoized by
+    difference: the correlation of systems with no closed form (Markov
+    shifts, finite point systems).  ``key`` folds a difference to one
+    representative of {d, -d} mod the period, since C_f(d) = C_f(-d) by
+    invariance; ``total`` is sum_d w_d C_f(d) over a map of keys to weights,
+    and ``sweep`` the pair sum over a list of shifts, or None when only
+    pairs of classes give it."""
+
+    def __init__(self, eng: _Engine, f: Observable, zero):
+        self.eng = eng
+        self.f = f
+        self.base = eng.factor(f, zero)
+        self.mean = eng.inner([self.base])
+        self._memo: dict = {}
+        q = eng.system.period
+        if eng.vector:
+            neg = lambda d: tuple(-x for x in d)
+            self.key = (lambda d: min(tuple(x % q for x in d), tuple(x % q for x in neg(d)))) if q else (lambda d: max(d, neg(d)))
+        else:
+            self.key = (lambda d: min(d % q, -d % q)) if q else abs
+
+    def value(self, d):
+        out = self._memo.get(d)
+        if out is None:
+            out = self._memo[d] = self._uncached(d)
+        return out
+
+    def _uncached(self, d):
+        return self.eng.inner([self.eng.factor(self.f, d), self.base])
+
+    def total(self, weights) -> Fraction:
+        return sum((w * self.value(d) for d, w in weights.items()), _ZERO)
+
+    def sweep(self, shifts) -> Fraction | None:
+        return None
+
+
+class _RotationCorrelation(_Correlation):
+    """Closed form on a rational rotation by alpha.  Over the common
+    denominator Q of alpha and of every arc endpoint, f = (c + sum_a w_a
+    1_{J_a}) / den with integer weights and J_a = [s_a, s_a + L_a) in units
+    of 1/Q.  T^{-d} J_a starts delta = s_a - s_b - d*alpha*Q (mod Q) past
+    the start of J_b, where it overlaps J_b in min(L_b, delta + L_a) - delta
+    when that is positive, plus min(L_b, delta + L_a - Q) when it wraps
+    through 0 and that is positive; so den^2 * Q * C_f(d) is an integer, a
+    sum of k^2 overlaps for k arcs."""
+
+    def __init__(self, eng: _Engine, f: Observable, zero):
+        super().__init__(eng, f, zero)
+        den, cnum, terms, _ = self.base
+        alpha = eng.system.angle
+        Q = math.lcm(alpha.denominator, *(x.denominator for _, S in terms for arc in S.arcs for x in arc))
+        scaled = lambda x: x.numerator * (Q // x.denominator)
+        self.arcs = [(w, scaled(a), scaled(b) - scaled(a)) for w, S in terms for a, b in S.arcs]
+        self.pairs = [(wa * wb, sa - sb, la, lb) for wa, sa, la in self.arcs for wb, sb, lb in self.arcs]
+        self.Q, self.step, self.scale = Q, scaled(alpha), den * den * Q
+        self.cnum = cnum
+        self.const = cnum * cnum * Q + 2 * cnum * sum(w * length for w, _, length in self.arcs)
+
+    def _uncached(self, d) -> int:
+        Q = self.Q
+        x = d * self.step
+        total = self.const
+        for w, offset, la, lb in self.pairs:
+            delta = (offset - x) % Q
+            overlap = min(lb, delta + la) - delta
+            if overlap > 0:
+                total += w * overlap
+            wrap = delta + la - Q
+            if wrap > 0:
+                total += w * min(lb, wrap)
+        return total
+
+    def total(self, weights) -> Fraction:
+        # the closed form costs less than a memo lookup
+        return Fraction(sum(w * self._uncached(d) for d, w in weights.items()), self.scale)
+
+    def sweep(self, shifts) -> Fraction:
+        """sum_{t,u} <x_t, x_u> = integral of V^2 for the step function
+        V = sum_t x_t: sort the 2k*T arc ends of the shifted arcs and sweep,
+        in integers (V in units of 1/den, lengths in units of 1/Q)."""
+        Q = self.Q
+        start = len(shifts) * self.cnum  # V on [0, first event)
+        events = defaultdict(int)
+        for s in shifts:
+            p = s * self.step
+            for w, a, length in self.arcs:
+                lo = (a - p) % Q
+                hi = lo + length
+                events[lo] += w
+                if hi > Q:  # wraps through 0
+                    start += w
+                    hi -= Q
+                events[hi] -= w
+        total = prev = 0
+        v = start
+        for pos in sorted(events):
+            total += v * v * (pos - prev)
+            v += events[pos]
+            prev = pos
+        total += v * v * (Q - prev)
+        return Fraction(total, self.scale)
+
+
+class _IndependentCorrelation(_Correlation):
+    """On independent coordinates T^d f and f are independent once d moves
+    the support of f off itself, so C_f(d) = (integral f)^2 when |d|
+    exceeds the support diameter.  On a lattice the diameters are per axis:
+    a vector shift needs one axis past its diameter, and the diagonal shift
+    of a scalar d moves every axis, so it needs |d| past the smallest."""
+
+    def __init__(self, eng: _Engine, f: Observable, zero):
+        super().__init__(eng, f, zero)
+        points = [c if isinstance(c, tuple) else (c,) for c in self.base[3]]
+        reach = [max(axis) - min(axis) for axis in zip(*points)] if points else None
+        self.reach = reach if reach is None or eng.vector else min(reach)
+        self.square = self.mean * self.mean
+
+    def far(self, d) -> bool:
+        if self.reach is None:
+            return True
+        if self.eng.vector:
+            return any(abs(x) > r for x, r in zip(d, self.reach))
+        return abs(d) > self.reach
+
+    def total(self, weights) -> Fraction:
+        far, near = 0, {}
+        for d, w in weights.items():
+            if self.far(d):
+                far += w
+            else:
+                near[d] = w
+        return far * self.square + super().total(near)
+
+    def sweep(self, shifts) -> Fraction | None:
+        """Neighbour scan: sort the distinct shift values and weigh only the
+        pairs within the diameter; every other ordered pair is far."""
+        if self.eng.vector:
+            return None
+        reach = -1 if self.reach is None else self.reach
+        values = sorted(Counter(shifts).items())
+        near = defaultdict(int)
+        for i, (v, h) in enumerate(values):
+            near[0] += h * h
+            j = i + 1
+            while j < len(values) and values[j][0] - v <= reach:
+                u, g = values[j]
+                near[u - v] += 2 * h * g
+                j += 1
+        far = len(shifts) ** 2 - sum(near.values())
+        return far * self.square + self.total(near)
+
+
+def _correlation(eng: _Engine, f: Observable, zero) -> _Correlation:
+    """The correlation of f for the engine's system type."""
+    if isinstance(eng.system, CircleRotation) and not eng.vector:
+        return _RotationCorrelation(eng, f, zero)
+    if eng.independent and all(isinstance(S, CylinderUnion) for _, S in f.terms):
+        return _IndependentCorrelation(eng, f, zero)
+    return _Correlation(eng, f, zero)
+
+
+# ---------------------------------------------------------------------------
+# pair sums
 
 
 def _is_plain_indicator(obs: Observable) -> bool:
@@ -260,66 +474,93 @@ def _is_plain_indicator(obs: Observable) -> bool:
     )
 
 
-def _residue_rows(eng: _Engine, shift_rows) -> list[tuple]:
-    """Each term's row of shifts as a hashable key, every shift reduced mod
-    ``eng.system.period`` when there is one (T^q and every translation by
-    q*e_i are the identity, so a vector reduces componentwise): terms with
-    equal keys are equal functions.  Aperiodic rows are kept as they are."""
+def _residue(eng: _Engine):
+    """The map of one shift to its residue mod ``eng.system.period`` (T^q and
+    every translation by q*e_i are the identity, so a vector reduces
+    componentwise), or None on an aperiodic system."""
     q = eng.system.period
     if not q:
+        return None
+    return (lambda v: tuple(x % q for x in v)) if eng.vector else (lambda s: s % q)
+
+
+def _residue_rows(eng: _Engine, shift_rows) -> list[tuple]:
+    """Each term's row of shifts as a hashable key, every shift mapped by
+    ``_residue``: terms with equal keys are equal functions.  Aperiodic rows
+    are kept as they are."""
+    mod = _residue(eng)
+    if mod is None:
         return [tuple(row) for row in shift_rows]
-    mod = (lambda v: tuple(x % q for x in v)) if eng.vector else (lambda s: s % q)
     return [tuple(map(mod, row)) for row in shift_rows]
 
 
-def _distance(
-    eng: _Engine, observables, shift_rows, c: Fraction, stationary: bool, max_quadratic_n: int
-) -> Fraction:
+def _distance(eng: _Engine, observables, shift_rows, c: Fraction, max_quadratic_n: int) -> Fraction:
     """|| mean_t x_t - c ||^2 over the terms x_t = prod_j T^{shift_rows[t][j]} f_j.
 
     Single-transformation arrays and commuting families differ only in how a
-    term index maps to its row of shifts, so both come through here.  Terms
-    are grouped into classes by their residue row (see ``_residue_rows``),
+    term index maps to its row of shifts, so both come through here.
+
+    With one factor every pair term is a correlation, <x_t, x_u> =
+    C_f(s_u - s_t), and the pair sum is sum_d w_d C_f(d) with C_f from
+    ``_correlation``.  Shifts linear in t give d = s_k - s_0 the weight
+    2(T - k) (T for k = 0).  Otherwise the correlation's ``sweep`` takes the
+    pair sum directly (rotations, independent coordinates), or the terms
+    are grouped into classes by residue (see ``_residue``) and every
+    pair of classes weighs its difference h_r*h_r'.
+
+    With more factors the terms are grouped into classes the same way,
     class r with multiplicity h_r: the mean sum is sum_r h_r <x_r> and the
     pair sum is sum_{r,r'} h_r h_r' <x_r, x_r'>, taken over unordered pairs
     with factor 2 off the diagonal.  An aperiodic system keys each row by
-    itself, so its classes are its distinct rows.  The caller sets
-    ``stationary`` when the shifts are one vector times t plus a constant:
-    then <x_{t+d}, x_t> = <x_d, x_0> by invariance, and the pair weights of
-    every d are added into the bin of the class of x_d, one inner product
-    per class.  Off the stationary path the classes are capped at
+    itself, so its classes are its distinct rows.
+
+    Wherever pairs of classes are visited they are capped at
     ``max_quadratic_n``.
     """
     terms = len(shift_rows)
-    keys = _residue_rows(eng, shift_rows)
-    mult = Counter(keys)
-    if not stationary and len(mult) > max_quadratic_n:
+    if len(observables) == 1:
+        shifts = [row[0] for row in shift_rows]
+        diff = (lambda a, b: tuple(map(sub, a, b))) if eng.vector else sub
+        corr = _correlation(eng, observables[0], diff(shifts[0], shifts[0]))
+        mean_sum = terms * corr.mean
+        step = diff(shifts[1], shifts[0]) if terms > 1 else None
+        weights: dict = {}
+        if all(diff(b, a) == step for a, b in zip(shifts[1:], shifts[2:])):
+            for k, s in enumerate(shifts):
+                d = corr.key(diff(s, shifts[0]))
+                weights[d] = weights.get(d, 0) + (2 * (terms - k) if k else terms)
+            pair_sum = corr.total(weights)
+        else:
+            pair_sum = corr.sweep(shifts)
+            if pair_sum is None:
+                mod = _residue(eng)
+                classes = list(Counter(shifts if mod is None else map(mod, shifts)).items())
+                if len(classes) > max_quadratic_n:
+                    raise ResourceCapError(f"{len(classes)} classes exceed the quadratic-path cap {max_quadratic_n}")
+                for i, (r, h) in enumerate(classes):
+                    for s, g in classes[i:]:
+                        d = corr.key(diff(s, r))
+                        weights[d] = weights.get(d, 0) + (2 * h * g if s != r else h * h)
+                pair_sum = corr.total(weights)
+        return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
+
+    mult = Counter(_residue_rows(eng, shift_rows))
+    if len(mult) > max_quadratic_n:
         raise ResourceCapError(f"{len(mult)} classes exceed the quadratic-path cap {max_quadratic_n}")
-    if not stationary and eng.independent and all(_is_plain_indicator(f) for f in observables):
+    if eng.independent and all(_is_plain_indicator(f) for f in observables):
         sets = [f.terms[0][1] for f in observables]
         mean_sum, pair_sum = _counted_sums(
             eng.system.probs,
             [([eng.shifted(S, s) for S, s in zip(sets, k)], h) for k, h in mult.items()],
         )
     else:
-        x = {k: [eng.factor(f, s) for f, s in zip(observables, k)] for k in mult}
-        mean_sum = pair_sum = Fraction(0)
-        if stationary:
-            x0 = x[keys[0]]
-            mean_sum = terms * eng.inner(x0)
-            weight: Counter = Counter()
-            for d, k in enumerate(keys):
-                weight[k] += terms if d == 0 else 2 * (terms - d)
-            for k, w in weight.items():
-                pair_sum += w * eng.inner(x[k] + x0)
-        else:
-            classes = [(x[k], h) for k, h in mult.items()]
-            for i, (xr, h) in enumerate(classes):
-                mean_sum += h * eng.inner(xr)
-                for j in range(i, len(classes)):
-                    xs, g = classes[j]
-                    ip = eng.inner(xr + xs)
-                    pair_sum += (1 if i == j else 2) * h * g * ip
+        classes = [([eng.factor(f, s) for f, s in zip(observables, k)], h) for k, h in mult.items()]
+        mean_sum = pair_sum = _ZERO
+        for i, (xr, h) in enumerate(classes):
+            mean_sum += h * eng.inner(xr)
+            for j in range(i, len(classes)):
+                xs, g = classes[j]
+                pair_sum += (1 if i == j else 2) * h * g * eng.inner(xr + xs)
     return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
@@ -427,7 +668,6 @@ def l2_distance_exact(
         spec.observables,
         _shift_rows(spec, N, 1, N),
         c,
-        spec.ell == 1 and spec.exponents[0].deg_n <= 1,
         max_quadratic_n,
     )
 
@@ -455,7 +695,6 @@ def commuting_average(
         cspec.observables,
         [[action.shift_vector(j, n, N) for j in range(1, action.ell + 1)] for n in range(N + 1)],
         c,
-        action.ell == 1,
         max_quadratic_n,
     )
 
@@ -644,18 +883,26 @@ def vdc_correlations(
     if isinstance(spec.system, SampledSystem):
         raise ValueError("sampled-tier system: correlations need the exact tier")
     eng = _Engine(spec.system)
-    keys = _residue_rows(eng, _shift_rows(spec, N, 1, N + H))
-    x = {k: [eng.factor(f, s) for f, s in zip(spec.observables, k)] for k in keys}
-    inners: dict = {}  # one inner product per distinct (class(n), class(n+h))
+    shift_rows = _shift_rows(spec, N, 1, N + H)
     rows = []
-    for h in range(1, H + 1):
-        total = Fraction(0)
-        for pair, count in Counter(zip(keys[:N], keys[h:])).items():
-            ip = inners.get(pair)
-            if ip is None:
-                ip = inners[pair] = eng.inner(x[pair[0]] + x[pair[1]])
-            total += ip if count == 1 else count * ip  # aperiodic pairs: skip the Fraction product
-        rows.append((h, total / N))
+    if spec.ell == 1:  # <x_n, x_{n+h}> = C_f(s_{n+h} - s_n)
+        corr = _correlation(eng, spec.observables[0], 0)
+        shifts = [s for s, in shift_rows]
+        for h in range(1, H + 1):
+            weights = Counter(corr.key(b - a) for a, b in zip(shifts[:N], shifts[h:]))
+            rows.append((h, corr.total(weights) / N))
+    else:
+        keys = _residue_rows(eng, shift_rows)
+        x = {k: [eng.factor(f, s) for f, s in zip(spec.observables, k)] for k in keys}
+        inners: dict = {}  # one inner product per distinct (class(n), class(n+h))
+        for h in range(1, H + 1):
+            total = _ZERO
+            for pair, count in Counter(zip(keys[:N], keys[h:])).items():
+                ip = inners.get(pair)
+                if ip is None:
+                    ip = inners[pair] = eng.inner(x[pair[0]] + x[pair[1]])
+                total += ip if count == 1 else count * ip  # aperiodic pairs: skip the Fraction product
+            rows.append((h, total / N))
     drop = math.ceil(H * trim_fraction)
     kept = sorted((abs(v), v) for _, v in rows)[: max(H - drop, 1)]
     dlim = sum((v for _, v in kept), Fraction(0)) / len(kept)

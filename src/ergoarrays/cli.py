@@ -23,7 +23,15 @@ from .averages import ArraySpec, Observable
 from .intpoly import IntPoly2
 from .pet import PExpr
 from .sets import ArcUnion
-from .systems import MarkovShift, SampledSystem, build_system
+from .systems import (
+    BernoulliLattice,
+    CircleRotation,
+    GaussMap,
+    IrrationalRotation,
+    MarkovShift,
+    SampledSystem,
+    build_system,
+)
 from .util import ResourceCapError, fraction_to_json, parse_fraction
 
 _KNOWN_KEYS = {
@@ -101,16 +109,51 @@ def _require(value, kind: type, what: str):
     return value
 
 
+def _set_kinds(system) -> tuple[str, ...]:
+    """The set descriptor keys a system's set algebra takes."""
+    if isinstance(system, (CircleRotation, IrrationalRotation, GaussMap)):
+        return ("arc", "arcs")
+    return ("cylinder",) if hasattr(system, "cylinder") else ("points",)
+
+
+def _coordinate(system, key: str):
+    """A cylinder key: an integer, or on a lattice a Z^d vector such as "0,1"."""
+    lattice = isinstance(system, BernoulliLattice)
+    try:
+        vector = tuple(int(x) for x in key.split(","))
+    except ValueError:
+        vector = ()
+    if not vector or (not lattice and len(vector) != 1):
+        raise ValueError(f"cylinder coordinate {key!r} is not {'a comma-separated integer vector' if lattice else 'an integer'}")
+    return vector if lattice else vector[0]
+
+
 def _build_set(system, descriptor):
     _require(descriptor, dict, "set descriptor")
-    if "arc" in descriptor or "arcs" in descriptor:
-        arcs = [descriptor["arc"]] if "arc" in descriptor else descriptor["arcs"]
-        return ArcUnion.from_arcs([(parse_fraction(str(a)), parse_fraction(str(b))) for a, b in arcs])
-    if "cylinder" in descriptor:
-        return system.cylinder({int(k): int(v) for k, v in descriptor["cylinder"].items()})
-    if "points" in descriptor:
-        return system.point_set(descriptor["points"])
-    raise ValueError(f"unknown set descriptor {sorted(descriptor)}")
+    kind = next((k for k in ("arc", "arcs", "cylinder", "points") if k in descriptor), None)
+    if kind is None:
+        raise ValueError(f"unknown set descriptor {sorted(descriptor)}")
+    accepted = _set_kinds(system)
+    if kind not in accepted:
+        raise ValueError(f"{type(system).__name__} takes set descriptors {' or '.join(accepted)}, not {kind}")
+    if kind == "cylinder":
+        constraints = {}
+        for k, v in _require(descriptor["cylinder"], dict, "cylinder").items():
+            coord = _coordinate(system, k)
+            try:
+                constraints[coord] = int(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"cylinder symbol {v!r} is not an integer") from None
+        return system.cylinder(constraints)
+    if kind == "points":
+        try:
+            return system.point_set(_require(descriptor["points"], list, "points"))
+        except TypeError:
+            raise ValueError(f"points {descriptor['points']} are not points of {type(system).__name__}") from None
+    arcs = [descriptor["arc"]] if kind == "arc" else _require(descriptor["arcs"], list, "arcs")
+    if any(not isinstance(arc, list) or len(arc) != 2 for arc in arcs):
+        raise ValueError("an arc must be a JSON list [a, b]")
+    return ArcUnion.from_arcs([(parse_fraction(str(a)), parse_fraction(str(b))) for a, b in arcs])
 
 
 def _build_observable(system, descriptor) -> Observable:

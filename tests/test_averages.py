@@ -20,7 +20,7 @@ from ergoarrays.averages import (
     _Engine,
     _shift_rows,
 )
-from ergoarrays.sets import ArcUnion
+from ergoarrays.sets import ArcUnion, intersect
 from ergoarrays.systems import (
     BernoulliLattice,
     BernoulliShift,
@@ -50,6 +50,66 @@ def half_rotation_spec(center=False):
 
 
 # -- independent oracles -----------------------------------------------------
+
+
+def reference_inner(system, factors) -> Fraction:
+    """Exact integral of prod_j (const_j + sum_i coeff_ij 1_{S_ij}) for
+    factors given as (const, ((coeff, set), ...)): every choice of one
+    summand per factor is expanded recursively with Fraction coefficients and
+    its intersection measured by the system, with no caching, grouping or
+    merging (the exact engine's original expansion)."""
+    total = Fraction(0)
+
+    def rec(idx, coeff, inter):
+        nonlocal total
+        if idx == len(factors):
+            total += coeff if inter is None else coeff * system.measure(inter)
+            return
+        const, terms = factors[idx]
+        if const != 0:
+            rec(idx + 1, coeff * const, inter)
+        for c, S in terms:
+            if c == 0:
+                continue
+            nxt = S if inter is None else intersect(inter, S)
+            if not nxt.is_empty():
+                rec(idx + 1, coeff * c, nxt)
+
+    rec(0, Fraction(1), None)
+    return total
+
+
+def raw_factor(f, shifted):
+    """A reference factor, built from a raw preimage of each set."""
+    return (f.constant, tuple((c, shifted(S)) for c, S in f.terms))
+
+
+def raw_rows(system, observables, exponents, ns, N):
+    """Reference factors of x_n for n in ns (scalar exponents)."""
+    return [
+        [raw_factor(f, lambda S, s=p.eval(n, N): system.preimage(S, s)) for f, p in zip(observables, exponents)]
+        for n in ns
+    ]
+
+
+def commuting_rows(action, observables, N):
+    """Reference factors of x_n = prod_j T_j^n That_j^N f_j for n = 0..N."""
+    return [
+        [
+            raw_factor(f, lambda S, v=action.shift_vector(j, n, N): action.system.translate_preimage(S, v))
+            for j, f in enumerate(observables, 1)
+        ]
+        for n in range(N + 1)
+    ]
+
+
+def all_pairs_distance(system, rows, c) -> Fraction:
+    """|| mean_t x_t - c ||^2 with every ordered pair <x_t, x_u> evaluated
+    by the reference expansion; rows[t] are the reference factors of x_t."""
+    T = len(rows)
+    pairs = sum((reference_inner(system, a + b) for a in rows for b in rows), Fraction(0))
+    means = sum((reference_inner(system, a) for a in rows), Fraction(0))
+    return pairs / T**2 - 2 * c * means / T + c * c
 
 
 def bitstring_oracle(N: int, exponents, centered: bool) -> Fraction:
@@ -227,15 +287,6 @@ def test_fast_indicator_path_matches_generic_expansion():
 ORACLE_EXPONENTS = ["n", "2*n", "n**2", "n*N", "N - n", "5*n - 2*N", "-n + 3", "3*n + N"]
 
 
-def all_pairs_distance(eng, rows, c) -> Fraction:
-    """|| mean_t x_t - c ||^2 with every ordered pair <x_t, x_u> evaluated
-    by the inner-product engine; rows[t] are the factors of x_t."""
-    T = len(rows)
-    pairs = sum((eng.inner(a + b) for a in rows for b in rows), Fraction(0))
-    means = sum((eng.inner(a) for a in rows), Fraction(0))
-    return pairs / T**2 - 2 * c * means / T + c * c
-
-
 @st.composite
 def iid_systems(draw, lattice_only=False):
     """A Bernoulli shift or lattice and a drawer of single cylinders on a
@@ -259,9 +310,8 @@ def test_counted_path_matches_all_pairs_oracle(data):
     exps = data.draw(st.lists(st.sampled_from(ORACLE_EXPONENTS), min_size=ell, max_size=ell))
     N = data.draw(st.integers(1, 12))
     spec = ArraySpec.create(system, obs, exps)
-    eng = _Engine(system)
-    rows = [[eng.factor(f, p.eval(n, N)) for f, p in zip(obs, spec.exponents)] for n in range(1, N + 1)]
-    assert l2_distance_exact(spec, N) == all_pairs_distance(eng, rows, spec.product_of_integrals())
+    rows = raw_rows(system, obs, spec.exponents, range(1, N + 1), N)
+    assert l2_distance_exact(spec, N) == all_pairs_distance(system, rows, spec.product_of_integrals())
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,12 +326,8 @@ def test_counted_commuting_path_matches_all_pairs_oracle(data):
     N = data.draw(st.integers(1, 12))
     action = build_lattice_action(system, z, zhat)
     cspec = CommutingArraySpec(action, obs)
-    eng = _Engine(system, vector_shifts=True)
-    rows = [
-        [eng.factor(f, action.shift_vector(j, n, N)) for j, f in enumerate(obs, 1)]
-        for n in range(N + 1)
-    ]
-    assert commuting_average(cspec, N) == all_pairs_distance(eng, rows, cspec.product_of_integrals())
+    rows = commuting_rows(action, obs, N)
+    assert commuting_average(cspec, N) == all_pairs_distance(system, rows, cspec.product_of_integrals())
 
 
 CONSTANT_IN_N = ["N", "2*N", "N - 2", "3*N + 1", "N**2", "7", "-3", "0"]
@@ -297,9 +343,8 @@ def test_counted_classes_match_all_pairs_oracle(data):
     exps = data.draw(st.lists(st.sampled_from(CONSTANT_IN_N), min_size=ell, max_size=ell))
     N = data.draw(st.integers(1, 30))
     spec = ArraySpec.create(system, obs, exps)
-    eng = _Engine(system)
-    rows = [[eng.factor(f, p.eval(n, N)) for f, p in zip(obs, spec.exponents)] for n in range(1, N + 1)]
-    assert l2_distance_exact(spec, N, max_quadratic_n=1) == all_pairs_distance(eng, rows, spec.product_of_integrals())
+    rows = raw_rows(system, obs, spec.exponents, range(1, N + 1), N)
+    assert l2_distance_exact(spec, N, max_quadratic_n=1) == all_pairs_distance(system, rows, spec.product_of_integrals())
 
 
 def test_counted_path_caps_classes_not_terms():
@@ -321,39 +366,103 @@ def observables(draw, system):
     return Observable(draw(coeff), terms)
 
 
-@settings(max_examples=100, deadline=None)
+# -- the inner-product kernel and the one-factor path against the reference --
+
+
+@st.composite
+def affine_observables(draw, system):
+    """A plain indicator, or an affine combination (constant and 0-3 terms,
+    zero, negative and fractional coefficients) of sets drawn from a pool of
+    two random sets and a complement, so that terms repeat and overlap."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    pool = [system.random_set(rng), system.random_set(rng)]
+    pool.append(system.complement(pool[0]))
+    if draw(st.booleans()):
+        return Observable.indicator(draw(st.sampled_from(pool)))
+    coeff = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), st.fractions(-3, 3, max_denominator=6))
+    terms = tuple((draw(coeff), draw(st.sampled_from(pool))) for _ in range(draw(st.integers(0, 3))))
+    return Observable(draw(coeff), terms)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_stationary_path_matches_all_pairs_oracle(data):
+def test_engine_inner_matches_reference_expansion(data):
     system = data.draw(st.sampled_from(exact_zoo()))
-    f = data.draw(observables(system))
-    spec = ArraySpec.create(system, [f], [data.draw(st.sampled_from(["n", "n*N", "3*n + N", "-n + 2"]))])
-    N = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, 4))
+    obs = [data.draw(affine_observables(system)) for _ in range(k)]
+    shifts = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     eng = _Engine(system)
-    rows = [[eng.factor(f, spec.exponents[0].eval(n, N))] for n in range(1, N + 1)]
-    assert l2_distance_exact(spec, N) == all_pairs_distance(eng, rows, spec.product_of_integrals())
+    factors = [eng.factor(f, s) for f, s in zip(obs, shifts)]
+    raw = [raw_factor(f, lambda S, s=s: system.preimage(S, s)) for f, s in zip(obs, shifts)]
+    assert eng.inner(factors) == reference_inner(system, raw)
+
+
+ONE_FACTOR_EXPONENTS = ["n", "n*N", "3*n + N", "-n + 2", "N", "n**2", "n**2 - 3*n", "2*n**2 + n*N", "N*n**2 - 5"]
+
+
+def one_factor_systems():
+    """Every exact kind, plus rotations whose period is far beyond N."""
+    return exact_zoo() + [CircleRotation(Fraction(3, 1000003)), CircleRotation(Fraction(5, 97))]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_one_factor_path_matches_all_pairs_oracle(data):
+    system = data.draw(st.sampled_from(one_factor_systems()))
+    f = data.draw(affine_observables(system))
+    spec = ArraySpec.create(system, [f], [data.draw(st.sampled_from(ONE_FACTOR_EXPONENTS))], center=data.draw(st.booleans()))
+    N = data.draw(st.integers(1, 12))
+    target = data.draw(st.one_of(st.none(), st.fractions(-1, 1, max_denominator=5)))
+    c = spec.product_of_integrals() if target is None else target
+    rows = raw_rows(system, spec.observables, spec.exponents, range(1, N + 1), N)
+    assert l2_distance_exact(spec, N, target=target) == all_pairs_distance(system, rows, c)
+    H = data.draw(st.integers(1, 4))
+    x = raw_rows(system, spec.observables, spec.exponents, range(N + H + 1), N)
+    expected = [(h, sum((reference_inner(system, x[n] + x[n + h]) for n in range(1, N + 1)), Fraction(0)) / N) for h in range(1, H + 1)]
+    assert list(vdc_correlations(spec, N, H).rows) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_stationary_commuting_path_matches_all_pairs_oracle(data):
+def test_one_pair_commuting_path_matches_all_pairs_oracle(data):
     system = data.draw(
         st.sampled_from(
             [
+                CyclicRotation(5, 2),
                 CyclicLattice((2, 3)),
-                BernoulliLattice((Fraction(1, 3), Fraction(2, 3)), 2),
                 BernoulliShift((Fraction(1, 4), Fraction(3, 4))),
+                MarkovShift.two_state(Fraction(2, 3)),
+                BernoulliLattice((Fraction(1, 3), Fraction(2, 3)), 2),
             ]
         )
     )
-    d = getattr(system, "d", 1)
-    vec = st.tuples(*[st.integers(-2, 2)] * d)
+    vec = st.tuples(*[st.integers(-3, 3)] * getattr(system, "d", 1))
     action = build_lattice_action(system, [data.draw(vec.filter(any))], [data.draw(vec)])
-    f = data.draw(observables(system))
-    cspec = CommutingArraySpec(action, (f,))
+    f = data.draw(affine_observables(system))
     N = data.draw(st.integers(1, 12))
-    eng = _Engine(system, vector_shifts=True)
-    rows = [[eng.factor(f, action.shift_vector(1, n, N))] for n in range(N + 1)]
-    assert commuting_average(cspec, N) == all_pairs_distance(eng, rows, cspec.product_of_integrals())
+    target = data.draw(st.one_of(st.none(), st.fractions(-1, 1, max_denominator=5)))
+    cspec = CommutingArraySpec(action, (f,))
+    c = cspec.product_of_integrals() if target is None else target
+    assert commuting_average(cspec, N, target=target) == all_pairs_distance(system, commuting_rows(action, (f,), N), c)
+
+
+def test_one_factor_quadratic_exponent_at_large_N():
+    # n**2 on a rotation of period far beyond N (arc sweep) and on
+    # independent coordinates (neighbour scan, with n = 1, 2 exactly one
+    # support diameter apart): no class cap at N = 4096
+    rot = CircleRotation(Fraction(3, 1000003))
+    bern = BernoulliShift((Fraction(1, 3), Fraction(2, 3)))
+    for system, S in ((rot, rot.arc(0, Fraction(1, 3))), (bern, bern.cylinder({0: 0, 3: 1}))):
+        spec = ArraySpec.create(system, [Observable.indicator(S)], ["n**2"], center=True)
+        rows = raw_rows(system, spec.observables, spec.exponents, range(1, 9), 8)
+        assert l2_distance_exact(spec, 8) == all_pairs_distance(system, rows, Fraction(0))
+        value = l2_distance_exact(spec, 4096, max_quadratic_n=16)
+        assert 0 < value < Fraction(1, 100)
+    # Markov shifts still visit every pair of classes, so the cap applies
+    chain = MarkovShift.two_state(Fraction(2, 3))
+    spec = ArraySpec.create(chain, [Observable.indicator(chain.cylinder({0: 0}))], ["n**2"])
+    with pytest.raises(ResourceCapError, match="13 classes"):
+        l2_distance_exact(spec, 13, max_quadratic_n=12)
 
 
 # -- residue-class grouping on finite-order systems against raw all-pairs sums --
@@ -361,23 +470,11 @@ def test_stationary_commuting_path_matches_all_pairs_oracle(data):
 GROUPED_EXPONENTS = ORACLE_EXPONENTS + ["N", "7", "-3", "n**2 + N", "2*n**2 - n", "N*n**2 - 5"]
 
 
-def raw_factor(f, shifted):
-    """The engine's factor triple, built from a raw preimage of each set."""
-    return (f.constant, tuple((c, shifted(S)) for c, S in f.terms), None)
-
-
-def raw_rows(system, observables, exponents, ns, N):
-    return [
-        [raw_factor(f, lambda S, s=p.eval(n, N): system.preimage(S, s)) for f, p in zip(observables, exponents)]
-        for n in ns
-    ]
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_grouped_distance_matches_all_pairs_oracle(data):
     # shifts far beyond the period (n**2, n*N up to 1600) fold into few classes;
-    # ell = 1 with a linear exponent takes the stationary path
+    # ell = 1 takes the one-factor correlation path
     system = data.draw(periodic_systems())
     ell = data.draw(st.integers(1, 2))
     obs = [data.draw(observables(system)) for _ in range(ell)]
@@ -385,7 +482,7 @@ def test_grouped_distance_matches_all_pairs_oracle(data):
     N = data.draw(st.integers(1, 40))
     spec = ArraySpec.create(system, obs, exps)
     rows = raw_rows(system, spec.observables, spec.exponents, range(1, N + 1), N)
-    oracle = all_pairs_distance(_Engine(system), rows, spec.product_of_integrals())
+    oracle = all_pairs_distance(system, rows, spec.product_of_integrals())
     assert l2_distance_exact(spec, N) == oracle
 
 
@@ -401,15 +498,8 @@ def test_grouped_commuting_average_matches_all_pairs_oracle(data):
     action = build_lattice_action(system, z, zhat)
     obs = tuple(data.draw(observables(system)) for _ in range(ell))
     N = data.draw(st.integers(1, 40))
-    rows = [
-        [
-            raw_factor(f, lambda S, v=action.shift_vector(j, n, N): system.translate_preimage(S, v))
-            for j, f in enumerate(obs, 1)
-        ]
-        for n in range(N + 1)
-    ]
     cspec = CommutingArraySpec(action, obs)
-    assert commuting_average(cspec, N) == all_pairs_distance(_Engine(system), rows, cspec.product_of_integrals())
+    assert commuting_average(cspec, N) == all_pairs_distance(system, commuting_rows(action, obs, N), cspec.product_of_integrals())
 
 
 @settings(max_examples=80, deadline=None)
@@ -422,8 +512,7 @@ def test_grouped_vdc_matches_per_n_sum(data):
     N, H = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 5))
     spec = ArraySpec.create(system, obs, exps)
     x = raw_rows(system, spec.observables, spec.exponents, range(N + H + 1), N)
-    eng = _Engine(system)
-    expected = [(h, sum((eng.inner(x[n] + x[n + h]) for n in range(1, N + 1)), Fraction(0)) / N) for h in range(1, H + 1)]
+    expected = [(h, sum((reference_inner(system, x[n] + x[n + h]) for n in range(1, N + 1)), Fraction(0)) / N) for h in range(1, H + 1)]
     assert list(vdc_correlations(spec, N, H).rows) == expected
 
 
@@ -431,7 +520,7 @@ def test_periodic_distance_caps_classes_not_terms():
     cyc = CyclicRotation(12)
     spec = ArraySpec.create(cyc, [Observable.indicator(cyc.point_set([0, 1, 5, 7]))], ["n**2"], center=True)
     rows = raw_rows(cyc, spec.observables, spec.exponents, range(1, 49), 48)
-    assert l2_distance_exact(spec, 48) == all_pairs_distance(_Engine(cyc), rows, Fraction(0))
+    assert l2_distance_exact(spec, 48) == all_pairs_distance(cyc, rows, Fraction(0))
     value = l2_distance_exact(spec, 10**5)  # 12 classes, far under the cap
     assert 0 <= value <= spec.observables[0].sup_bound() ** 2
     # ell = 2 vector shifts on Z_3 x Z_4 (period 12): 2001 terms in 12 classes, one per n mod 12

@@ -152,6 +152,9 @@ WRONG_SHAPES = [
     sweep('{"observables": [1], "exponents": ["n"]}'),
     sweep('{"observables": [{"set": [0]}], "exponents": ["n"]}'),
     sweep('{"observables": %s, "exponents": [5]}' % GOOD_OBS),
+    sweep('{"observables": [{"set": {"points": [[0, 1]]}}], "exponents": ["n"]}'),
+    sweep('{"observables": [{"set": {"arc": 5}}], "exponents": ["n"]}', system=ROT),
+    sweep('{"observables": [{"set": {"arcs": [["0"]]}}], "exponents": ["n"]}', system=ROT),
     ["recurrence", "--system", GOOD_SYSTEM, "--set", '[1, "a"]', "--pq", "(1,0)", "--Nmax", "4"],
 ]
 
@@ -390,3 +393,47 @@ def test_lattice_cylinder_with_integer_coordinate_exits_2(tmp_path, capsys):
     # a key "0" is one integer, not a coordinate of Z^2
     code, err = _sweep_exit(tmp_path, capsys, LATTICE)
     assert code == 2 and "not 2-dimensional" in err
+
+
+CYCLIC = '{"kind":"cyclic-rotation","params":{"modulus":5}}'
+
+
+@pytest.mark.parametrize(
+    "system, set_doc, accepted",
+    [
+        (BERN, {"arc": ["0", "1/4"]}, "cylinder"),
+        (MARKOV, {"points": [0]}, "cylinder"),
+        (CYCLIC, {"cylinder": {"0": 0}}, "points"),
+        (ROT, {"cylinder": {"0": 0}}, "arc or arcs"),
+        (GAUSS, {"points": [0]}, "arc or arcs"),
+    ],
+    ids=["arc-on-bernoulli", "points-on-markov", "cylinder-on-cyclic", "cylinder-on-rotation", "points-on-gauss"],
+)
+def test_set_descriptor_of_the_wrong_kind_exits_2(tmp_path, capsys, system, set_doc, accepted):
+    spec = json.dumps({"observables": [{"set": set_doc}], "exponents": ["n"]})
+    assert run(["--out-dir", str(tmp_path), "avg-sweep", "--system", system, "--spec", spec, "--Ns", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"takes set descriptors {accepted}," in err
+
+
+def test_lattice_cylinder_keys_are_vectors(tmp_path, capsys):
+    from fractions import Fraction
+
+    from ergoarrays.averages import ArraySpec, Observable, l2_distance_exact
+    from ergoarrays.systems import BernoulliLattice
+
+    cylinders = [{"0,0": 0, "1,0": 1}, {"0,1": 1}]
+    spec = json.dumps({"observables": [{"set": {"cylinder": c}} for c in cylinders], "exponents": ["n", "2*n"]})
+    args = ["avg-sweep", "--system", LATTICE, "--spec", spec, "--Ns", "3,5"]
+    assert run(["--out-dir", str(tmp_path), *args]) == 0
+    lat = BernoulliLattice((Fraction(1, 2), Fraction(1, 2)), 2)
+    obs = [Observable.indicator(lat.cylinder({(0, 0): 0, (1, 0): 1})), Observable.indicator(lat.cylinder({(0, 1): 1}))]
+    expected = [fraction_to_json(l2_distance_exact(ArraySpec.create(lat, obs, ["n", "2*n"]), N)) for N in (3, 5)]
+    doc = json.loads((tmp_path / "avg_sweep.json").read_text())
+    assert [row["value"] for row in doc["rows"]] == expected
+    # malformed keys and symbols: one line, exit 2
+    for cylinder in ({"0,a": 0}, {"": 0}, {"0,,1": 0}, {"0,1": [1]}):
+        spec = json.dumps({"observables": [{"set": {"cylinder": cylinder}}], "exponents": ["n"]})
+        assert run(["--out-dir", str(tmp_path / "bad"), "avg-sweep", "--system", LATTICE, "--spec", spec, "--Ns", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cylinder ")

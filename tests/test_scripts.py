@@ -7,10 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# spectral_slowdown.py is left out: it takes over 20 s.
-
-
-@pytest.mark.parametrize("script", ["counterexample_sweep.py", "pet_descent_demo.py"])
+@pytest.mark.parametrize("script", ["counterexample_sweep.py", "pet_descent_demo.py", "spectral_slowdown.py"])
 def test_demo_script_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
