@@ -2,72 +2,60 @@
 
 The exact path expands the squared L^2 distance of A_N to a scalar target
 into the mean of the terms x_n and the sum of their pairwise inner products
-<x_n, x_m>; every inner product is a finite combination of measures of
-intersections of translated algebra sets, so the result is an exact
-rational.  Single-transformation arrays and commuting families share one
-distance routine that takes, per term, its row of shifts.
+<x_n, x_m>, each an exact rational.  Single-transformation arrays and
+commuting families share one distance routine that takes, per term, its
+row of shifts; terms with equal rows, each shift reduced mod the system's
+period q when it has one (T^q = id), form classes with multiplicities h_r.
 
-The inner-product kernel works in integers: plain indicators (coefficient
-1, no constant) are intersected into one set, and affine factors carry
-integer numerators over their common denominator, with equal intersections
-merged, so each distinct intersection costs one measure and the product one
-division at the end.
+The system type picks the kernel, and every kernel works in integers:
 
-With one factor (ell = 1, or a commuting family with one generator pair)
-every pair term is a correlation C_f(d) = <T^d f, f> of the difference of
-two shifts, so the pair sum is sum_d w_d C_f(d):
+* independent coordinates (Bernoulli shifts and lattices): an observable
+  is, over its denominator, an integer combination of 1 and single-row
+  cylinders, so a product of factors expands into atoms, coordinate ->
+  symbol maps with integer weights (zero where two rows disagree), whose
+  measure depends only on their signature, the count of fixed coordinates
+  per symbol.  ``_Engine.inner`` sums atom weights by signature; with
+  ell >= 2 the pair sum counts every pair of atoms as disjoint by
+  convolving those sums, then visits only the pairs that share a
+  coordinate: O(N*ell + atoms + overlapping atom pairs + signatures^2);
+* other exact systems (rotations, Markov shifts, finite point systems):
+  ``_Engine.inner`` intersects algebra sets, plain indicators into one
+  set, affine factors with integer numerators and equal intersections
+  merged; with ell >= 2 every pair of classes takes one inner product,
+  O(N*ell + classes^2) with at most q^ell classes (q^(ell*d) for d-vector
+  shifts).
 
-* weights: shifts linear in n give d = k*step the weight 2(N - k); other
-  shifts are swept directly where the system allows it (below), or grouped
-  into residue classes whose pairs weigh their differences; differences
-  reduce mod the system's period q when it has one (T^q = id), and
-  C_f(d) = C_f(-d);
-* rotations: C_f(d) is a sum of k^2 piecewise-linear arc overlaps for k
-  arcs, in integers over one common denominator; non-linear exponents
-  integrate the square of the step function sum_n x_n by sorting its 2kN
-  arc ends, O(kN log kN);
-* independent coordinates (Bernoulli shifts and lattices): C_f(d) =
-  (integral f)^2 once |d| exceeds the support diameter of f (per axis on
-  lattices); non-linear exponents sort the shifts and visit only the
-  neighbours within that diameter;
-* other systems (Markov shifts, finite point systems): ``_Engine.inner``
-  memoized by difference.
+With one factor (ell = 1, or one commuting generator pair) every pair term
+is a correlation C_f(d) = <T^d f, f>, C_f(d) = C_f(-d), so the pair sum is
+sum_d w_d C_f(d).  Linear shifts give d = k*step the weight 2(N - k); other
+shifts are swept where the system allows it, or grouped into residue
+classes whose pairs weigh their differences.  On rotations C_f(d) is a sum
+of k^2 arc overlaps for k arcs, and the sweep integrates (sum_n x_n)^2 by
+sorting its 2kN arc ends; on independent coordinates C_f(d) = (integral
+f)^2 once |d| exceeds the support diameter of f (per axis on lattices), and
+the sweep visits only neighbouring shifts; elsewhere ``_Engine.inner`` runs
+once per distinct difference.
 
-With more factors terms are grouped into classes by their row of shifts,
-each shift reduced mod q, with multiplicities h_r (aperiodic rows key
-themselves), and one of two paths runs:
-
-* counted: when every observable is a plain single cylinder on an i.i.d.
-  product system, classes are grouped by their count of fixed coordinates
-  per symbol, pairs with disjoint supports are counted in integers, and
-  only the pairs of classes that share a coordinate are visited, at a cost
-  of O(N*ell + overlapping class pairs + distinct signatures^2);
-* generic: every pair of classes goes through the inner-product engine,
-  weighted h_r*h_r', so O(N*ell + classes^2) set operations, with at most
-  q^ell classes (q^(ell*d) for d-vector shifts) at period q; on systems
-  with independent coordinates, factors whose supports do not meet split
-  off as separate groups, and a centered group of one factor kills the
-  whole term.
-
-Wherever pairs of classes are visited they are capped at max_quadratic_n.
+Visited pairs of classes are capped at max_quadratic_n, and an atom
+expansion that could pass the cylinder-row cap raises ResourceCapError.
 The van der Corput tables take C_f(s_{n+h} - s_n) for one factor and group
-the pairs (class(n), class(n+h)) otherwise.
-
-A seeded Monte Carlo estimator covers the sampled tier and doubles as a
-cross-check of the exact path.
+the pairs (class(n), class(n+h)) otherwise.  A seeded Monte Carlo
+estimator covers the sampled tier and cross-checks the exact path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from functools import cached_property
+from operator import add, neg, sub
 from typing import Sequence
 
 from .intpoly import IntPoly2
-from .sets import ArcUnion, CylinderUnion
+from .sets import _MAX_ROWS, ArcUnion, CylinderUnion
 from .systems import CircleRotation, GaussMap, LatticeAction, SampledSystem
 from .util import ResourceCapError
 
@@ -91,21 +79,22 @@ class Observable:
         return Observable(self.constant - mean, self.terms)
 
     def integral(self, measure_fn) -> Fraction:
-        total = self.constant
-        for coeff, S in self.terms:
-            total += coeff * measure_fn(S)
-        return total
+        return sum((coeff * measure_fn(S) for coeff, S in self.terms), self.constant)
+
+    @cached_property
+    def integer_form(self) -> tuple[int, int, tuple[tuple[int, object], ...]]:
+        """(den, constant numerator, ((numerator, set), ...)): the observable
+        over the common denominator of its coefficients, zero terms dropped."""
+        den = math.lcm(self.constant.denominator, *(c.denominator for c, _ in self.terms))
+        scaled = lambda c: c.numerator * (den // c.denominator)
+        return den, scaled(self.constant), tuple((scaled(c), S) for c, S in self.terms if c)
 
     def sup_bound(self) -> Fraction:
         """Upper bound for the sup norm (triangle inequality)."""
         return abs(self.constant) + sum((abs(c) for c, _ in self.terms), Fraction(0))
 
     def eval_at(self, point, member_fn) -> Fraction:
-        total = self.constant
-        for coeff, S in self.terms:
-            if member_fn(point, S):
-                total += coeff
-        return total
+        return sum((coeff for coeff, S in self.terms if member_fn(point, S)), self.constant)
 
 
 @dataclass(frozen=True)
@@ -125,25 +114,16 @@ class ArraySpec:
         center: bool = False,
         assert_distinct_linear: bool = False,
     ) -> "ArraySpec":
-        exps = tuple(
-            p if isinstance(p, IntPoly2) else IntPoly2.parse(p) for p in exponents
-        )
+        exps = tuple(p if isinstance(p, IntPoly2) else IntPoly2.parse(p) for p in exponents)
         obs = tuple(observables)
         if len(obs) != len(exps) or not obs:
             raise ValueError("need one exponent per observable, at least one of each")
         if center:
             obs = tuple(f.shifted_by(f.integral(_invariant_measure(system))) for f in obs)
         if assert_distinct_linear:
-            ps = []
-            for p in exps:
-                lin = p.linear_n_form()
-                if lin is not None:
-                    ps.append(lin[0])
+            ps = [lin[0] for lin in map(IntPoly2.linear_n_form, exps) if lin is not None]
             if len(ps) != len(set(ps)):
-                raise ValueError(
-                    "linear n-coefficients p_j must be pairwise distinct for the "
-                    "product-of-integrals limit claim"
-                )
+                raise ValueError("linear n-coefficients p_j must be pairwise distinct for the product-of-integrals limit claim")
         return cls(system, obs, exps)
 
     @property
@@ -171,10 +151,7 @@ class CommutingArraySpec:
 
 def _product_of_integrals(system, observables) -> Fraction:
     m = _invariant_measure(system)
-    prod = Fraction(1)
-    for f in observables:
-        prod *= f.integral(m)
-    return prod
+    return math.prod((f.integral(m) for f in observables), start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -187,51 +164,55 @@ class _Engine:
     def __init__(self, system, vector_shifts: bool = False):
         self.system = system
         self.vector = vector_shifts
+        self.move = system.translate_preimage if vector_shifts else system.preimage  # uncached
         self._shift_cache: dict = {}
         self._measure_cache: dict = {}
         self.independent = getattr(system, "independent_coords", False)
+        # ``residue``: a shift mod the period q (T^q and every translation by
+        # q*e_i are the identity, so vectors reduce componentwise), None when
+        # aperiodic; ``key``: one representative of {d, -d} (C_f(d) = C_f(-d))
+        q = system.period
+        minus = (lambda d: tuple(-x for x in d)) if vector_shifts else neg
+        mod = None if not q else (lambda v: tuple(x % q for x in v)) if vector_shifts else (lambda s: s % q)
+        self.residue = mod
+        if mod is not None:
+            self.key = lambda d: min(mod(d), mod(minus(d)))
+        else:
+            self.key = (lambda d: max(d, minus(d))) if vector_shifts else abs
+
+    def residue_rows(self, shift_rows) -> list[tuple]:
+        """Each term's row of shifts, every shift mapped by ``residue``, as a
+        hashable key: terms with equal keys are equal functions."""
+        mod = self.residue
+        return [tuple(row if mod is None else map(mod, row)) for row in shift_rows]
 
     def shifted(self, S, shift):
         key = (S, shift)
         out = self._shift_cache.get(key)
         if out is None:
-            if self.vector:
-                out = self.system.translate_preimage(S, shift)
-            else:
-                out = self.system.preimage(S, shift)
-            self._shift_cache[key] = out
+            out = self._shift_cache[key] = self.move(S, shift)
         return out
 
     def measure(self, S) -> Fraction:
         out = self._measure_cache.get(S)
         if out is None:
-            out = self.system.measure(S)
-            self._measure_cache[S] = out
+            out = self._measure_cache[S] = self.system.measure(S)
         return out
 
     def factor(self, obs: Observable, shift):
-        """(den, constant numerator, ((numerator, shifted set), ...),
-        support-or-None): the observable over the common denominator of its
-        coefficients, zero terms dropped."""
-        const = obs.constant
-        den = math.lcm(const.denominator, *(c.denominator for c, _ in obs.terms))
-        terms = tuple((c.numerator * (den // c.denominator), self.shifted(S, shift)) for c, S in obs.terms if c)
-        support = None
-        if self.independent and all(isinstance(S, CylinderUnion) for _, S in terms):
-            support = frozenset(c for _, S in terms for c in S.coords)
-        return (den, const.numerator * (den // const.denominator), terms, support)
+        """The observable's ``integer_form`` with every set shifted."""
+        den, cnum, terms = obs.integer_form
+        return den, cnum, tuple((num, self.shifted(S, shift)) for num, S in terms)
 
     def inner(self, factors) -> Fraction:
         """Exact integral of the product of the given factors."""
-        if self.independent and all(f[3] is not None for f in factors):
-            total = Fraction(1)
-            for g in _group_by_overlap(factors):
-                val = self._expand(g)
-                if not val:
-                    return val
-                total *= val
-            return total
-        return self._expand(factors)
+        if not self.independent:
+            return self._expand(factors)
+        counts: Counter = Counter()
+        alphabet = self.system.alphabet
+        for w, atom in _atom_product([_atoms(f, alphabet) for f in factors]):
+            counts[self.signature(atom)] += w
+        return self.by_signature(counts, math.prod(den for den, _, _ in factors))
 
     def _expand(self, factors) -> Fraction:
         """Plain indicators (coefficient 1, no constant) are intersected into
@@ -242,7 +223,7 @@ class _Engine:
         inter = None
         affine = []
         for f in factors:
-            den, cnum, terms, _ = f
+            den, cnum, terms = f
             if cnum or den != 1 or len(terms) != 1 or terms[0][0] != 1:
                 affine.append(f)
                 continue
@@ -254,7 +235,7 @@ class _Engine:
             return self.measure(inter)
         weights = {inter: 1}
         scale = 1
-        for den, cnum, terms, _ in affine:
+        for den, cnum, terms in affine:
             scale *= den
             nxt: dict = {}
             for S0, w in weights.items():
@@ -268,29 +249,84 @@ class _Engine:
         total = sum((w if S is None else w * self.measure(S) for S, w in weights.items() if w), _ZERO)
         return total / scale
 
+    # atoms on independent coordinates
+
+    def signature(self, atom: dict) -> tuple[int, ...]:
+        """The number of coordinates an atom fixes to each symbol."""
+        sig = [0] * self.system.alphabet
+        for s in atom.values():
+            sig[s] += 1
+        return tuple(sig)
+
+    def by_signature(self, counts, scale: int) -> Fraction:
+        """sum_sig k_sig * mu(sig) / scale, where mu(sig) = prod_s p_s^sig[s]
+        is the measure of every atom with that signature: one integer sum
+        over den^top, with p_s = nums[s] / den and top the largest atom."""
+        nums, den = self.system._nums, self.system._den
+        top = max(map(sum, counts), default=0)
+        total = sum(k * math.prod(map(pow, nums, sig)) * den ** (top - sum(sig)) for sig, k in counts.items() if k)
+        return Fraction(total, scale * den**top)
+
 
 _ZERO = Fraction(0)
 
 
-def _group_by_overlap(factors):
-    """Partition factors into groups with pairwise-disjoint supports."""
-    n = len(factors)
-    parent = list(range(n))
+def _atoms(factor, alphabet: int) -> list[tuple[int, CylinderUnion]]:
+    """The numerator cnum + sum num * 1_S of a factor (den, cnum, terms) over
+    cylinder unions as weighted atoms (weight, single-row cylinder), equal
+    ones merged: the whole space for the constant, and per set one atom per
+    row (its rows are disjoint cylinders), or, where its complement has
+    fewer rows, the whole space minus one atom per missing row."""
+    _, cnum, terms = factor
+    if not cnum and len(terms) == 1 and len(terms[0][1].rows) == 1:
+        return list(terms)
+    full = CylinderUnion.full(alphabet)
+    weights = {full: cnum}
+    for num, S in terms:
+        rows = S.rows
+        if len(rows) > 1 and 2 * len(rows) > alphabet ** len(S.coords) + 1:
+            weights[full] += num
+            rows = [row for row in itertools.product(range(alphabet), repeat=len(S.coords)) if row not in rows]
+            num = -num
+        for row in rows:
+            # one row over two or more symbols depends on every coordinate
+            R = S if len(S.rows) == 1 else CylinderUnion(S.coords, frozenset((row,)), alphabet)
+            weights[R] = weights.get(R, 0) + num
+    return [(w, R) for R, w in weights.items() if w]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if factors[i][3] & factors[j][3]:
-                parent[find(i)] = find(j)
-    groups: dict[int, list] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(factors[i])
-    return [groups[k] for k in sorted(groups)]
+def _atom_product(atom_lists) -> list[tuple[int, dict]]:
+    """The product of factors given as atom lists, as (weight, coordinate ->
+    symbol map) pairs: every choice of one atom per factor, merged, and
+    dropped where two atoms disagree on a coordinate.  A factor with one
+    atom extends each map in place; a wider one copies them, and raises when
+    the product could pass ``_MAX_ROWS`` maps."""
+    out = [(1, {})]
+    for atoms in atom_lists:
+        nxt = []
+        if len(atoms) == 1:
+            ((w, S),) = atoms
+            (row,) = S.rows
+            for W, A in out:
+                for c, s in zip(S.coords, row):
+                    if A.setdefault(c, s) != s:
+                        break
+                else:
+                    nxt.append((W * w, A))
+        elif len(out) * len(atoms) > _MAX_ROWS:
+            raise ResourceCapError(f"atom expansion of {len(out) * len(atoms)} terms exceeds cap {_MAX_ROWS}")
+        else:
+            for W, A in out:
+                for w, S in atoms:
+                    (row,) = S.rows
+                    B = A.copy()
+                    for c, s in zip(S.coords, row):
+                        if B.setdefault(c, s) != s:
+                            break
+                    else:
+                        nxt.append((W * w, B))
+        out = nxt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +336,10 @@ def _group_by_overlap(factors):
 class _Correlation:
     """C_f(d) for one observable through ``_Engine.inner``, memoized by
     difference: the correlation of systems with no closed form (Markov
-    shifts, finite point systems).  ``key`` folds a difference to one
-    representative of {d, -d} mod the period, since C_f(d) = C_f(-d) by
-    invariance; ``total`` is sum_d w_d C_f(d) over a map of keys to weights,
-    and ``sweep`` the pair sum over a list of shifts, or None when only
-    pairs of classes give it."""
+    shifts, finite point systems).  ``total`` is sum_d w_d C_f(d) over a map
+    of differences (folded by ``_Engine.key``) to weights, and ``sweep`` the
+    pair sum over a list of shifts, or None when only pairs of classes give
+    it."""
 
     def __init__(self, eng: _Engine, f: Observable, zero):
         self.eng = eng
@@ -312,12 +347,6 @@ class _Correlation:
         self.base = eng.factor(f, zero)
         self.mean = eng.inner([self.base])
         self._memo: dict = {}
-        q = eng.system.period
-        if eng.vector:
-            neg = lambda d: tuple(-x for x in d)
-            self.key = (lambda d: min(tuple(x % q for x in d), tuple(x % q for x in neg(d)))) if q else (lambda d: max(d, neg(d)))
-        else:
-            self.key = (lambda d: min(d % q, -d % q)) if q else abs
 
     def value(self, d):
         out = self._memo.get(d)
@@ -347,7 +376,7 @@ class _RotationCorrelation(_Correlation):
 
     def __init__(self, eng: _Engine, f: Observable, zero):
         super().__init__(eng, f, zero)
-        den, cnum, terms, _ = self.base
+        den, cnum, terms = self.base
         alpha = eng.system.angle
         Q = math.lcm(alpha.denominator, *(x.denominator for _, S in terms for arc in S.arcs for x in arc))
         scaled = lambda x: x.numerator * (Q // x.denominator)
@@ -411,7 +440,7 @@ class _IndependentCorrelation(_Correlation):
 
     def __init__(self, eng: _Engine, f: Observable, zero):
         super().__init__(eng, f, zero)
-        points = [c if isinstance(c, tuple) else (c,) for c in self.base[3]]
+        points = [c if isinstance(c, tuple) else (c,) for _, S in self.base[2] for c in S.coords]
         reach = [max(axis) - min(axis) for axis in zip(*points)] if points else None
         self.reach = reach if reach is None or eng.vector else min(reach)
         self.square = self.mean * self.mean
@@ -464,36 +493,6 @@ def _correlation(eng: _Engine, f: Observable, zero) -> _Correlation:
 # pair sums
 
 
-def _is_plain_indicator(obs: Observable) -> bool:
-    return (
-        obs.constant == 0
-        and len(obs.terms) == 1
-        and obs.terms[0][0] == 1
-        and isinstance(obs.terms[0][1], CylinderUnion)
-        and len(obs.terms[0][1].rows) == 1
-    )
-
-
-def _residue(eng: _Engine):
-    """The map of one shift to its residue mod ``eng.system.period`` (T^q and
-    every translation by q*e_i are the identity, so a vector reduces
-    componentwise), or None on an aperiodic system."""
-    q = eng.system.period
-    if not q:
-        return None
-    return (lambda v: tuple(x % q for x in v)) if eng.vector else (lambda s: s % q)
-
-
-def _residue_rows(eng: _Engine, shift_rows) -> list[tuple]:
-    """Each term's row of shifts as a hashable key, every shift mapped by
-    ``_residue``: terms with equal keys are equal functions.  Aperiodic rows
-    are kept as they are."""
-    mod = _residue(eng)
-    if mod is None:
-        return [tuple(row) for row in shift_rows]
-    return [tuple(map(mod, row)) for row in shift_rows]
-
-
 def _distance(eng: _Engine, observables, shift_rows, c: Fraction, max_quadratic_n: int) -> Fraction:
     """|| mean_t x_t - c ||^2 over the terms x_t = prod_j T^{shift_rows[t][j]} f_j.
 
@@ -505,14 +504,16 @@ def _distance(eng: _Engine, observables, shift_rows, c: Fraction, max_quadratic_
     ``_correlation``.  Shifts linear in t give d = s_k - s_0 the weight
     2(T - k) (T for k = 0).  Otherwise the correlation's ``sweep`` takes the
     pair sum directly (rotations, independent coordinates), or the terms
-    are grouped into classes by residue (see ``_residue``) and every
-    pair of classes weighs its difference h_r*h_r'.
+    are grouped into classes by ``_Engine.residue`` and every pair of
+    classes weighs its difference h_r*h_r'.
 
     With more factors the terms are grouped into classes the same way,
-    class r with multiplicity h_r: the mean sum is sum_r h_r <x_r> and the
-    pair sum is sum_{r,r'} h_r h_r' <x_r, x_r'>, taken over unordered pairs
-    with factor 2 off the diagonal.  An aperiodic system keys each row by
-    itself, so its classes are its distinct rows.
+    class r with multiplicity h_r; an aperiodic system keys each row by
+    itself, so its classes are its distinct rows.  On independent
+    coordinates ``_counted_sums`` takes both sums from the classes' atoms.
+    Elsewhere the mean sum is sum_r h_r <x_r> and the pair sum is
+    sum_{r,r'} h_r h_r' <x_r, x_r'>, taken over unordered pairs with factor
+    2 off the diagonal.
 
     Wherever pairs of classes are visited they are capped at
     ``max_quadratic_n``.
@@ -527,32 +528,28 @@ def _distance(eng: _Engine, observables, shift_rows, c: Fraction, max_quadratic_
         weights: dict = {}
         if all(diff(b, a) == step for a, b in zip(shifts[1:], shifts[2:])):
             for k, s in enumerate(shifts):
-                d = corr.key(diff(s, shifts[0]))
+                d = eng.key(diff(s, shifts[0]))
                 weights[d] = weights.get(d, 0) + (2 * (terms - k) if k else terms)
             pair_sum = corr.total(weights)
         else:
             pair_sum = corr.sweep(shifts)
             if pair_sum is None:
-                mod = _residue(eng)
+                mod = eng.residue
                 classes = list(Counter(shifts if mod is None else map(mod, shifts)).items())
                 if len(classes) > max_quadratic_n:
                     raise ResourceCapError(f"{len(classes)} classes exceed the quadratic-path cap {max_quadratic_n}")
                 for i, (r, h) in enumerate(classes):
                     for s, g in classes[i:]:
-                        d = corr.key(diff(s, r))
+                        d = eng.key(diff(s, r))
                         weights[d] = weights.get(d, 0) + (2 * h * g if s != r else h * h)
                 pair_sum = corr.total(weights)
         return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
-    mult = Counter(_residue_rows(eng, shift_rows))
+    mult = Counter(eng.residue_rows(shift_rows))
     if len(mult) > max_quadratic_n:
         raise ResourceCapError(f"{len(mult)} classes exceed the quadratic-path cap {max_quadratic_n}")
-    if eng.independent and all(_is_plain_indicator(f) for f in observables):
-        sets = [f.terms[0][1] for f in observables]
-        mean_sum, pair_sum = _counted_sums(
-            eng.system.probs,
-            [([eng.shifted(S, s) for S, s in zip(sets, k)], h) for k, h in mult.items()],
-        )
+    if eng.independent:
+        mean_sum, pair_sum = _counted_sums(eng, observables, mult)
     else:
         classes = [([eng.factor(f, s) for f, s in zip(observables, k)], h) for k, h in mult.items()]
         mean_sum = pair_sum = _ZERO
@@ -564,59 +561,52 @@ def _distance(eng: _Engine, observables, shift_rows, c: Fraction, max_quadratic_
     return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
-def _counted_sums(probs, classes) -> tuple[Fraction, Fraction]:
-    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) over ordered pairs of terms, for
-    terms that are products of single cylinders on an i.i.d. product system,
-    given as classes (cylinders already shifted, multiplicity h): a single
-    counts h times and a pair of classes h*h' times.
+def _counted_sums(eng: _Engine, observables, mult) -> tuple[Fraction, Fraction]:
+    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) over ordered pairs of terms on an
+    independent-coordinates system, for the classes of terms in ``mult``
+    (row of shifts -> multiplicity h).
 
-    A term fixes one symbol per coordinate of its support, or is zero when
-    two of its factors disagree; its measure depends only on its signature,
-    the number of fixed coordinates per symbol.  Terms with disjoint supports
-    are independent, so every pair is first counted as if disjoint, by
-    convolving the signature counts in integers; then only the pairs that
-    share a coordinate are visited, each moving its count from the disjoint
-    signature to the merged one (or to nowhere when the merge contradicts).
-    Fractions enter once per distinct signature.
+    Every factor is, over its denominator, an integer combination of atoms
+    (``_atoms``), so each class expands into weighted atoms
+    (``_atom_product``), its weights scaled by h; the measure of an atom
+    depends only on its signature, the number of fixed coordinates per
+    symbol.  Atoms with disjoint supports are independent, so every pair of
+    atoms is first counted as if disjoint, by convolving the signature
+    weights in integers; then only the pairs that share a coordinate are
+    visited, each moving its weight from the disjoint signature to the
+    merged one (or to nowhere when the merge contradicts).  Fractions enter
+    once, in ``_Engine.by_signature``.
     """
+    bases = [_atoms(f.integer_form, eng.system.alphabet) for f in observables]
+    move = eng.move  # shifts rarely repeat across classes, so skip the cache
     fixed: list[dict] = []
     sigs: list[tuple[int, ...]] = []
-    hs: list[int] = []
+    ws: list[int] = []
     singles: Counter = Counter()
-    for cylinders, h in classes:
-        term: dict = {}
-        zero = False
-        for S in cylinders:
-            (row,) = S.rows
-            for c, s in zip(S.coords, row):
-                if term.setdefault(c, s) != s:
-                    zero = True
-                    break
-        if not zero:
-            sig = [0] * len(probs)
-            for s in term.values():
-                sig[s] += 1
-            fixed.append(term)
-            sigs.append(tuple(sig))
-            hs.append(h)
-            singles[sigs[-1]] += h
+    for row, h in mult.items():
+        for w, atom in _atom_product([[(v, move(S, s)) for v, S in base] for base, s in zip(bases, row)]):
+            sig = eng.signature(atom)
+            fixed.append(atom)
+            sigs.append(sig)
+            ws.append(h * w)
+            singles[sig] += h * w
 
     pairs: Counter = Counter()
     for a, ka in singles.items():
         for b, kb in singles.items():
             pairs[tuple(map(add, a, b))] += ka * kb
-    where: dict = {}  # coordinate -> indices of the terms that fix it
-    for t, term in enumerate(fixed):
-        for c in term:
+    where: dict = {}  # coordinate -> indices of the atoms that fix it
+    for t, atom in enumerate(fixed):
+        for c in atom:
             where.setdefault(c, []).append(t)
-    for t, term in enumerate(fixed):
-        for u in {u for c in term for u in where[c] if u >= t}:
-            k = (1 if u == t else 2) * hs[t] * hs[u]  # (t, u) and (u, t)
+    for t, atom in enumerate(fixed):
+        for u in {u for c in atom for u in where[c] if u >= t}:
+            k = (1 if u == t else 2) * ws[t] * ws[u]  # (t, u) and (u, t)
             disjoint = tuple(map(add, sigs[t], sigs[u]))
             pairs[disjoint] -= k
             merged = list(disjoint)
             for c, s in fixed[u].items():
-                r = term.get(c)
+                r = atom.get(c)
                 if r is None:
                     continue
                 if r != s:
@@ -625,12 +615,8 @@ def _counted_sums(probs, classes) -> tuple[Fraction, Fraction]:
             else:
                 pairs[tuple(merged)] += k
 
-    def weight(sig) -> Fraction:
-        return math.prod((p**e for p, e in zip(probs, sig)), start=Fraction(1))
-
-    mean_sum = sum((k * weight(sig) for sig, k in singles.items()), Fraction(0))
-    pair_sum = sum((k * weight(sig) for sig, k in pairs.items() if k), Fraction(0))
-    return mean_sum, pair_sum
+    scale = math.prod(f.integer_form[0] for f in observables)
+    return eng.by_signature(singles, scale), eng.by_signature(pairs, scale * scale)
 
 
 def _shift_rows(spec: ArraySpec, N: int, n_start: int, count: int) -> list[tuple[int, ...]]:
@@ -889,10 +875,10 @@ def vdc_correlations(
         corr = _correlation(eng, spec.observables[0], 0)
         shifts = [s for s, in shift_rows]
         for h in range(1, H + 1):
-            weights = Counter(corr.key(b - a) for a, b in zip(shifts[:N], shifts[h:]))
+            weights = Counter(eng.key(b - a) for a, b in zip(shifts[:N], shifts[h:]))
             rows.append((h, corr.total(weights) / N))
     else:
-        keys = _residue_rows(eng, shift_rows)
+        keys = eng.residue_rows(shift_rows)
         x = {k: [eng.factor(f, s) for f, s in zip(spec.observables, k)] for k in keys}
         inners: dict = {}  # one inner product per distinct (class(n), class(n+h))
         for h in range(1, H + 1):

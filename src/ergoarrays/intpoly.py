@@ -415,7 +415,8 @@ def minimal_distinct_shift(ps: Sequence[IntPoly2], cap: int = 10_000) -> int:
 @dataclass(frozen=True)
 class SmallValueCount:
     """Count of n in [1, N] with |P(n, N)| <= K, plus the generic bound
-    (2K+1)*deg_n(P), defined only when P depends on n."""
+    (2K+1)*d for the degree d of n -> P(n, N) at this N, defined only when
+    d >= 1."""
 
     count: int
     bound: int | None
@@ -427,5 +428,10 @@ def count_small_values(p: IntPoly2, K: int, N: int) -> SmallValueCount:
     if N < 1:
         raise ValueError("N must be >= 1")
     count = sum(1 for v in p.values_along_n(N, 1, N) if abs(v) <= K)
-    bound = (2 * K + 1) * p.deg_n if p.depends_on_n() else None
-    return SmallValueCount(count, bound)
+    # the k-th forward difference of P(0..deg_n, N) is the C(n, k) coefficient
+    # at this N, which can vanish (n*C(N, 3) at N = 2)
+    diffs, d = list(p.values_along_n(N, 0, p.deg_n + 1)), 0
+    for k in range(1, len(diffs)):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        d = k if diffs[0] else d
+    return SmallValueCount(count, (2 * K + 1) * d if d else None)

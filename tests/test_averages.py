@@ -20,7 +20,7 @@ from ergoarrays.averages import (
     _Engine,
     _shift_rows,
 )
-from ergoarrays.sets import ArcUnion, intersect
+from ergoarrays.sets import ArcUnion, CylinderUnion, intersect
 from ergoarrays.systems import (
     BernoulliLattice,
     BernoulliShift,
@@ -284,6 +284,25 @@ def test_fast_indicator_path_matches_generic_expansion():
 
 # -- counted path against the all-pairs oracle ----------------------------------
 
+@st.composite
+def affine_observables(draw, system, sets=None):
+    """A plain indicator, or an affine combination (constant and 0-3 terms,
+    zero, negative and fractional coefficients) of sets drawn from a pool of
+    two sets (the system's random sets, or draws from ``sets``) and a
+    complement, so that terms repeat and overlap."""
+    if sets is None:
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        pool = [system.random_set(rng), system.random_set(rng)]
+    else:
+        pool = [draw(sets), draw(sets)]
+    pool.append(system.complement(pool[0]))
+    if draw(st.booleans()):
+        return Observable.indicator(draw(st.sampled_from(pool)))
+    coeff = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), st.fractions(-3, 3, max_denominator=6))
+    terms = tuple((draw(coeff), draw(st.sampled_from(pool))) for _ in range(draw(st.integers(0, 3))))
+    return Observable(draw(coeff), terms)
+
+
 ORACLE_EXPONENTS = ["n", "2*n", "n**2", "n*N", "N - n", "5*n - 2*N", "-n + 3", "3*n + N"]
 
 
@@ -301,16 +320,26 @@ def iid_systems(draw, lattice_only=False):
     return system, cylinder
 
 
+def iid_observables(data, system, cylinder, ell):
+    """ell plain single cylinders and N up to 12, or (a third of the draws)
+    ell affine observables over the same small window (constants, negative
+    and fractional coefficients, multi-row complements) and N up to 4, since
+    the all-pairs oracle expands every pair of affine terms."""
+    if data.draw(st.integers(0, 2)):
+        return [Observable.indicator(data.draw(cylinder)) for _ in range(ell)], data.draw(st.integers(1, 12))
+    narrow = cylinder.filter(lambda S: len(S.coords) <= 2)
+    return [data.draw(affine_observables(system, narrow)) for _ in range(ell)], data.draw(st.integers(1, 4))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_counted_path_matches_all_pairs_oracle(data):
     system, cylinder = data.draw(iid_systems())
     ell = data.draw(st.integers(1, 3))
-    obs = [Observable.indicator(data.draw(cylinder)) for _ in range(ell)]
+    obs, N = iid_observables(data, system, cylinder, ell)
     exps = data.draw(st.lists(st.sampled_from(ORACLE_EXPONENTS), min_size=ell, max_size=ell))
-    N = data.draw(st.integers(1, 12))
-    spec = ArraySpec.create(system, obs, exps)
-    rows = raw_rows(system, obs, spec.exponents, range(1, N + 1), N)
+    spec = ArraySpec.create(system, obs, exps, center=data.draw(st.booleans()))
+    rows = raw_rows(system, spec.observables, spec.exponents, range(1, N + 1), N)
     assert l2_distance_exact(spec, N) == all_pairs_distance(system, rows, spec.product_of_integrals())
 
 
@@ -322,10 +351,9 @@ def test_counted_commuting_path_matches_all_pairs_oracle(data):
     vec = st.tuples(*[st.integers(-2, 2)] * system.d)
     z = data.draw(st.lists(vec.filter(any), min_size=ell, max_size=ell, unique=True))
     zhat = data.draw(st.lists(vec, min_size=ell, max_size=ell))
-    obs = tuple(Observable.indicator(data.draw(cylinder)) for _ in range(ell))
-    N = data.draw(st.integers(1, 12))
+    obs, N = iid_observables(data, system, cylinder, ell)
     action = build_lattice_action(system, z, zhat)
-    cspec = CommutingArraySpec(action, obs)
+    cspec = CommutingArraySpec(action, tuple(obs))
     rows = commuting_rows(action, obs, N)
     assert commuting_average(cspec, N) == all_pairs_distance(system, rows, cspec.product_of_integrals())
 
@@ -357,6 +385,20 @@ def test_counted_path_caps_classes_not_terms():
         l2_distance_exact(ArraySpec.create(bern, obs, ["n", "2*N"]), 2, max_quadratic_n=1)
 
 
+def test_atom_expansion_caps_wide_unions():
+    # the cylinder union {symbol sum = 0 mod 3} over 8 coordinates has 2187
+    # rows and its complement 4374, so the complement is 1 minus 2187 atoms,
+    # and a product of three such factors would have about 10^10 atoms
+    bern = BernoulliShift.uniform(3)
+    rows = frozenset(r for r in itertools.product(range(3), repeat=8) if sum(r) % 3 == 0)
+    f = Observable.indicator(bern.complement(CylinderUnion(tuple(range(8)), rows, 3)))
+    for exps in (["n", "2*n", "3*n"], ["N", "N", "N"]):
+        with pytest.raises(ResourceCapError, match="atom expansion"):
+            l2_distance_exact(ArraySpec.create(bern, [f] * 3, exps), 3)
+    with pytest.raises(ResourceCapError, match="atom expansion"):
+        vdc_correlations(ArraySpec.create(bern, [f] * 3, ["n", "2*n", "3*n"]), 3, 1)
+
+
 @st.composite
 def observables(draw, system):
     """An affine combination of up to two of the system's random sets."""
@@ -367,21 +409,6 @@ def observables(draw, system):
 
 
 # -- the inner-product kernel and the one-factor path against the reference --
-
-
-@st.composite
-def affine_observables(draw, system):
-    """A plain indicator, or an affine combination (constant and 0-3 terms,
-    zero, negative and fractional coefficients) of sets drawn from a pool of
-    two random sets and a complement, so that terms repeat and overlap."""
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    pool = [system.random_set(rng), system.random_set(rng)]
-    pool.append(system.complement(pool[0]))
-    if draw(st.booleans()):
-        return Observable.indicator(draw(st.sampled_from(pool)))
-    coeff = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), st.fractions(-3, 3, max_denominator=6))
-    terms = tuple((draw(coeff), draw(st.sampled_from(pool))) for _ in range(draw(st.integers(0, 3))))
-    return Observable(draw(coeff), terms)
 
 
 @settings(max_examples=200, deadline=None)

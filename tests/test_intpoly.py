@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ergoarrays.intpoly import (
     IntPoly2,
+    SmallValueCount,
     count_small_values,
     essentially_distinct,
     minimal_distinct_shift,
@@ -164,6 +165,11 @@ def test_count_small_values_examples():
     res = count_small_values(IntPoly2.parse("n"), 3, 10)
     assert (res.count, res.bound) == (3, 7)
 
+    # n*C(N, 3) vanishes identically at N = 2 and is linear in n at N = 3
+    p = IntPoly2.from_coeffs({(1, 3): 1})
+    assert count_small_values(p, 0, 2) == SmallValueCount(2, None)
+    assert count_small_values(p, 0, 3) == SmallValueCount(0, 1)
+
 
 def test_count_small_values_validation():
     with pytest.raises(ValueError):
@@ -176,8 +182,10 @@ def test_count_small_values_validation():
 @given(polys.filter(lambda p: p.depends_on_n()), st.integers(0, 20), st.integers(1, 2000))
 def test_small_value_bound_property(p, K, N):
     res = count_small_values(p, K, N)
-    assert res.bound == (2 * K + 1) * p.deg_n
-    assert res.count <= res.bound
+    d = sympy.degree(to_sympy(p).subs(N_sym, N), n_sym)  # degree of n -> P(n, N) at this N
+    assert res.bound == ((2 * K + 1) * d if d > 0 else None)
+    if d > 0:
+        assert res.count <= res.bound
 
 
 def test_small_value_ratio_vanishes():
