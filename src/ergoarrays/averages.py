@@ -15,9 +15,12 @@ The system type picks the kernel, and every kernel works in integers:
   symbol maps with integer weights (zero where two rows disagree), whose
   measure depends only on their signature, the count of fixed coordinates
   per symbol.  ``_Engine.inner`` sums atom weights by signature; with
-  ell >= 2 the pair sum counts every pair of atoms as disjoint by
-  convolving those sums, then visits only the pairs that share a
-  coordinate: O(N*ell + atoms + overlapping atom pairs + signatures^2);
+  ell >= 2 the pair sum counts every pair of classes as disjoint by
+  convolving those sums, then visits only the pairs of classes that share
+  a coordinate and, in them, the pairs of atoms that agree:
+  O(N*ell*a + overlapping class pairs * a^2 + signatures^2) for a atoms
+  per class, where a^2 falls to the agreeing pairs when atoms crowd on
+  shared coordinates and are looked up by symbol;
 * other exact systems (rotations, Markov shifts, finite point systems):
   ``_Engine.inner`` intersects algebra sets, plain indicators into one
   set, affine factors with integer numerators and equal intersections
@@ -37,10 +40,13 @@ the sweep visits only neighbouring shifts; elsewhere ``_Engine.inner`` runs
 once per distinct difference.
 
 Visited pairs of classes are capped at max_quadratic_n, and an atom
-expansion that could pass the cylinder-row cap raises ResourceCapError.
+expansion whose maps fix more than 2^20 coordinates in total raises
+ResourceCapError.
 The van der Corput tables take C_f(s_{n+h} - s_n) for one factor and group
-the pairs (class(n), class(n+h)) otherwise.  A seeded Monte Carlo
-estimator covers the sampled tier and cross-checks the exact path.
+the pairs (class(n), class(n+h)) otherwise.
+
+A seeded Monte Carlo estimator covers the sampled tier and doubles as a
+cross-check of the exact path.
 """
 
 from __future__ import annotations
@@ -79,7 +85,10 @@ class Observable:
         return Observable(self.constant - mean, self.terms)
 
     def integral(self, measure_fn) -> Fraction:
-        return sum((coeff * measure_fn(S) for coeff, S in self.terms), self.constant)
+        total = self.constant
+        for coeff, S in self.terms:
+            total += coeff * measure_fn(S)
+        return total
 
     @cached_property
     def integer_form(self) -> tuple[int, int, tuple[tuple[int, object], ...]]:
@@ -94,7 +103,11 @@ class Observable:
         return abs(self.constant) + sum((abs(c) for c, _ in self.terms), Fraction(0))
 
     def eval_at(self, point, member_fn) -> Fraction:
-        return sum((coeff for coeff, S in self.terms if member_fn(point, S)), self.constant)
+        total = self.constant
+        for coeff, S in self.terms:
+            if member_fn(point, S):
+                total += coeff
+        return total
 
 
 @dataclass(frozen=True)
@@ -114,16 +127,25 @@ class ArraySpec:
         center: bool = False,
         assert_distinct_linear: bool = False,
     ) -> "ArraySpec":
-        exps = tuple(p if isinstance(p, IntPoly2) else IntPoly2.parse(p) for p in exponents)
+        exps = tuple(
+            p if isinstance(p, IntPoly2) else IntPoly2.parse(p) for p in exponents
+        )
         obs = tuple(observables)
         if len(obs) != len(exps) or not obs:
             raise ValueError("need one exponent per observable, at least one of each")
         if center:
             obs = tuple(f.shifted_by(f.integral(_invariant_measure(system))) for f in obs)
         if assert_distinct_linear:
-            ps = [lin[0] for lin in map(IntPoly2.linear_n_form, exps) if lin is not None]
+            ps = []
+            for p in exps:
+                lin = p.linear_n_form()
+                if lin is not None:
+                    ps.append(lin[0])
             if len(ps) != len(set(ps)):
-                raise ValueError("linear n-coefficients p_j must be pairwise distinct for the product-of-integrals limit claim")
+                raise ValueError(
+                    "linear n-coefficients p_j must be pairwise distinct for the "
+                    "product-of-integrals limit claim"
+                )
         return cls(system, obs, exps)
 
     @property
@@ -151,7 +173,10 @@ class CommutingArraySpec:
 
 def _product_of_integrals(system, observables) -> Fraction:
     m = _invariant_measure(system)
-    return math.prod((f.integral(m) for f in observables), start=Fraction(1))
+    prod = Fraction(1)
+    for f in observables:
+        prod *= f.integral(m)
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +215,15 @@ class _Engine:
         key = (S, shift)
         out = self._shift_cache.get(key)
         if out is None:
-            out = self._shift_cache[key] = self.move(S, shift)
+            out = self.move(S, shift)
+            self._shift_cache[key] = out
         return out
 
     def measure(self, S) -> Fraction:
         out = self._measure_cache.get(S)
         if out is None:
-            out = self._measure_cache[S] = self.system.measure(S)
+            out = self.system.measure(S)
+            self._measure_cache[S] = out
         return out
 
     def factor(self, obs: Observable, shift):
@@ -208,10 +235,10 @@ class _Engine:
         """Exact integral of the product of the given factors."""
         if not self.independent:
             return self._expand(factors)
-        counts: Counter = Counter()
         alphabet = self.system.alphabet
-        for w, atom in _atom_product([_atoms(f, alphabet) for f in factors]):
-            counts[self.signature(atom)] += w
+        counts: Counter = Counter()
+        for w, A in _atom_product([_atoms(f, alphabet) for f in factors]):
+            counts[_signature(A.values(), alphabet)] += w
         return self.by_signature(counts, math.prod(den for den, _, _ in factors))
 
     def _expand(self, factors) -> Fraction:
@@ -251,13 +278,6 @@ class _Engine:
 
     # atoms on independent coordinates
 
-    def signature(self, atom: dict) -> tuple[int, ...]:
-        """The number of coordinates an atom fixes to each symbol."""
-        sig = [0] * self.system.alphabet
-        for s in atom.values():
-            sig[s] += 1
-        return tuple(sig)
-
     def by_signature(self, counts, scale: int) -> Fraction:
         """sum_sig k_sig * mu(sig) / scale, where mu(sig) = prod_s p_s^sig[s]
         is the measure of every atom with that signature: one integer sum
@@ -271,62 +291,114 @@ class _Engine:
 _ZERO = Fraction(0)
 
 
-def _atoms(factor, alphabet: int) -> list[tuple[int, CylinderUnion]]:
+def _atoms(factor, alphabet: int) -> list[tuple[int, tuple, tuple]]:
     """The numerator cnum + sum num * 1_S of a factor (den, cnum, terms) over
-    cylinder unions as weighted atoms (weight, single-row cylinder), equal
-    ones merged: the whole space for the constant, and per set one atom per
-    row (its rows are disjoint cylinders), or, where its complement has
-    fewer rows, the whole space minus one atom per missing row."""
+    cylinder unions as weighted atoms (weight, coords, row), each the
+    cylinder fixing those coordinates to that row, equal ones merged: the
+    whole space ((), ()) for the constant, and per set one atom per row (its
+    rows are disjoint cylinders), or, where its complement has fewer rows,
+    the whole space minus one atom per missing row."""
     _, cnum, terms = factor
-    if not cnum and len(terms) == 1 and len(terms[0][1].rows) == 1:
-        return list(terms)
-    full = CylinderUnion.full(alphabet)
-    weights = {full: cnum}
+    weights = {((), ()): cnum}
     for num, S in terms:
         rows = S.rows
-        if len(rows) > 1 and 2 * len(rows) > alphabet ** len(S.coords) + 1:
-            weights[full] += num
+        if 2 * len(rows) > alphabet ** len(S.coords) + 1:
+            weights[(), ()] += num
             rows = [row for row in itertools.product(range(alphabet), repeat=len(S.coords)) if row not in rows]
             num = -num
         for row in rows:
-            # one row over two or more symbols depends on every coordinate
-            R = S if len(S.rows) == 1 else CylinderUnion(S.coords, frozenset((row,)), alphabet)
-            weights[R] = weights.get(R, 0) + num
-    return [(w, R) for R, w in weights.items() if w]
+            weights[S.coords, row] = weights.get((S.coords, row), 0) + num
+    return [(w, coords, row) for (coords, row), w in weights.items() if w]
+
+
+def _signature(symbols, alphabet: int) -> tuple[int, ...]:
+    """The number of coordinates an atom fixes to each symbol."""
+    sig = [0] * alphabet
+    for s in symbols:
+        sig[s] += 1
+    return tuple(sig)
+
+
+def _agreeing(atoms):
+    """A function from a coordinate -> symbol map A to the atoms (weight,
+    coords, row) whose row agrees with A where A fixes their coordinates,
+    or None when the atoms average at most four per coords, where trying
+    each atom costs less than a lookup.  Atoms are grouped by coords and,
+    per group and set of positions that A fixes, indexed once by their
+    symbols there, so a lookup costs one probe per group however many atoms
+    disagree."""
+    if len(atoms) <= 4:
+        return None
+    groups = defaultdict(list)
+    for atom in atoms:
+        groups[atom[1]].append(atom)
+    if len(atoms) <= 4 * len(groups):
+        return None
+    tables: dict = {}
+
+    def agreeing(A):
+        for coords, group in groups.items():
+            fixed = tuple(map(A.__contains__, coords))
+            table = tables.get((coords, fixed))
+            if table is None:
+                table = tables[coords, fixed] = defaultdict(list)
+                for atom in group:
+                    table[tuple(itertools.compress(atom[2], fixed))].append(atom)
+            yield from table.get(tuple(map(A.__getitem__, itertools.compress(coords, fixed))), ())
+
+    return agreeing
 
 
 def _atom_product(atom_lists) -> list[tuple[int, dict]]:
-    """The product of factors given as atom lists, as (weight, coordinate ->
-    symbol map) pairs: every choice of one atom per factor, merged, and
-    dropped where two atoms disagree on a coordinate.  A factor with one
-    atom extends each map in place; a wider one copies them, and raises when
-    the product could pass ``_MAX_ROWS`` maps."""
+    """The product of factors given as lists of atoms (weight, coords, row),
+    as (weight, coordinate -> symbol map) pairs: every choice of one atom
+    per factor whose rows agree where they share a coordinate, merged.  A
+    factor with one atom extends each map in place, a wider one copies it,
+    and atoms that crowd on shared coords are looked up (``_agreeing``)
+    rather than tried one by one.  Raises once the maps fix more than
+    ``_MAX_ROWS`` coordinates in total."""
     out = [(1, {})]
     for atoms in atom_lists:
         nxt = []
         if len(atoms) == 1:
-            ((w, S),) = atoms
-            (row,) = S.rows
+            ((w, coords, row),) = atoms
             for W, A in out:
-                for c, s in zip(S.coords, row):
+                for c, s in zip(coords, row):
                     if A.setdefault(c, s) != s:
                         break
                 else:
                     nxt.append((W * w, A))
-        elif len(out) * len(atoms) > _MAX_ROWS:
-            raise ResourceCapError(f"atom expansion of {len(out) * len(atoms)} terms exceeds cap {_MAX_ROWS}")
-        else:
-            for W, A in out:
-                for w, S in atoms:
-                    (row,) = S.rows
-                    B = A.copy()
-                    for c, s in zip(S.coords, row):
-                        if B.setdefault(c, s) != s:
-                            break
-                    else:
-                        nxt.append((W * w, B))
+            out = nxt
+            continue
+        size = 0
+        index = _agreeing(atoms)
+        for W, A in out:
+            for w, coords, row in atoms if index is None else index(A):
+                B = A.copy()
+                for c, s in zip(coords, row):
+                    if B.setdefault(c, s) != s:
+                        break
+                else:
+                    nxt.append((W * w, B))
+                    size += len(B)
+            if size > _MAX_ROWS:
+                raise ResourceCapError(f"atom expansion fixing over {_MAX_ROWS} coordinates exceeds the cap")
         out = nxt
     return out
+
+
+def _join(maps, agreeing, k: int, counts: Counter) -> None:
+    """Add k * w * v to ``counts`` at the signature of the merged map for
+    every map (w, map, signature) and every atom (v, coords, row) that
+    ``agreeing`` finds for it: the map's signature plus the symbols of the
+    coordinates it leaves free."""
+    for w, A, sig in maps:
+        for v, coords, row in agreeing(A):
+            merged = list(sig)
+            for c, s in zip(coords, row):
+                if c not in A:
+                    merged[s] += 1
+            counts[tuple(merged)] += k * w * v
 
 
 # ---------------------------------------------------------------------------
@@ -570,53 +642,86 @@ def _counted_sums(eng: _Engine, observables, mult) -> tuple[Fraction, Fraction]:
     (``_atoms``), so each class expands into weighted atoms
     (``_atom_product``), its weights scaled by h; the measure of an atom
     depends only on its signature, the number of fixed coordinates per
-    symbol.  Atoms with disjoint supports are independent, so every pair of
-    atoms is first counted as if disjoint, by convolving the signature
-    weights in integers; then only the pairs that share a coordinate are
-    visited, each moving its weight from the disjoint signature to the
-    merged one (or to nowhere when the merge contradicts).  Fractions enter
-    once, in ``_Engine.by_signature``.
+    symbol.  Classes whose atoms fix disjoint coordinates are independent,
+    so every pair of classes is first counted as if disjoint, by convolving
+    the signature weights in integers; then only the pairs of classes that
+    share a coordinate are visited, each moving its weight from the
+    disjoint signatures to the merged ones of the pairs of atoms that
+    agree.  Atoms are compared pairwise, or, where the atoms of a class
+    crowd on shared coordinates, looked up by symbol (``_agreeing``,
+    ``_join``).  Fractions enter once, in ``_Engine.by_signature``.
     """
-    bases = [_atoms(f.integer_form, eng.system.alphabet) for f in observables]
+    alphabet = eng.system.alphabet
+    # each atom as a cylinder, to be moved by the system
+    bases = [
+        [(v, CylinderUnion(coords, frozenset((r,)), alphabet), r) for v, coords, r in _atoms(f.integer_form, alphabet)]
+        for f in observables
+    ]
     move = eng.move  # shifts rarely repeat across classes, so skip the cache
-    fixed: list[dict] = []
-    sigs: list[tuple[int, ...]] = []
-    ws: list[int] = []
+    classes = []  # (maps (weight, map, signature), ``_agreeing`` over them or None)
     singles: Counter = Counter()
-    for row, h in mult.items():
-        for w, atom in _atom_product([[(v, move(S, s)) for v, S in base] for base, s in zip(bases, row)]):
-            sig = eng.signature(atom)
-            fixed.append(atom)
-            sigs.append(sig)
-            ws.append(h * w)
+    where: dict = {}  # coordinate -> indices of the classes that fix it
+    for i, (row, h) in enumerate(mult.items()):
+        maps = []
+        shifted = [[(v, move(S, s).coords, r) for v, S, r in base] for base, s in zip(bases, row)]
+        for w, A in _atom_product(shifted):
+            sig = _signature(A.values(), alphabet)
+            maps.append((h * w, A, sig))
             singles[sig] += h * w
+            for c in A:
+                js = where.setdefault(c, [])
+                if not js or js[-1] != i:  # once per class
+                    js.append(i)
+        index = None
+        if len(maps) > 4:  # as ``_agreeing`` would find, without building the list
+            index = _agreeing([(w, tuple(A), tuple(A.values())) for w, A, _ in maps])
+        classes.append((maps, index))
 
     pairs: Counter = Counter()
-    for a, ka in singles.items():
-        for b, kb in singles.items():
-            pairs[tuple(map(add, a, b))] += ka * kb
-    where: dict = {}  # coordinate -> indices of the atoms that fix it
-    for t, atom in enumerate(fixed):
-        for c in atom:
-            where.setdefault(c, []).append(t)
-    for t, atom in enumerate(fixed):
-        for u in {u for c in atom for u in where[c] if u >= t}:
-            k = (1 if u == t else 2) * ws[t] * ws[u]  # (t, u) and (u, t)
-            disjoint = tuple(map(add, sigs[t], sigs[u]))
-            pairs[disjoint] -= k
-            merged = list(disjoint)
-            for c, s in fixed[u].items():
-                r = atom.get(c)
-                if r is None:
-                    continue
-                if r != s:
-                    break
-                merged[s] -= 1
-            else:
-                pairs[tuple(merged)] += k
+    _convolve(singles, singles, 1, pairs)
+    for i, (maps, _) in enumerate(classes):
+        for j in {j for _, A, _ in maps for c in A for j in where[c] if j >= i}:
+            other, index = classes[j]
+            k = 1 if i == j else 2  # (i, j) and (j, i)
+            if index is not None:  # many maps of class j share coords: look up the agreeing ones
+                _convolve(_signature_weights(maps), _signature_weights(other), -k, pairs)
+                _join(maps, index, k, pairs)
+                continue
+            for w, A, sig in maps:  # otherwise compare every pair of maps directly
+                for v, B, other_sig in other:
+                    if A.keys().isdisjoint(B):
+                        continue  # independent, as counted
+                    disjoint = tuple(map(add, sig, other_sig))
+                    pairs[disjoint] -= k * w * v
+                    merged = list(disjoint)
+                    for c, s in B.items():
+                        r = A.get(c)
+                        if r is None:
+                            continue
+                        if r != s:
+                            break
+                        merged[s] -= 1
+                    else:
+                        pairs[tuple(merged)] += k * w * v
 
     scale = math.prod(f.integer_form[0] for f in observables)
     return eng.by_signature(singles, scale), eng.by_signature(pairs, scale * scale)
+
+
+def _signature_weights(maps) -> Counter:
+    """The weights of maps (weight, map, signature) summed by signature."""
+    out: Counter = Counter()
+    for w, _, sig in maps:
+        out[sig] += w
+    return out
+
+
+def _convolve(a: dict, b: dict, k: int, counts: Counter) -> None:
+    """Add k times the signature weights of every pair of independent atoms
+    from a and b to ``counts``."""
+    for x, kx in a.items():
+        for y, ky in b.items():
+            counts[tuple(map(add, x, y))] += k * kx * ky
 
 
 def _shift_rows(spec: ArraySpec, N: int, n_start: int, count: int) -> list[tuple[int, ...]]:

@@ -1,12 +1,15 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergoarrays import averages
 from ergoarrays.averages import (
     ArraySpec,
     CommutingArraySpec,
@@ -321,29 +324,30 @@ def iid_systems(draw, lattice_only=False):
 
 
 def iid_observables(data, system, cylinder, ell):
-    """ell plain single cylinders and N up to 12, or (a third of the draws)
-    ell affine observables over the same small window (constants, negative
-    and fractional coefficients, multi-row complements) and N up to 4, since
-    the all-pairs oracle expands every pair of affine terms."""
+    """(observables, N, affine): ell plain single cylinders and N up to 12,
+    or (a third of the draws) ell affine observables over the same small
+    window (constants, negative and fractional coefficients, multi-row
+    complements) and N up to 4, since the all-pairs oracle expands every
+    pair of affine terms."""
     if data.draw(st.integers(0, 2)):
-        return [Observable.indicator(data.draw(cylinder)) for _ in range(ell)], data.draw(st.integers(1, 12))
+        return [Observable.indicator(data.draw(cylinder)) for _ in range(ell)], data.draw(st.integers(1, 12)), False
     narrow = cylinder.filter(lambda S: len(S.coords) <= 2)
-    return [data.draw(affine_observables(system, narrow)) for _ in range(ell)], data.draw(st.integers(1, 4))
+    return [data.draw(affine_observables(system, narrow)) for _ in range(ell)], data.draw(st.integers(1, 4)), True
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=225, deadline=None)
 @given(st.data())
 def test_counted_path_matches_all_pairs_oracle(data):
     system, cylinder = data.draw(iid_systems())
     ell = data.draw(st.integers(1, 3))
-    obs, N = iid_observables(data, system, cylinder, ell)
+    obs, N, affine = iid_observables(data, system, cylinder, ell)
     exps = data.draw(st.lists(st.sampled_from(ORACLE_EXPONENTS), min_size=ell, max_size=ell))
-    spec = ArraySpec.create(system, obs, exps, center=data.draw(st.booleans()))
+    spec = ArraySpec.create(system, obs, exps, center=affine and data.draw(st.booleans()))
     rows = raw_rows(system, spec.observables, spec.exponents, range(1, N + 1), N)
     assert l2_distance_exact(spec, N) == all_pairs_distance(system, rows, spec.product_of_integrals())
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_counted_commuting_path_matches_all_pairs_oracle(data):
     system, cylinder = data.draw(iid_systems(lattice_only=True))
@@ -351,7 +355,7 @@ def test_counted_commuting_path_matches_all_pairs_oracle(data):
     vec = st.tuples(*[st.integers(-2, 2)] * system.d)
     z = data.draw(st.lists(vec.filter(any), min_size=ell, max_size=ell, unique=True))
     zhat = data.draw(st.lists(vec, min_size=ell, max_size=ell))
-    obs, N = iid_observables(data, system, cylinder, ell)
+    obs, N, _ = iid_observables(data, system, cylinder, ell)
     action = build_lattice_action(system, z, zhat)
     cspec = CommutingArraySpec(action, tuple(obs))
     rows = commuting_rows(action, obs, N)
@@ -385,16 +389,39 @@ def test_counted_path_caps_classes_not_terms():
         l2_distance_exact(ArraySpec.create(bern, obs, ["n", "2*N"]), 2, max_quadratic_n=1)
 
 
-def test_atom_expansion_caps_wide_unions():
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_atom_lookups_match_trying_every_atom(data):
+    # a union of two cylinders over three coordinates can have 13 rows, and
+    # a product of factors many maps on one support: where atoms average
+    # more than four per coords they are looked up by symbol
+    # (``_agreeing``); trying every atom is what the oracle tests check
+    system, cylinder = data.draw(iid_systems())
+    narrow = cylinder.filter(lambda S: len(S.coords) <= 2)
+    union = st.tuples(narrow, narrow).map(lambda p: p[0].union(p[1])).filter(lambda S: len(S.coords) <= 3)
+    obs = [data.draw(affine_observables(system, union)), data.draw(affine_observables(system, narrow))]
+    exps = data.draw(st.lists(st.sampled_from(ORACLE_EXPONENTS), min_size=2, max_size=2))
+    spec = ArraySpec.create(system, obs, exps, center=data.draw(st.booleans()))
+    N = data.draw(st.integers(1, 6))
+    with mock.patch.object(averages, "_agreeing", lambda atoms: None):
+        expected = l2_distance_exact(spec, N), vdc_correlations(spec, N, 2).rows
+    assert (l2_distance_exact(spec, N), vdc_correlations(spec, N, 2).rows) == expected
+
+
+def test_atom_expansion_of_wide_unions():
     # the cylinder union {symbol sum = 0 mod 3} over 8 coordinates has 2187
-    # rows and its complement 4374, so the complement is 1 minus 2187 atoms,
-    # and a product of three such factors would have about 10^10 atoms
+    # rows and its complement 4374, so the complement is 1 minus 2187 atoms
     bern = BernoulliShift.uniform(3)
     rows = frozenset(r for r in itertools.product(range(3), repeat=8) if sum(r) % 3 == 0)
     f = Observable.indicator(bern.complement(CylinderUnion(tuple(range(8)), rows, 3)))
-    for exps in (["n", "2*n", "3*n"], ["N", "N", "N"]):
-        with pytest.raises(ResourceCapError, match="atom expansion"):
-            l2_distance_exact(ArraySpec.create(bern, [f] * 3, exps), 3)
+    # factors on one support, or on overlapping ones, keep few atoms (the
+    # values are those of the set-intersection kernel)
+    assert l2_distance_exact(ArraySpec.create(bern, [f], ["N"]), 8) == Fraction(2, 9)
+    assert l2_distance_exact(ArraySpec.create(bern, [f], ["n"]), 5) == Fraction(2, 45)
+    assert l2_distance_exact(ArraySpec.create(bern, [f] * 3, ["N", "N", "N"]), 3) == Fraction(262, 729)
+    # three factors three coordinates apart fix more than 2^20 coordinates
+    with pytest.raises(ResourceCapError, match="atom expansion"):
+        l2_distance_exact(ArraySpec.create(bern, [f] * 3, ["n", "2*n", "3*n"]), 3)
     with pytest.raises(ResourceCapError, match="atom expansion"):
         vdc_correlations(ArraySpec.create(bern, [f] * 3, ["n", "2*n", "3*n"]), 3, 1)
 
