@@ -30,18 +30,19 @@ The system type picks the kernel, and every kernel works in integers:
 
 With one factor (ell = 1, or one commuting generator pair) every pair term
 is a correlation C_f(d) = <T^d f, f>, C_f(d) = C_f(-d), so the pair sum is
-sum_d w_d C_f(d).  Linear shifts give d = k*step the weight 2(N - k); other
-shifts are swept where the system allows it, or grouped into residue
-classes whose pairs weigh their differences.  On rotations C_f(d) is a sum
-of k^2 arc overlaps for k arcs, and the sweep integrates (sum_n x_n)^2 by
-sorting its 2kN arc ends; on independent coordinates C_f(d) = (integral
-f)^2 once |d| exceeds the support diameter of f (per axis on lattices), and
-the sweep visits only neighbouring shifts; elsewhere ``_Engine.inner`` runs
-once per distinct difference.
+sum_d w_d C_f(d), taken by one ``sweep`` per correlation type.  On
+rotations C_f(d) is a sum of k^2 arc overlaps for k arcs, and the sweep
+integrates (sum_n x_n)^2 by sorting its 2kN arc ends; on independent
+coordinates with scalar shifts C_f(d) = (integral f)^2 once |d| exceeds
+the support diameter of f, and the sweep visits only neighbouring shifts.
+Elsewhere (Markov shifts, finite point systems, vector shifts) linear
+shifts give d = k*step the weight 2(N - k), other shifts are grouped into
+residue classes whose pairs weigh their differences, and ``_Engine.inner``
+runs once per distinct difference.
 
-Visited pairs of classes are capped at max_quadratic_n, and an atom
-expansion whose maps fix more than 2^20 coordinates in total raises
-ResourceCapError.
+More than ``_MAX_CLASSES`` = 4096 classes, wherever pairs of classes are
+visited, and an atom expansion whose maps fix more than 2^20 coordinates
+in total raise ResourceCapError.
 The van der Corput tables take C_f(s_{n+h} - s_n) for one factor and group
 the pairs (class(n), class(n+h)) otherwise.
 
@@ -197,6 +198,7 @@ class _Engine:
         # q*e_i are the identity, so vectors reduce componentwise), None when
         # aperiodic; ``key``: one representative of {d, -d} (C_f(d) = C_f(-d))
         q = system.period
+        self.diff = (lambda a, b: tuple(map(sub, a, b))) if vector_shifts else sub
         minus = (lambda d: tuple(-x for x in d)) if vector_shifts else neg
         mod = None if not q else (lambda v: tuple(x % q for x in v)) if vector_shifts else (lambda s: s % q)
         self.residue = mod
@@ -289,6 +291,7 @@ class _Engine:
 
 
 _ZERO = Fraction(0)
+_MAX_CLASSES = 4096  # classes a pair sum may visit pairwise
 
 
 def _atoms(factor, alphabet: int) -> list[tuple[int, tuple, tuple]]:
@@ -410,8 +413,7 @@ class _Correlation:
     difference: the correlation of systems with no closed form (Markov
     shifts, finite point systems).  ``total`` is sum_d w_d C_f(d) over a map
     of differences (folded by ``_Engine.key``) to weights, and ``sweep`` the
-    pair sum over a list of shifts, or None when only pairs of classes give
-    it."""
+    pair sum over a list of shifts."""
 
     def __init__(self, eng: _Engine, f: Observable, zero):
         self.eng = eng
@@ -432,8 +434,27 @@ class _Correlation:
     def total(self, weights) -> Fraction:
         return sum((w * self.value(d) for d, w in weights.items()), _ZERO)
 
-    def sweep(self, shifts) -> Fraction | None:
-        return None
+    def sweep(self, shifts) -> Fraction:
+        """sum_{t,u} C_f(s_u - s_t) as sum_d w_d C_f(d).  Shifts linear in t
+        give d = s_k - s_0 the weight 2(T - k) (T for k = 0); other shifts
+        are grouped into classes by ``_Engine.residue``, and every pair of
+        classes weighs its difference h*h'."""
+        eng, terms = self.eng, len(shifts)
+        diff = eng.diff
+        step = diff(shifts[1], shifts[0]) if terms > 1 else None
+        weights: dict = {}
+        if all(diff(b, a) == step for a, b in zip(shifts[1:], shifts[2:])):
+            for k, s in enumerate(shifts):
+                d = eng.key(diff(s, shifts[0]))
+                weights[d] = weights.get(d, 0) + (2 * (terms - k) if k else terms)
+        else:
+            mod = eng.residue
+            classes = list(_classes(shifts if mod is None else map(mod, shifts)).items())
+            for i, (r, h) in enumerate(classes):
+                for s, g in classes[i:]:
+                    d = eng.key(diff(s, r))
+                    weights[d] = weights.get(d, 0) + (2 * h * g if s != r else h * h)
+        return self.total(weights)
 
 
 class _RotationCorrelation(_Correlation):
@@ -533,11 +554,12 @@ class _IndependentCorrelation(_Correlation):
                 near[d] = w
         return far * self.square + super().total(near)
 
-    def sweep(self, shifts) -> Fraction | None:
+    def sweep(self, shifts) -> Fraction:
         """Neighbour scan: sort the distinct shift values and weigh only the
-        pairs within the diameter; every other ordered pair is far."""
+        pairs within the diameter; every other ordered pair is far.  Vector
+        shifts take the base sweep."""
         if self.eng.vector:
-            return None
+            return super().sweep(shifts)
         reach = -1 if self.reach is None else self.reach
         values = sorted(Counter(shifts).items())
         near = defaultdict(int)
@@ -565,61 +587,31 @@ def _correlation(eng: _Engine, f: Observable, zero) -> _Correlation:
 # pair sums
 
 
-def _distance(eng: _Engine, observables, shift_rows, c: Fraction, max_quadratic_n: int) -> Fraction:
+def _distance(eng: _Engine, observables, shift_rows, c: Fraction) -> Fraction:
     """|| mean_t x_t - c ||^2 over the terms x_t = prod_j T^{shift_rows[t][j]} f_j.
 
     Single-transformation arrays and commuting families differ only in how a
     term index maps to its row of shifts, so both come through here.
 
     With one factor every pair term is a correlation, <x_t, x_u> =
-    C_f(s_u - s_t), and the pair sum is sum_d w_d C_f(d) with C_f from
-    ``_correlation``.  Shifts linear in t give d = s_k - s_0 the weight
-    2(T - k) (T for k = 0).  Otherwise the correlation's ``sweep`` takes the
-    pair sum directly (rotations, independent coordinates), or the terms
-    are grouped into classes by ``_Engine.residue`` and every pair of
-    classes weighs its difference h_r*h_r'.
+    C_f(s_u - s_t), and the correlation's ``sweep`` (``_correlation``) takes
+    the pair sum.
 
-    With more factors the terms are grouped into classes the same way,
-    class r with multiplicity h_r; an aperiodic system keys each row by
-    itself, so its classes are its distinct rows.  On independent
-    coordinates ``_counted_sums`` takes both sums from the classes' atoms.
-    Elsewhere the mean sum is sum_r h_r <x_r> and the pair sum is
-    sum_{r,r'} h_r h_r' <x_r, x_r'>, taken over unordered pairs with factor
-    2 off the diagonal.
-
-    Wherever pairs of classes are visited they are capped at
-    ``max_quadratic_n``.
+    With more factors the terms are grouped into classes by
+    ``_Engine.residue``, class r with multiplicity h_r; an aperiodic system
+    keys each row by itself, so its classes are its distinct rows.  On
+    independent coordinates ``_counted_sums`` takes both sums from the
+    classes' atoms.  Elsewhere the mean sum is sum_r h_r <x_r> and the pair
+    sum is sum_{r,r'} h_r h_r' <x_r, x_r'>, taken over unordered pairs with
+    factor 2 off the diagonal.
     """
     terms = len(shift_rows)
     if len(observables) == 1:
         shifts = [row[0] for row in shift_rows]
-        diff = (lambda a, b: tuple(map(sub, a, b))) if eng.vector else sub
-        corr = _correlation(eng, observables[0], diff(shifts[0], shifts[0]))
-        mean_sum = terms * corr.mean
-        step = diff(shifts[1], shifts[0]) if terms > 1 else None
-        weights: dict = {}
-        if all(diff(b, a) == step for a, b in zip(shifts[1:], shifts[2:])):
-            for k, s in enumerate(shifts):
-                d = eng.key(diff(s, shifts[0]))
-                weights[d] = weights.get(d, 0) + (2 * (terms - k) if k else terms)
-            pair_sum = corr.total(weights)
-        else:
-            pair_sum = corr.sweep(shifts)
-            if pair_sum is None:
-                mod = eng.residue
-                classes = list(Counter(shifts if mod is None else map(mod, shifts)).items())
-                if len(classes) > max_quadratic_n:
-                    raise ResourceCapError(f"{len(classes)} classes exceed the quadratic-path cap {max_quadratic_n}")
-                for i, (r, h) in enumerate(classes):
-                    for s, g in classes[i:]:
-                        d = eng.key(diff(s, r))
-                        weights[d] = weights.get(d, 0) + (2 * h * g if s != r else h * h)
-                pair_sum = corr.total(weights)
-        return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
+        corr = _correlation(eng, observables[0], eng.diff(shifts[0], shifts[0]))
+        return corr.sweep(shifts) / terms**2 - 2 * c * corr.mean + c * c
 
-    mult = Counter(eng.residue_rows(shift_rows))
-    if len(mult) > max_quadratic_n:
-        raise ResourceCapError(f"{len(mult)} classes exceed the quadratic-path cap {max_quadratic_n}")
+    mult = _classes(eng.residue_rows(shift_rows))
     if eng.independent:
         mean_sum, pair_sum = _counted_sums(eng, observables, mult)
     else:
@@ -631,6 +623,15 @@ def _distance(eng: _Engine, observables, shift_rows, c: Fraction, max_quadratic_
                 xs, g = classes[j]
                 pair_sum += (1 if i == j else 2) * h * g * eng.inner(xr + xs)
     return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
+
+
+def _classes(keys) -> Counter:
+    """The multiplicity of every class key; pair sums visit pairs of classes,
+    so more than ``_MAX_CLASSES`` classes raise ResourceCapError."""
+    mult = Counter(keys)
+    if len(mult) > _MAX_CLASSES:
+        raise ResourceCapError(f"{len(mult)} classes exceed the quadratic-path cap {_MAX_CLASSES}")
+    return mult
 
 
 def _counted_sums(eng: _Engine, observables, mult) -> tuple[Fraction, Fraction]:
@@ -745,7 +746,6 @@ def l2_distance_exact(
     spec: ArraySpec,
     N: int,
     target: Fraction | None = None,
-    max_quadratic_n: int = 4096,
 ) -> Fraction:
     """Exact squared L^2 distance || A_N - c ||^2, c defaulting to the
     product of the observable integrals."""
@@ -759,7 +759,6 @@ def l2_distance_exact(
         spec.observables,
         _shift_rows(spec, N, 1, N),
         c,
-        max_quadratic_n,
     )
 
 
@@ -767,7 +766,6 @@ def commuting_average(
     cspec: CommutingArraySpec,
     N: int,
     target: Fraction | None = None,
-    max_quadratic_n: int = 4096,
 ) -> Fraction:
     """Exact squared L^2 distance of the mean of prod_j T_j^n That_j^N f_j
     over n = 0..N to the product of integrals.
@@ -786,7 +784,6 @@ def commuting_average(
         cspec.observables,
         [[action.shift_vector(j, n, N) for j in range(1, action.ell + 1)] for n in range(N + 1)],
         c,
-        max_quadratic_n,
     )
 
 

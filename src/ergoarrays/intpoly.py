@@ -60,8 +60,9 @@ class IntPoly2:
         """Convert sum a_uv n^u N^v; raise if not integer-valued.
 
         Binomial coefficients are recovered as iterated forward differences
-        of the value table at (0..deg_n, 0..deg_N); the polynomial is
-        integer-valued on integers iff all of them are integers.
+        of the value table at (0..dn, 0..dN), dn and dN the largest powers
+        of n and N; the polynomial is integer-valued on integers iff all of
+        them are integers.
         """
         mono = {k: Fraction(v) for k, v in mono.items() if v != 0}
         if not mono:
@@ -126,10 +127,6 @@ class IntPoly2:
         """Degree in n (0 for polynomials free of n, including 0)."""
         return max((i for (i, _), _ in self.terms), default=0)
 
-    @property
-    def deg_N(self) -> int:
-        return max((j for (_, j), _ in self.terms), default=0)
-
     def depends_on_n(self) -> bool:
         return any(i >= 1 for (i, _), _ in self.terms)
 
@@ -174,9 +171,6 @@ class IntPoly2:
 
     def __neg__(self) -> "IntPoly2":
         return IntPoly2(tuple((k, -c) for k, c in self.terms))
-
-    def scale(self, m: int) -> "IntPoly2":
-        return IntPoly2.from_coeffs({k: c * m for k, c in self.terms})
 
     def eval(self, n: int, N: int) -> int:
         total = 0

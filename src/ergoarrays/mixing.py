@@ -78,8 +78,10 @@ def alpha_coefficient(chain: MarkovShift, n: int, horizon: int = 0) -> Fraction:
 
     By the Markov property the supremum is attained on events measurable
     from the boundary coordinates 0 and n alone, so the value is the same
-    for every horizon; larger horizons only validate the reduction.
-    Chains with more than 16 states raise ``ResourceCapError``.
+    for every horizon and is computed from those two coordinates.  The
+    horizon only sizes the window algebra, states^(horizon + 1) cylinders,
+    which above 2^20 raises ``ResourceCapError``, as do chains with more
+    than 16 states.
     """
     if n < 0:
         raise ValueError("separation n must be >= 0")

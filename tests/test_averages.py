@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -44,6 +45,11 @@ def bernoulli_spec(center=False, exponents=("n",), ell=1):
     bern = BernoulliShift.uniform(2)
     f = Observable.indicator(bern.cylinder({0: 0}))
     return ArraySpec.create(bern, [f] * ell, list(exponents), center=center)
+
+
+def class_cap(n):
+    """Lower the pair sums' class cap ``averages._MAX_CLASSES`` to n."""
+    return mock.patch.object(averages, "_MAX_CLASSES", n)
 
 
 def half_rotation_spec(center=False):
@@ -376,7 +382,8 @@ def test_counted_classes_match_all_pairs_oracle(data):
     N = data.draw(st.integers(1, 30))
     spec = ArraySpec.create(system, obs, exps)
     rows = raw_rows(system, obs, spec.exponents, range(1, N + 1), N)
-    assert l2_distance_exact(spec, N, max_quadratic_n=1) == all_pairs_distance(system, rows, spec.product_of_integrals())
+    with class_cap(1):
+        assert l2_distance_exact(spec, N) == all_pairs_distance(system, rows, spec.product_of_integrals())
 
 
 def test_counted_path_caps_classes_not_terms():
@@ -384,9 +391,10 @@ def test_counted_path_caps_classes_not_terms():
     bern = BernoulliShift.uniform(2)
     obs = [Observable.indicator(bern.cylinder({0: 0})), Observable.indicator(bern.cylinder({1: 1}))]
     spec = ArraySpec.create(bern, obs, ["N", "2*N"])
-    assert l2_distance_exact(spec, 4096, max_quadratic_n=1) == Fraction(3, 16)
-    with pytest.raises(ResourceCapError, match="2 classes"):
-        l2_distance_exact(ArraySpec.create(bern, obs, ["n", "2*N"]), 2, max_quadratic_n=1)
+    with class_cap(1):
+        assert l2_distance_exact(spec, 4096) == Fraction(3, 16)
+        with pytest.raises(ResourceCapError, match="2 classes"):
+            l2_distance_exact(ArraySpec.create(bern, obs, ["n", "2*N"]), 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -510,13 +518,46 @@ def test_one_factor_quadratic_exponent_at_large_N():
         spec = ArraySpec.create(system, [Observable.indicator(S)], ["n**2"], center=True)
         rows = raw_rows(system, spec.observables, spec.exponents, range(1, 9), 8)
         assert l2_distance_exact(spec, 8) == all_pairs_distance(system, rows, Fraction(0))
-        value = l2_distance_exact(spec, 4096, max_quadratic_n=16)
+        with class_cap(16):
+            value = l2_distance_exact(spec, 4096)
         assert 0 < value < Fraction(1, 100)
     # Markov shifts still visit every pair of classes, so the cap applies
     chain = MarkovShift.two_state(Fraction(2, 3))
     spec = ArraySpec.create(chain, [Observable.indicator(chain.cylinder({0: 0}))], ["n**2"])
-    with pytest.raises(ResourceCapError, match="13 classes"):
-        l2_distance_exact(spec, 13, max_quadratic_n=12)
+    with class_cap(12), pytest.raises(ResourceCapError, match="13 classes"):
+        l2_distance_exact(spec, 13)
+
+
+SWEEP_SYSTEMS = [  # (system, vector shifts, max T, max |step|), one per correlation type
+    (CircleRotation(Fraction(3, 1000003)), False, 2000, 50),
+    (CircleRotation(Fraction(2, 5)), False, 2000, 50),
+    (BernoulliShift((Fraction(1, 3), Fraction(2, 3))), False, 2000, 50),
+    (BernoulliLattice((Fraction(1, 2), Fraction(1, 2)), 2), False, 2000, 50),
+    (BernoulliLattice((Fraction(1, 2), Fraction(1, 2)), 2), True, 2000, 50),
+    (MarkovShift.two_state(Fraction(2, 3)), False, 60, 3),  # exact matrix powers grow with the shift
+    (CyclicRotation(12, 5), False, 2000, 50),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sweep_matches_constant_step_weights(data):
+    # shifts s_0 + k*step give the pair sum sum_k w_k C_f(k*step) with
+    # w_0 = T and w_k = 2(T - k), whichever way a correlation sweeps them
+    system, vector, max_T, max_step = data.draw(st.sampled_from(SWEEP_SYSTEMS))
+    f = data.draw(affine_observables(system))
+    T = data.draw(st.integers(1, 40) | st.integers(1, max_T))
+    scalar = st.sampled_from([0, 1, -1]) | st.integers(-max_step, max_step)
+    shift = st.tuples(scalar, scalar) if vector else scalar
+    s0, step = data.draw(shift), data.draw(shift)
+    lag = (lambda k: tuple(k * x for x in step)) if vector else (lambda k: k * step)
+    shifts = [tuple(a + b for a, b in zip(s0, lag(k))) if vector else s0 + lag(k) for k in range(T)]
+    weights = Counter()
+    for k in range(T):
+        weights[lag(k)] += 2 * (T - k) if k else T
+    eng = _Engine(system, vector_shifts=vector)
+    corr = averages._correlation(eng, f, lag(0))
+    assert corr.sweep(shifts) == corr.total(weights)
 
 
 # -- residue-class grouping on finite-order systems against raw all-pairs sums --
@@ -582,9 +623,10 @@ def test_periodic_distance_caps_classes_not_terms():
     action = build_lattice_action(lat, [(1, 0), (1, 1)], [(0, 1), (2, 0)])
     f = Observable.indicator(lat.point_set([(0, 0), (1, 2), (2, 3)]))
     cspec = CommutingArraySpec(action, (f, f))
-    assert 0 <= commuting_average(cspec, 2000, max_quadratic_n=12) <= 1
-    with pytest.raises(ResourceCapError, match="12 classes"):
-        commuting_average(cspec, 2000, max_quadratic_n=11)
+    with class_cap(12):
+        assert 0 <= commuting_average(cspec, 2000) <= 1
+    with class_cap(11), pytest.raises(ResourceCapError, match="12 classes"):
+        commuting_average(cspec, 2000)
 
 
 def test_stationary_path_matches_quadratic_path():
@@ -634,7 +676,7 @@ def test_assert_distinct_linear():
 def test_quadratic_cap():
     spec = bernoulli_spec(exponents=("n", "2*n"), ell=2)
     with pytest.raises(ResourceCapError):
-        l2_distance_exact(spec, 5000, max_quadratic_n=4096)
+        l2_distance_exact(spec, 5000)  # 5000 classes over the 4096 cap
 
 
 # -- sweeps ------------------------------------------------------------------

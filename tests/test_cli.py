@@ -8,6 +8,7 @@ from ergoarrays.util import fraction_to_json
 
 ROT = '{"kind":"circle-rotation-rational","params":{"angle":"1/2"}}'
 BERN = '{"kind":"bernoulli-shift","params":{"probs":["1/2","1/2"]}}'
+IRR = '{"kind":"circle-rotation-irrational","params":{"angle":"sqrt2-1"}}'
 
 
 def run(args):
@@ -65,6 +66,23 @@ def test_avg_sweep_json_deterministic(tmp_path):
     assert doc["verdict"] == "oscillating"
     assert {"num": "1", "den": "256"} in [r["value"] for r in doc["rows"]]
     assert (tmp_path / "a" / "avg_sweep.csv").exists()
+
+
+def test_avg_sweep_csv_bytes(tmp_path):
+    # exact values are written as p/q, Monte Carlo values and errors as floats
+    half = {"observables": [{"set": {"arc": ["0", "1/4"]}}] * 2, "exponents": ["N - n", "n"]}
+    centered = {"observables": [{"set": {"arc": ["0", "1/4"]}}], "exponents": ["n"], "center": True}
+    mc = ["--method", "mc", "--samples", "20"]
+    for name, system, spec, Ns, extra in (("exact", ROT, half, "3,4,5", []), ("mc", IRR, centered, "4,8", mc)):
+        args = ["avg-sweep", "--system", system, "--spec", json.dumps(spec), "--Ns", Ns, "--out", name, *extra]
+        assert run(["--out-dir", str(tmp_path), "--format", "csv", *args]) == 0
+    assert (tmp_path / "exact.csv").read_bytes() == (
+        b"N,value,method,stderr\r\n3,1/256,exact,0.0\r\n4,25/256,exact,0.0\r\n5,1/256,exact,0.0\r\n"
+    )
+    assert (tmp_path / "mc.csv").read_bytes() == (
+        b"N,value,method,stderr\r\n4,0.025,montecarlo,0.0070243935868627054\r\n"
+        b"8,0.00625,montecarlo,0.0017560983967156764\r\n"
+    )
 
 
 def test_avg_sweep_rejects_duplicate_linear_coefficients(tmp_path):
@@ -355,7 +373,6 @@ def test_resource_cap_exit_code(tmp_path):
     assert run(["--out-dir", str(tmp_path), "mixing", "--chain", chain, "--alpha", "1"]) == 3
 
 
-IRR = '{"kind":"circle-rotation-irrational","params":{"angle":"sqrt2-1"}}'
 GAUSS = '{"kind":"gauss-map"}'
 
 
