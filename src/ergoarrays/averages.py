@@ -556,21 +556,27 @@ class _IndependentCorrelation(_Correlation):
 
     def sweep(self, shifts) -> Fraction:
         """Neighbour scan: sort the distinct shift values and weigh only the
-        pairs within the diameter; every other ordered pair is far.  Vector
-        shifts take the base sweep."""
+        pairs within the diameter; every other ordered pair is far.  T
+        equally spaced distinct shifts are weighed at once: the gap j*|step|
+        gets 2(T - j).  Vector shifts take the base sweep."""
         if self.eng.vector:
             return super().sweep(shifts)
         reach = -1 if self.reach is None else self.reach
-        values = sorted(Counter(shifts).items())
-        near = defaultdict(int)
-        for i, (v, h) in enumerate(values):
-            near[0] += h * h
-            j = i + 1
-            while j < len(values) and values[j][0] - v <= reach:
-                u, g = values[j]
-                near[u - v] += 2 * h * g
-                j += 1
-        far = len(shifts) ** 2 - sum(near.values())
+        terms = len(shifts)
+        step = shifts[1] - shifts[0] if terms > 1 else 0
+        if step and shifts == list(range(shifts[0], shifts[0] + terms * step, step)):
+            near = {j * abs(step): 2 * (terms - j) if j else terms for j in range(min(terms, reach // abs(step) + 1))}
+        else:
+            values = sorted(Counter(shifts).items())
+            near = defaultdict(int)
+            for i, (v, h) in enumerate(values):
+                near[0] += h * h
+                j = i + 1
+                while j < len(values) and values[j][0] - v <= reach:
+                    u, g = values[j]
+                    near[u - v] += 2 * h * g
+                    j += 1
+        far = terms**2 - sum(near.values())
         return far * self.square + self.total(near)
 
 

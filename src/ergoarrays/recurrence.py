@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .systems import LatticeAction, SampledSystem
+from .util import box_sums
 
 
 def normalize_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -195,23 +196,18 @@ class GridExtraction:
 
     @property
     def max_gap_between(self) -> int:
-        prev = 0
-        worst = 0
-        for N in self.Ns:
-            worst = max(worst, N - prev - 1)
-            prev = N
-        return worst
+        return max((b - a - 1 for a, b in zip((0,) + self.Ns, self.Ns)), default=0)
 
 
 def extract_syndetic_from_grid(grid: Sequence[Sequence], eps, M: int) -> GridExtraction:
     """Run the strip construction on a nonnegative grid a[n-1][m-1], n, m in [1, L].
 
     Requires every M-square inside the grid to contain an entry >= eps
-    (checked exhaustively with sliding-window maxima).  For each strip
-    j(M+1) <= m < (j+1)(M+1) the column N_j maximizing the partial column sum
-    over n <= j(M+1) is selected; the returned members satisfy the gap bound
-    (<= 2M integers skipped) and column averages >= eps/(M+1)^2, both
-    asserted.
+    (checked exhaustively: every M-box sum of the indicator of a >= eps is
+    positive).  For each strip j(M+1) <= m < (j+1)(M+1) the column N_j
+    maximizing the partial column sum over n <= j(M+1) is selected; the
+    returned members satisfy the gap bound (<= 2M integers skipped) and
+    column averages >= eps/(M+1)^2, both asserted.
     """
     eps = Fraction(eps)
     if M < 1:
@@ -225,10 +221,12 @@ def extract_syndetic_from_grid(grid: Sequence[Sequence], eps, M: int) -> GridExt
     if L < M:
         raise ValueError("grid smaller than one M-square")
 
-    bad = _first_bad_square(a, eps, M)
-    if bad is not None:
+    # column-major, so the first empty box is the first bad square in column order
+    sums = box_sums([int(a[n][m] >= eps) for m in range(L) for n in range(L)], (L, L), M)
+    if 0 in sums:
+        m, n = divmod(sums.index(0), L - M + 1)
         raise ValueError(
-            f"hypothesis fails: the {M}x{M} square at (n,m)=({bad[0]+1},{bad[1]+1}) "
+            f"hypothesis fails: the {M}x{M} square at (n,m)=({n+1},{m+1}) "
             f"has every entry < {eps}"
         )
 
@@ -262,34 +260,3 @@ def extract_syndetic_from_grid(grid: Sequence[Sequence], eps, M: int) -> GridExt
         raise RuntimeError("internal error: gap bound 2M violated")
     return out
 
-
-def _first_bad_square(a: list[list[Fraction]], eps: Fraction, M: int):
-    """Top-left corner (0-based) of an M-square with all entries < eps, or None.
-
-    Two passes of a monotone-deque sliding maximum give all M-window maxima.
-    """
-    L = len(a)
-    row_max = [_window_max(row, M) for row in a]  # per row: maxima over m-windows
-    for mw in range(L - M + 1):
-        col = [row_max[n][mw] for n in range(L)]
-        col_max = _window_max(col, M)
-        for nw in range(L - M + 1):
-            if col_max[nw] < eps:
-                return (nw, mw)
-    return None
-
-
-def _window_max(vals: Sequence, M: int) -> list:
-    out = []
-    from collections import deque
-
-    dq: deque[int] = deque()
-    for i, v in enumerate(vals):
-        while dq and vals[dq[-1]] <= v:
-            dq.pop()
-        dq.append(i)
-        if dq[0] <= i - M:
-            dq.popleft()
-        if i >= M - 1:
-            out.append(vals[dq[0]])
-    return out

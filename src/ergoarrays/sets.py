@@ -217,24 +217,28 @@ class CylinderUnion:
             # with two or more symbols one row depends on every coordinate
             coords = tuple(sorted(a))
             return CylinderUnion(coords, frozenset({tuple(map(a.__getitem__, coords))}), self.alphabet)
-        if set(self.coords).isdisjoint(other.coords):
-            return self._product(other)
-        coords = tuple(sorted(set(self.coords) | set(other.coords)))
-        rows = self._expand_to(coords) & other._expand_to(coords)
-        return CylinderUnion._canonical(coords, rows, self.alphabet)
-
-    def _product(self, other: "CylinderUnion") -> "CylinderUnion":
-        """Intersection with a set on a disjoint support: every pair of rows,
-        merged in coordinate order.  A coordinate the product does not
-        depend on would be one that a factor does not depend on, so the
-        product of two canonical sets is canonical."""
-        n_rows = len(self.rows) * len(other.rows)
-        if n_rows > _MAX_ROWS:
-            raise ResourceCapError(f"cylinder product of {n_rows} rows exceeds cap {_MAX_ROWS}")
-        coords = self.coords + other.coords
+        # otherwise a hash join on the shared coordinates, merging every pair
+        # of rows that agree there; on disjoint supports the product is
+        # canonical, since a coordinate it does not depend on would be one
+        # that a factor does not depend on
+        pos = {c: i for i, c in enumerate(self.coords)}
+        shared = [i for i, c in enumerate(other.coords) if c in pos]
+        rest = [i for i, c in enumerate(other.coords) if c not in pos]
+        mine = [pos[other.coords[i]] for i in shared]
+        index: dict[tuple, list[tuple]] = {}
+        for s in other.rows:
+            index.setdefault(tuple(map(s.__getitem__, shared)), []).append(tuple(map(s.__getitem__, rest)))
+        coords = self.coords + tuple(map(other.coords.__getitem__, rest))
         order = sorted(range(len(coords)), key=coords.__getitem__)
-        rows = frozenset(tuple(map((r + s).__getitem__, order)) for r in self.rows for s in other.rows)
-        return CylinderUnion(tuple(map(coords.__getitem__, order)), rows, self.alphabet)
+        rows = []
+        for r in self.rows:
+            rows += (tuple(map((r + s).__getitem__, order)) for s in index.get(tuple(map(r.__getitem__, mine)), ()))
+            if len(rows) > _MAX_ROWS:
+                raise ResourceCapError(f"cylinder intersection of over {_MAX_ROWS} rows exceeds the cap")
+        coords = tuple(map(coords.__getitem__, order))
+        if shared:
+            return CylinderUnion._canonical(coords, rows, self.alphabet)
+        return CylinderUnion(coords, frozenset(rows), self.alphabet)
 
     def union(self, other: "CylinderUnion") -> "CylinderUnion":
         if self.alphabet != other.alphabet:

@@ -13,10 +13,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import indexOf, sub
+from operator import add, indexOf, sub
 from typing import Iterable, Mapping, Sequence
 
 from .recurrence import SyndeticReport, detect_syndetic, normalize_pairs
+from .util import box_sums
 
 Vector = tuple[int, ...]
 # indicator-row digits to the 0/1 byte values they stand for
@@ -195,38 +196,32 @@ class DensityResult:
 
 
 def upper_density(s: IntegerSet | LatticeSet, window_sizes: Sequence[int]) -> DensityResult:
-    """Best sliding-window density over the given window sizes."""
+    """Best sliding-window density over the given window sizes: the first
+    width reaching the maximum, at its first corner in row-major order."""
+    if not window_sizes:
+        raise ValueError("no window sizes given")
     if isinstance(s, IntegerSet):
-        row = s._row().encode().translate(_DIGIT_VALUES)
-        length = s.hi - s.lo
-        best = None
-        for w in window_sizes:
-            if not 1 <= w <= length:
-                raise ValueError(f"window size {w} does not fit [{s.lo}, {s.hi})")
-            # members in [a, a + w) for every a: a running sum of what enters minus what leaves
-            windows = lambda: accumulate(map(sub, row[w:], row), initial=row[:w].count(1))
-            top = max(windows())
-            d = Fraction(top, w)
-            if best is None or d > best[0]:
-                a = indexOf(windows(), top)
-                best = (d, (s.lo + a, s.lo + a + w), w)
-        return DensityResult(*best)
+        lo, shape = (s.lo,), (s.hi - s.lo,)
+        table = s._row().encode().translate(_DIGIT_VALUES)
+    else:
+        lo, shape = s.lo, tuple(map(sub, s.hi, s.lo))
+        table = bytes(p in s.members for p in product(*map(range, s.lo, s.hi)))  # row-major
     best = None
     for w in window_sizes:
-        if any(w > b - a for a, b in zip(s.lo, s.hi)):
-            raise ValueError(f"window size {w} does not fit the box")
-        ranges = [range(a, b - w + 1) for a, b in zip(s.lo, s.hi)]
-        for corner in product(*ranges):
-            cnt = sum(
-                1
-                for p in s.members
-                if all(c <= x < c + w for x, c in zip(p, corner))
-            )
-            d = Fraction(cnt, w ** s.d)
-            if best is None or d > best[0]:
-                hi = tuple(c + w for c in corner)
-                best = (d, (tuple(corner), hi), w)
-    return DensityResult(*best)
+        if w < 1 or any(w > n for n in shape):
+            raise ValueError(f"window size {w} does not fit [{s.lo}, {s.hi})")
+        top = max(box_sums(table, shape, w))
+        d = Fraction(top, w ** len(shape))
+        if best is None or d > best[0]:
+            a, corner = indexOf(box_sums(table, shape, w), top), []
+            for n in reversed(shape):
+                a, r = divmod(a, n - w + 1)
+                corner.insert(0, r)
+            best = (d, tuple(map(add, lo, corner)), w)
+    d, corner, w = best
+    end = tuple(c + w for c in corner)
+    window = (corner[0], end[0]) if isinstance(s, IntegerSet) else (corner, end)
+    return DensityResult(d, window, w)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
+from typing import Iterable, Sequence
 
 # A rational upper bound on pi, enough digits for every comparison made here.
 PI_HI = Fraction(31415926535897932385, 10**19)
@@ -23,6 +26,29 @@ def binom(x: int, k: int) -> int:
     for t in range(k):
         num *= x - t
     return num // math.factorial(k)
+
+
+def box_sums(table: Sequence[int], shape: Sequence[int], w: int) -> Iterable[int]:
+    """Sum over every side-w box of a row-major table of the given shape,
+    boxes in row-major order of their corners; w must fit every side.
+
+    Each axis in turn, last first, takes the running window sum
+    s_{a+1} = s_a + x_{a+w} - x_a along every line of the table; with one
+    axis the sums are a stream and no list is built.
+    """
+    run = lambda xs: accumulate(map(sub, xs[w:], xs), initial=sum(xs[:w]))
+    if len(shape) == 1:
+        return run(table)
+    sums, inner = table, 1  # inner: the stride of the axis being summed
+    for n in reversed(shape):
+        m = n - w + 1
+        out = [0] * (len(sums) // n * m)
+        for b in range(len(out) // (m * inner)):  # blocks of the axes before this one
+            src, dst = b * n * inner, b * m * inner
+            for c in range(inner):
+                out[dst + c : dst + m * inner : inner] = run(sums[src + c : src + n * inner : inner])
+        sums, inner = out, inner * m
+    return sums
 
 
 def frac_mod1(x: Fraction) -> Fraction:

@@ -237,6 +237,33 @@ def test_grid_extraction_hypothesis_failure():
         extract_syndetic_from_grid(grid, 1, 4)
 
 
+def first_bad_square(grid, eps, M):
+    """(n, m), 1-based, of the first M-square in column order with every
+    entry < eps, or None."""
+    L = len(grid)
+    for m in range(L - M + 1):
+        for n in range(L - M + 1):
+            if all(grid[n + i][m + j] < eps for i in range(M) for j in range(M)):
+                return n + 1, m + 1
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_grid_extraction_reports_first_bad_square_in_column_order(data):
+    M = data.draw(st.integers(1, 4))
+    L = data.draw(st.integers(M, 24))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    grid = [[rng.choice([0, 1, 2, Fraction(1, 2)]) for _ in range(L)] for _ in range(L)]
+    n0, m0 = data.draw(st.integers(0, L - M)), data.draw(st.integers(0, L - M))
+    for n in range(n0, n0 + M):
+        for m in range(m0, m0 + M):
+            grid[n][m] = 0
+    n, m = first_bad_square(grid, 1, M)
+    with pytest.raises(ValueError, match=rf"hypothesis fails: the {M}x{M} square at \(n,m\)=\({n},{m}\) "):
+        extract_syndetic_from_grid(grid, 1, M)
+
+
 def test_grid_extraction_validation():
     with pytest.raises(ValueError, match="square"):
         extract_syndetic_from_grid([[1, 1], [1]], 1, 1)

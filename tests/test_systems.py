@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ergoarrays.sets import ArcUnion, CylinderUnion, intersect
+from ergoarrays.sets import _MAX_ROWS, ArcUnion, CylinderUnion, intersect
+from ergoarrays.util import ResourceCapError
 from ergoarrays.systems import (
     BernoulliLattice,
     BernoulliShift,
@@ -418,8 +420,64 @@ def test_disjoint_intersect_matches_expand_oracle(data):
     b = data.draw(cylinder_sets(alphabet, d)).shift(offset)
     assume(set(a.coords).isdisjoint(b.coords))
     got = a.intersect(b)
+    assert got == oracle_intersect(a, b) == oracle_product(a, b)
+    assert got == b.intersect(a)
+
+
+def oracle_product(a: CylinderUnion, b: CylinderUnion) -> CylinderUnion:
+    """Intersection with a set on a disjoint support: every pair of rows,
+    merged in coordinate order, capped before it is built."""
+    if a.is_empty() or b.is_empty():
+        return CylinderUnion.empty(a.alphabet)
+    if len(a.rows) * len(b.rows) > _MAX_ROWS:
+        raise ResourceCapError("cylinder product exceeds the cap")
+    coords = a.coords + b.coords
+    order = sorted(range(len(coords)), key=coords.__getitem__)
+    rows = frozenset(tuple(map((r + s).__getitem__, order)) for r in a.rows for s in b.rows)
+    return CylinderUnion(tuple(map(coords.__getitem__, order)), rows, a.alphabet)
+
+
+@st.composite
+def multirow_unions(draw, alphabet: int, d: int):
+    """A union of 2-4 cylinders of up to 3 coordinates each, sometimes
+    complemented, on at most 6 coordinates."""
+    coord = st.integers(-3, 3) if d == 0 else st.tuples(*[st.integers(-1, 1)] * d)
+    cylinders = st.lists(
+        st.dictionaries(coord, st.integers(0, alphabet - 1), min_size=1, max_size=3), min_size=2, max_size=4
+    )
+    parts = draw(cylinders)
+    assume(len(set().union(*parts)) <= 6)
+    S = CylinderUnion.empty(alphabet)
+    for c in parts:
+        S = S.union(CylinderUnion.cylinder(c, alphabet))
+    return S.complement() if draw(st.booleans()) else S
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multirow_intersect_matches_expand_oracle(data):
+    alphabet = data.draw(st.integers(2, 3))
+    d = data.draw(st.integers(0, 2))
+    a = data.draw(multirow_unions(alphabet, d))
+    offset = data.draw(st.integers(-6, 6) if d == 0 else st.tuples(*[st.integers(-2, 2)] * d))
+    b = data.draw(multirow_unions(alphabet, d)).shift(offset)
+    got = a.intersect(b)
     assert got == oracle_intersect(a, b)
     assert got == b.intersect(a)
+    if set(a.coords).isdisjoint(b.coords):
+        assert got == oracle_product(a, b)
+
+
+def test_intersect_joins_on_shared_coordinates():
+    # {symbol sum of coords 0..7 = 0 mod 3} has 2187 rows; expanding both
+    # sides to coords 0..14 would take 2187 * 3^7 rows, over the cap
+    bern = BernoulliShift.uniform(3)
+    rows = frozenset(r for r in itertools.product(range(3), repeat=8) if sum(r) % 3 == 0)
+    a = CylinderUnion(tuple(range(8)), rows, 3)
+    b = bern.cylinder(dict.fromkeys(range(7, 15), 0)).union(bern.cylinder(dict.fromkeys(range(7, 15), 1)))
+    with pytest.raises(ResourceCapError, match="expansion"):
+        oracle_intersect(a, b)
+    assert bern.measure(a.intersect(b)) == Fraction(2, 19683)
 
 
 # -- the Markov block kernel against path enumeration --

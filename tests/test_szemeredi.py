@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -326,3 +327,67 @@ def test_wide_window_round_trip():
     assert IntegerSet.from_members(s.members(), s.window).bits == s.bits
     assert s.prefix_counts()[-1] == len(s)
 
+
+
+# -- lattice densities against the corner-by-member scan they replaced --
+
+
+def oracle_lattice_upper_density(s: LatticeSet, window_sizes) -> DensityResult:
+    """Every corner of the box against every member, first best kept."""
+    best = None
+    for w in window_sizes:
+        ranges = [range(a, b - w + 1) for a, b in zip(s.lo, s.hi)]
+        for corner in itertools.product(*ranges):
+            cnt = sum(1 for p in s.members if all(c <= x < c + w for x, c in zip(p, corner)))
+            d = Fraction(cnt, w ** s.d)
+            if best is None or d > best[0]:
+                best = (d, (tuple(corner), tuple(c + w for c in corner)), w)
+    return DensityResult(*best)
+
+
+@st.composite
+def lattice_sets(draw):
+    """Boxes up to 24 wide in 1-d and 2-d and 8 wide in 3-d, lo on either
+    side of 0; sparse, dense, periodic (ties across corners) or full."""
+    d = draw(st.integers(1, 3))
+    side = 24 if d < 3 else 8
+    lo = tuple(draw(st.integers(-30, 30)) for _ in range(d))
+    hi = tuple(a + draw(st.integers(1, side)) for a in lo)
+    box = list(itertools.product(*map(range, lo, hi)))
+    kind = draw(st.sampled_from(["random", "periodic", "full"]))
+    if kind == "full":
+        return LatticeSet.from_members(box, lo, hi)
+    if kind == "periodic":
+        mod = draw(st.integers(2, 4))
+        return LatticeSet.from_members([p for p in box if sum(p) % mod == 0], lo, hi)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    return LatticeSet.from_members([p for p in box if rng.random() < density], lo, hi)
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_sets(), st.data())
+def test_lattice_upper_density_matches_corner_scan(s, data):
+    m = min(b - a for a, b in zip(s.lo, s.hi))
+    # small widths tie often, across corners and across widths
+    size = st.integers(1, min(m, 3)) | st.integers(1, m)
+    sizes = data.draw(st.lists(size, min_size=1, max_size=3))
+    assert upper_density(s, sizes) == oracle_lattice_upper_density(s, sizes)
+
+
+def test_lattice_upper_density_ties_keep_first_corner_and_first_width():
+    checker = LatticeSet.from_members(
+        [(x, y) for x in range(-3, 5) for y in range(-2, 6) if (x + y) % 2 == 0], (-3, -2), (5, 6)
+    )
+    assert upper_density(checker, [2, 4]) == DensityResult(Fraction(1, 2), ((-3, -2), (-1, 0)), 2)
+    assert upper_density(checker, [4, 2]) == DensityResult(Fraction(1, 2), ((-3, -2), (1, 2)), 4)
+    assert upper_density(checker, [2, 1]) == DensityResult(Fraction(1), ((-3, -1), (-2, 0)), 1)
+
+
+def test_upper_density_rejects_bad_window_sizes():
+    flat = LatticeSet.from_members([(0, 0), (1, 1)], (0, 0), (4, 4))
+    line = IntegerSet.from_members([1, 2], (0, 10))
+    for s in (flat, line):
+        for sizes in ([0], [-1], [2, 0], [5 if s is flat else 11], []):
+            with pytest.raises(ValueError):
+                upper_density(s, sizes)
