@@ -387,7 +387,7 @@ def test_lattice_upper_density_ties_keep_first_corner_and_first_width():
 def test_upper_density_rejects_bad_window_sizes():
     flat = LatticeSet.from_members([(0, 0), (1, 1)], (0, 0), (4, 4))
     line = IntegerSet.from_members([1, 2], (0, 10))
-    for s in (flat, line):
-        for sizes in ([0], [-1], [2, 0], [5 if s is flat else 11], []):
+    for s, too_wide in ((flat, 5), (line, 11)):
+        for sizes in ([0], [-1], [2, 0], [too_wide], []):
             with pytest.raises(ValueError):
                 upper_density(s, sizes)
