@@ -307,7 +307,7 @@ def _atoms(factor, alphabet: int) -> list[tuple[int, tuple, tuple]]:
         rows = S.rows
         if 2 * len(rows) > alphabet ** len(S.coords) + 1:
             weights[(), ()] += num
-            rows = [row for row in itertools.product(range(alphabet), repeat=len(S.coords)) if row not in rows]
+            rows = S.complement().rows
             num = -num
         for row in rows:
             weights[S.coords, row] = weights.get((S.coords, row), 0) + num

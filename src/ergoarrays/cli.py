@@ -146,8 +146,7 @@ def _build_observable(system, descriptor) -> Observable:
     _require(descriptor, dict, "observable descriptor")
     if "constant" in descriptor:
         return Observable.const(parse_fraction(str(descriptor["constant"])))
-    obs = Observable.indicator(_build_set(system, descriptor["set"]))
-    return obs
+    return Observable.indicator(_build_set(system, descriptor["set"]))
 
 
 def _rationalize(value):
@@ -195,7 +194,7 @@ def _cmd_avg_sweep(cfg: ExperimentConfig) -> int:
         assert_distinct_linear=bool(spec_doc.get("assert_distinct", False)),
     )
     Ns = [int(x) for x in str(cfg.options["Ns"]).split(",")]
-    method = cfg.options.get("method", "exact")
+    method = cfg.options["method"]
     if method not in ("exact", "mc"):
         raise ValueError("method must be exact or mc")
     if method == "exact" and isinstance(system, SampledSystem):
@@ -204,7 +203,7 @@ def _cmd_avg_sweep(cfg: ExperimentConfig) -> int:
         spec,
         Ns,
         method=method,
-        samples=int(cfg.options.get("samples", 200)),
+        samples=int(cfg.options["samples"]),
         seed=cfg.seed,
     )
     rows = [{"N": r.N, "value": r.value, "method": r.method, "stderr": r.stderr} for r in report.rows]
@@ -254,7 +253,7 @@ def _cmd_syndetic(cfg: ExperimentConfig) -> int:
     with path.open() as fh:
         for row in csv.DictReader(fh):
             values[int(row["N"])] = Fraction(int(row["S_num"]), int(row["S_den"]))
-    eps = cfg.options.get("eps", "auto")
+    eps = cfg.options["eps"]
     rep = recurrence.detect_syndetic(values, "auto" if eps == "auto" else parse_fraction(eps))
     doc = {
         "experiment": "syndetic",
@@ -300,7 +299,9 @@ def _cmd_pattern_search(cfg: ExperimentConfig) -> int:
     s = _parse_set_descriptor(cfg.options["set"], window)
     spec = szemeredi.PatternSpec.parse(cfg.options["spec"])
     n_max = int(cfg.options["Nmax"])
-    eps = cfg.options.get("eps", "auto")
+    if n_max < 1:
+        raise ValueError("--Nmax must be >= 1")
+    eps = cfg.options["eps"]
     counts = {N: szemeredi.pattern_count(s, spec, N).count for N in range(1, n_max + 1)}
     rep = recurrence.detect_syndetic(
         {N: Fraction(c, N) for N, c in counts.items()},
@@ -351,14 +352,13 @@ def _load_chain(cfg: ExperimentConfig) -> MarkovShift:
 
 def _cmd_mixing(cfg: ExperimentConfig) -> int:
     chain = _load_chain(cfg)
-    spec = str(cfg.options.get("alpha", "1..10"))
-    spec = spec.removeprefix("n=")
+    spec = str(cfg.options["alpha"]).removeprefix("n=")
     if ".." in spec:
         lo, hi = spec.split("..")
         ns = range(int(lo), int(hi) + 1)
     else:
         ns = [int(x) for x in spec.split(",")]
-    horizon = int(cfg.options.get("horizon", 0))
+    horizon = int(cfg.options["horizon"])
     table = {n: mixing.alpha_coefficient(chain, n, horizon) for n in ns}
     doc = {
         "experiment": "mixing",
@@ -372,9 +372,10 @@ def _cmd_mixing(cfg: ExperimentConfig) -> int:
 
 def _cmd_mixing_check(cfg: ExperimentConfig) -> int:
     chain = _load_chain(cfg)
-    trials = int(cfg.options.get("trials", 100))
-    k = int(cfg.options.get("k", 3))
-    horizon = int(cfg.options.get("horizon", 1))
+    trials, k, horizon = (int(cfg.options[key]) for key in ("trials", "k", "horizon"))
+    for flag, value, least in (("trials", trials, 1), ("k", k, 2), ("horizon", horizon, 0)):
+        if value < least:
+            raise ValueError(f"--{flag} must be >= {least}, not {value}")
     rng = random.Random(cfg.seed)
     failures = []
     for t in range(trials):
@@ -395,8 +396,8 @@ def _cmd_mixing_check(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_spectral(cfg: ExperimentConfig) -> int:
-    eps = parse_fraction(str(cfg.options.get("eps", "1/10")))
-    kmax = int(cfg.options.get("kmax", 2))
+    eps = parse_fraction(str(cfg.options["eps"]))
+    kmax = int(cfg.options["kmax"])
     c = mixing.spectral_levels(eps, kmax)
     doc = {
         "experiment": "spectral",
@@ -405,7 +406,7 @@ def _cmd_spectral(cfg: ExperimentConfig) -> int:
         "eps_k": list(c.eps_ks),
     }
     if cfg.options.get("verify"):
-        samples = int(cfg.options.get("samples", 1000))
+        samples = int(cfg.options["samples"])
         for k in range(1, kmax + 1):
             rep = mixing.verify_spectral_bound(c, k, samples)
             doc[f"verify_k{k}"] = {
@@ -468,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="observables + exponents (JSON or file)")
     p.add_argument("--Ns", required=True, help="comma-separated N values")
     p.add_argument("--method", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, default=200)
     p.add_argument("--out")
 
     p = sub.add_parser("recurrence", help="multiple-recurrence series S(N)")
@@ -512,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="1/10")
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--out")
 
     p = sub.add_parser("repro-all", help="regenerate every acceptance artifact")

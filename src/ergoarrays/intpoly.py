@@ -48,6 +48,12 @@ class IntPoly2:
         return cls(tuple(sorted(items)))
 
     @classmethod
+    def _of(cls, coeffs: Mapping[Key, int]) -> "IntPoly2":
+        """From integer coefficients at nonnegative keys, as the arithmetic
+        below produces them: zeros dropped and keys sorted, nothing checked."""
+        return cls(tuple(sorted((k, c) for k, c in coeffs.items() if c)))
+
+    @classmethod
     def zero(cls) -> "IntPoly2":
         return cls(())
 
@@ -86,15 +92,13 @@ class IntPoly2:
         for a in range(dn + 1):
             for b in range(dN + 1):
                 c = vals[a][b]
-                if c == 0:
-                    continue
                 if c.denominator != 1:
                     raise ValueError(
                         "polynomial is not integer-valued on integers: basis "
                         f"coefficient at C(n,{a})C(N,{b}) is {c}"
                     )
                 coeffs[(a, b)] = int(c)
-        return cls.from_coeffs(coeffs)
+        return cls._of(coeffs)
 
     @classmethod
     def parse(cls, text: str) -> "IntPoly2":
@@ -156,7 +160,7 @@ class IntPoly2:
                 p = c
             else:
                 return None
-        return p, IntPoly2.from_coeffs(rest)
+        return p, IntPoly2._of(rest)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -164,7 +168,7 @@ class IntPoly2:
         out = self.coeffs
         for k, c in other.terms:
             out[k] = out.get(k, 0) + c
-        return IntPoly2.from_coeffs(out)
+        return IntPoly2._of(out)
 
     def __sub__(self, other: "IntPoly2") -> "IntPoly2":
         return self + (-other)
@@ -186,7 +190,7 @@ class IntPoly2:
                 w = c * binom(h, i - s)
                 if w:
                     out[(s, j)] = out.get((s, j), 0) + w
-        return IntPoly2.from_coeffs(out)
+        return IntPoly2._of(out)
 
     def drop_constant(self) -> "IntPoly2":
         """Subtract the value at the origin, so the result vanishes at (0,0)."""

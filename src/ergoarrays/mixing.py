@@ -278,6 +278,8 @@ def verify_spectral_bound(
     """
     if not 1 <= k < len(construction.Ns):
         raise ValueError("k outside the constructed depth")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, not {samples}")
     Nk = construction.Ns[k]
     n_max = min(Nk, n_cap) if n_cap else Nk
     pts = construction.sample_points(k, samples)

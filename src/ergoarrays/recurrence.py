@@ -166,6 +166,8 @@ def detect_syndetic(
             return SyndeticReport(None, (), None, "not-found", None, n_max)
         eps = peak / 2
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, not {eps}: every N clears a threshold <= 0")
     members = tuple(sorted(N for N, v in values.items() if v >= eps))
     if not members:
         return SyndeticReport(eps, (), None, "not-found", None, n_max)
@@ -210,6 +212,8 @@ def extract_syndetic_from_grid(grid: Sequence[Sequence], eps, M: int) -> GridExt
     column averages >= eps/(M+1)^2, both asserted.
     """
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, not {eps}: every square holds an entry >= {eps}")
     if M < 1:
         raise ValueError("M must be >= 1")
     L = len(grid)

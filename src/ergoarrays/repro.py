@@ -354,4 +354,7 @@ RUNNERS: dict[int, Callable[[], CriterionResult]] = {
 
 def run_all(criteria: Sequence[int] | None = None) -> list[CriterionResult]:
     which = sorted(criteria) if criteria else sorted(RUNNERS)
+    unknown = sorted(set(which) - set(RUNNERS))
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}: the criteria are {min(RUNNERS)}-{max(RUNNERS)}")
     return [RUNNERS[c]() for c in which]

@@ -10,6 +10,7 @@ actually depend on.  Finite subsets are plain frozensets of points.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
@@ -85,21 +86,16 @@ class ArcUnion:
                 lo, hi = max(a1, a2), min(b1, b2)
                 if lo < hi:
                     out.append((lo, hi))
-        return ArcUnion._canonical(out)
+        # pieces of two sorted lists of arcs apart come out sorted and apart
+        return ArcUnion(tuple(out))
 
     def union(self, other: "ArcUnion") -> "ArcUnion":
         return ArcUnion._canonical(list(self.arcs) + list(other.arcs))
 
     def complement(self) -> "ArcUnion":
-        gaps = []
-        prev = Fraction(0)
-        for a, b in self.arcs:
-            if prev < a:
-                gaps.append((prev, a))
-            prev = b
-        if prev < 1:
-            gaps.append((prev, Fraction(1)))
-        return ArcUnion._canonical(gaps)
+        # the nonempty gaps between consecutive ends of arcs apart are sorted and apart
+        ends = (Fraction(0), *itertools.chain.from_iterable(self.arcs), Fraction(1))
+        return ArcUnion(tuple(gap for gap in zip(ends[::2], ends[1::2]) if gap[0] < gap[1]))
 
     def contains_point(self, x: Fraction) -> bool:
         x = frac_mod1(Fraction(x))
@@ -144,25 +140,17 @@ class CylinderUnion:
 
     @classmethod
     def _canonical(cls, coords, rows, alphabet) -> "CylinderUnion":
-        coords = tuple(coords)
-        rows = set(rows)
-        if not rows:
-            return cls((), frozenset(), alphabet)
-        # drop coordinates on which membership does not depend
-        changed = True
-        while changed and coords:
-            changed = False
-            for pos, _c in enumerate(coords):
-                groups: dict[tuple, set[int]] = {}
-                for row in rows:
-                    key = row[:pos] + row[pos + 1 :]
-                    groups.setdefault(key, set()).add(row[pos])
-                if all(len(sym) == alphabet for sym in groups.values()):
-                    coords = coords[:pos] + coords[pos + 1 :]
-                    rows = set(groups)
-                    changed = True
-                    break
-        return cls(tuple(coords), frozenset(rows), alphabet)
+        """Drop every coordinate membership does not depend on, in one pass.
+        Position p is free exactly when each row with p deleted has all
+        `alphabet` extensions, which a count of the deleted rows shows; a
+        set free at several positions separately is free at all of them at
+        once, so they are projected out together (the empty set is free at
+        every position)."""
+        rows = frozenset(rows)
+        keep = [p for p in range(len(coords)) if len({r[:p] + r[p + 1 :] for r in rows}) * alphabet != len(rows)]
+        if len(keep) < len(coords):
+            rows = frozenset(tuple(map(r.__getitem__, keep)) for r in rows)
+        return cls(tuple(map(coords.__getitem__, keep)), rows, alphabet)
 
     def is_empty(self) -> bool:
         return not self.rows
@@ -183,23 +171,16 @@ class CylinderUnion:
 
     def _expand_to(self, coords: tuple) -> frozenset[tuple[int, ...]]:
         """Rows of this set over a superset support (exponential in the gap)."""
-        missing = [c for c in coords if c not in self.coords]
-        n_rows = len(self.rows) * (self.alphabet ** len(missing))
+        n_rows = len(self.rows) * self.alphabet ** (len(coords) - len(self.coords))
         if n_rows > _MAX_ROWS:
-            raise ResourceCapError(
-                f"cylinder expansion of {n_rows} rows exceeds cap {_MAX_ROWS}"
-            )
+            raise ResourceCapError(f"cylinder expansion of {n_rows} rows exceeds cap {_MAX_ROWS}")
         pos = {c: i for i, c in enumerate(self.coords)}
-        out = set()
-        for base in self.rows:
-            rows_acc: list[tuple[int, ...]] = [()]
-            for c in coords:
-                if c in pos:
-                    rows_acc = [r + (base[pos[c]],) for r in rows_acc]
-                else:
-                    rows_acc = [r + (s,) for r in rows_acc for s in range(self.alphabet)]
-            out.update(rows_acc)
-        return frozenset(out)
+        symbols = range(self.alphabet)
+        return frozenset(
+            row
+            for base in self.rows
+            for row in itertools.product(*[(base[pos[c]],) if c in pos else symbols for c in coords])
+        )
 
     def intersect(self, other: "CylinderUnion") -> "CylinderUnion":
         if self.alphabet != other.alphabet:
@@ -248,13 +229,12 @@ class CylinderUnion:
         return CylinderUnion._canonical(coords, rows, self.alphabet)
 
     def complement(self) -> "CylinderUnion":
-        total = self.alphabet ** len(self.coords)
-        if total > _MAX_ROWS:
+        """The missing rows over the same support: a union and its complement
+        depend on the same coordinates, so the result is canonical."""
+        if self.alphabet ** len(self.coords) > _MAX_ROWS:
             raise ResourceCapError("support too wide to complement")
-        all_rows = {()}
-        for _ in self.coords:
-            all_rows = {r + (s,) for r in all_rows for s in range(self.alphabet)}
-        return CylinderUnion._canonical(self.coords, all_rows - self.rows, self.alphabet)
+        rows = frozenset(itertools.product(range(self.alphabet), repeat=len(self.coords))) - self.rows
+        return CylinderUnion(self.coords, rows, self.alphabet)
 
 
 # ---------------------------------------------------------------------------

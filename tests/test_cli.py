@@ -454,3 +454,43 @@ def test_lattice_cylinder_keys_are_vectors(tmp_path, capsys):
         assert run(["--out-dir", str(tmp_path / "bad"), "avg-sweep", "--system", LATTICE, "--spec", spec, "--Ns", "4"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: cylinder ")
+
+
+def _series_csv(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("N,S_num,S_den\n1,0,1\n2,1,8\n3,0,1\n")
+    return str(path)
+
+
+CHAIN = json.dumps({"matrix": [["9/10", "1/10"], ["1/10", "9/10"]]})
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["syndetic", "--in", "{csv}", "--eps", "0"], "eps must be > 0"),
+        (["syndetic", "--in", "{csv}", "--eps", "-1"], "eps must be > 0"),
+        (["spectral", "--verify", "--samples", "0"], "samples must be >= 1"),
+        (["spectral", "--verify", "--samples", "-5"], "samples must be >= 1"),
+        (["mixing-check", "--chain", CHAIN, "--trials", "-2"], "--trials must be >= 1"),
+        (["mixing-check", "--chain", CHAIN, "--k", "0"], "--k must be >= 2"),
+        (["mixing-check", "--chain", CHAIN, "--horizon", "-1"], "--horizon must be >= 0"),
+        (["repro-all", "--criteria", "99"], "unknown criteria [99]: the criteria are 1-11"),
+        (["pattern-search", "--set", "0 mod 2", "--window", "0,100", "--spec", "(0,0),(1,0)", "--Nmax", "0"],
+         "--Nmax must be >= 1"),
+    ],
+    ids=[
+        "syndetic-eps-0", "syndetic-eps-negative", "spectral-samples-0", "spectral-samples-negative",
+        "mixing-check-trials", "mixing-check-k", "mixing-check-horizon", "repro-unknown-criterion",
+        "pattern-search-nmax-0",
+    ],
+)
+def test_degenerate_arguments_name_the_bad_input(tmp_path, capsys, args, message):
+    # a threshold, sample or trial count that makes every check pass is an argument error
+    out = tmp_path / "out"
+    csv_path = _series_csv(tmp_path)
+    args = [csv_path if a == "{csv}" else a for a in args]
+    assert run(["--out-dir", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not out.exists()

@@ -260,6 +260,12 @@ def test_verify_spectral_bound_k1():
     assert rep.n_max == 50
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_spectral_bound_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_spectral_bound(spectral_levels(Fraction(1, 10), 2), 1, samples)
+
+
 def test_verify_spectral_bound_k2_closed_form_matches_enumeration():
     c = spectral_levels(Fraction(1, 10), 2)
     u = c.sample_points(2, 5)[3]

@@ -102,6 +102,15 @@ def test_detect_syndetic_not_found():
     assert report.verdict == "not-found"
 
 
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1)])
+def test_thresholds_at_most_zero_are_rejected(eps):
+    # every N clears eps <= 0, so a certificate would hold on any series
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        detect_syndetic({N: Fraction(0) for N in range(1, 6)}, eps)
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        extract_syndetic_from_grid([[0] * 6 for _ in range(6)], eps, 2)
+
+
 def test_detect_syndetic_counts_edge_gaps():
     # 1 for N <= 3, then 0 up to 500: the window shows a gap of 498 after
     # the last member, which the certificate must report

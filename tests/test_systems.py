@@ -308,7 +308,7 @@ def oracle_intersect(a: CylinderUnion, b: CylinderUnion) -> CylinderUnion:
     if a.is_empty() or b.is_empty():
         return CylinderUnion.empty(a.alphabet)
     coords = tuple(sorted(set(a.coords) | set(b.coords)))
-    return CylinderUnion._canonical(coords, a._expand_to(coords) & b._expand_to(coords), a.alphabet)
+    return oracle_canonical(coords, a._expand_to(coords) & b._expand_to(coords), a.alphabet)
 
 
 def oracle_bernoulli_measure(probs, S: CylinderUnion) -> Fraction:
@@ -478,6 +478,96 @@ def test_intersect_joins_on_shared_coordinates():
     with pytest.raises(ResourceCapError, match="expansion"):
         oracle_intersect(a, b)
     assert bern.measure(a.intersect(b)) == Fraction(2, 19683)
+
+
+# -- canonical forms: one counting pass against the drop-one-and-restart loop --
+
+
+def oracle_canonical(coords, rows, alphabet) -> CylinderUnion:
+    """Regroup the rows by every position in turn, drop the first position
+    at which each group holds all symbols, and start over until none does."""
+    coords, rows = tuple(coords), set(rows)
+    if not rows:
+        return CylinderUnion((), frozenset(), alphabet)
+    changed = True
+    while changed and coords:
+        changed = False
+        for pos in range(len(coords)):
+            groups: dict[tuple, set[int]] = {}
+            for row in rows:
+                groups.setdefault(row[:pos] + row[pos + 1 :], set()).add(row[pos])
+            if all(len(sym) == alphabet for sym in groups.values()):
+                coords, rows, changed = coords[:pos] + coords[pos + 1 :], set(groups), True
+                break
+    return CylinderUnion(coords, frozenset(rows), alphabet)
+
+
+@st.composite
+def planted_rows(draw):
+    """(coords, rows, alphabet): a random row set over some positions,
+    repeated with every symbol at the others, so those are free; sometimes
+    no rows, or every row."""
+    alphabet = draw(st.integers(1, 3))
+    width = draw(st.integers(0, 5))
+    coord = st.integers(-9, 9) if draw(st.booleans()) else st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    coords = tuple(sorted(draw(st.sets(coord, min_size=width, max_size=width))))
+    free = draw(st.sets(st.integers(0, width - 1), max_size=width)) if width else set()
+    core = [p for p in range(width) if p not in free]
+    every = list(itertools.product(range(alphabet), repeat=len(core)))
+    kind = draw(st.sampled_from(["empty", "full", "some", "some", "some"]))
+    picked = [] if kind == "empty" else every if kind == "full" else draw(st.lists(st.sampled_from(every)))
+    rows = set()
+    for base in picked:
+        for extra in itertools.product(range(alphabet), repeat=len(free)):
+            row, fill = dict(zip(core, base)), iter(extra)
+            rows.add(tuple(row[p] if p in row else next(fill) for p in range(width)))
+    return coords, rows, alphabet
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_rows())
+def test_canonical_pass_matches_restart_oracle(case):
+    coords, rows, alphabet = case
+    got = CylinderUnion._canonical(coords, rows, alphabet)
+    assert got == oracle_canonical(coords, rows, alphabet)
+    assert got.complement() == oracle_canonical(
+        got.coords, set(itertools.product(range(alphabet), repeat=len(got.coords))) - got.rows, alphabet
+    )
+
+
+def test_canonical_pass_drops_free_coordinates_together():
+    # {x_0 = x_2} over coords 0..3 ignores 1 and 3 at once; alphabet 1 ignores everything
+    rows = {r for r in itertools.product(range(3), repeat=4) if r[0] == r[2]}
+    assert CylinderUnion._canonical((0, 1, 2, 3), rows, 3) == CylinderUnion((0, 2), frozenset({(0, 0), (1, 1), (2, 2)}), 3)
+    assert CylinderUnion._canonical((5, 7), {(0, 0)}, 1) == CylinderUnion.full(1)
+    assert CylinderUnion._canonical((5, 7), set(), 2) == CylinderUnion.empty(2)
+
+
+# small denominators, so arcs often touch, and ends past 1 or below 0 wrap
+arc_end = st.integers(-12, 24).map(lambda k: Fraction(k, 12))
+arc_unions = st.lists(st.tuples(arc_end, arc_end), max_size=4).map(ArcUnion.from_arcs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(arc_unions, arc_unions)
+def test_arc_intersect_and_complement_are_canonical_and_pointwise_right(a, b):
+    for S in (a, b, a.intersect(b), a.complement(), b.complement()):
+        assert S == ArcUnion._canonical(list(S.arcs))
+    for k in range(48):  # midpoints and ends of every 1/24 step
+        x = Fraction(k, 48)
+        assert a.intersect(b).contains_point(x) == (a.contains_point(x) and b.contains_point(x))
+        assert a.complement().contains_point(x) != a.contains_point(x)
+
+
+def test_arc_complement_and_intersect_at_touching_and_wrapping_arcs():
+    q = Fraction(1, 4)
+    wrap = ArcUnion.from_arcs([(3 * q, 5 * q)])  # [3/4, 1) and [0, 1/4)
+    assert wrap.complement() == ArcUnion(((q, 3 * q),))
+    touching = ArcUnion.from_arcs([(0, q), (q, 2 * q)])
+    assert touching.arcs == ((0, 2 * q),)
+    assert touching.complement() == ArcUnion(((2 * q, Fraction(1)),))
+    assert wrap.intersect(touching) == ArcUnion(((0, q),))
+    assert wrap.intersect(wrap.complement()).is_empty()
 
 
 # -- the Markov block kernel against path enumeration --

@@ -131,6 +131,11 @@ def test_syndetic_pattern_report_evens():
     assert rep.verdict == "syndetic-in-window"
 
 
+def test_syndetic_pattern_report_rejects_zero_threshold():
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        syndetic_pattern_report(IntegerSet.from_residue(0, 2, (0, 100)), SYM, 6, Fraction(0))
+
+
 def test_syndetic_pattern_report_progressions():
     # multiples of 5 against the classical no-N pattern a, a+n, a+2n
     fives = IntegerSet.from_residue(0, 5, (0, 3000))
