@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -62,21 +63,52 @@ class ExperimentConfig:
             format=args.format,
         )
         if args.config:
-            overrides = json.loads(Path(args.config).read_text())
-            known = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
-            unknown = set(overrides) - known
+            overrides = _require(json.loads(Path(args.config).read_text()), dict, "config file")
+            flags = _flags(kind)
+            unknown = set(overrides) - set(flags)
             if unknown:
                 raise ValueError(f"unknown config fields for {kind}: {sorted(unknown)}")
             for k, v in overrides.items():
+                v = _config_value(k, flags[k], v)
                 if k == "seed":
-                    cfg.seed = int(v)
+                    cfg.seed = v
                 elif k == "out-dir":
-                    cfg.out_dir = str(v)
+                    cfg.out_dir = v
                 elif k == "format":
-                    cfg.format = str(v)
+                    cfg.format = v
                 else:
                     cfg.options[k] = v
         return cfg
+
+
+def _flags(kind: str) -> dict[str, argparse.Action]:
+    """Config key -> the argparse action of its flag, global or of the subcommand."""
+    parser = _build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    return {
+        a.dest.replace("_", "-"): a
+        for p in (parser, commands[kind])
+        for a in p._actions
+        if a.dest not in {"help", "command", "config"}
+    }
+
+
+def _config_value(key: str, action: argparse.Action, value):
+    """A config-file value through its flag's own argparse type and choices."""
+    if action.nargs == 0:  # a switch such as --verify
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false, not {json.dumps(value)}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r} must be a JSON string or number, not {json.dumps(value)}")
+    convert = action.type or str
+    try:
+        value = convert(str(value))
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid {convert.__name__} value {str(value)!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r} must be one of {', '.join(action.choices)}, not {value!r}")
+    return value
 
 
 def _load_json_arg(text: str, what: str) -> dict:
@@ -453,7 +485,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="ergoarrays",
         description="exact experiments with nonconventional ergodic averages",

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ergoarrays import szemeredi
-from ergoarrays.cli import main
+from ergoarrays.cli import _build_parser, main
 from ergoarrays.util import fraction_to_json
 
 ROT = '{"kind":"circle-rotation-rational","params":{"angle":"1/2"}}'
@@ -348,6 +348,64 @@ def test_config_file_overrides_flags(tmp_path):
         ]
     )
     assert code == 2
+
+
+SEARCH = ["pattern-search", "--set", "0 mod 2", "--window", "0,100", "--spec", "(0,0),(1,0)", "--Nmax", "3"]
+
+
+@pytest.mark.parametrize(
+    "config, args, message",
+    [
+        ({"kmax": None}, ["spectral"], "config key 'kmax' must be a JSON string or number, not null"),
+        ({"Nmax": None}, SEARCH, "config key 'Nmax' must be a JSON string or number, not null"),
+        ({"Nmax": [3]}, SEARCH, "config key 'Nmax' must be a JSON string or number, not [3]"),
+        ({"Nmax": "three"}, SEARCH, "config key 'Nmax': invalid int value 'three'"),
+        ({"seed": None}, ["spectral"], "config key 'seed' must be a JSON string or number, not null"),
+        ({"format": "xml"}, ["spectral"], "config key 'format' must be one of json, csv, both, not 'xml'"),
+        ({"verify": 1}, ["spectral"], "config key 'verify' must be true or false, not 1"),
+        (["Nmax"], SEARCH, "config file must be a JSON object"),
+    ],
+    ids=["kmax-null", "nmax-null", "nmax-list", "nmax-word", "seed-null", "format-choice", "switch-int", "list-file"],
+)
+def test_config_values_take_their_flags_types(tmp_path, capsys, config, args, message):
+    # each config value passes its flag's argparse type and choices: one line, exit 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["--out-dir", str(out), "--config", str(cfg), *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"Nmax": "4", "seed": 3, "format": "both"}))
+    assert run(["--out-dir", str(tmp_path), "--config", str(cfg), *SEARCH]) == 0
+    doc = json.loads((tmp_path / "pattern_search.json").read_text())
+    assert list(doc["counts"]) == ["1", "2", "3", "4"]
+    assert (tmp_path / "pattern_search.csv").exists()
+    cfg.write_text(json.dumps({"kmax": "1", "verify": True, "samples": 8}))
+    assert run(["--out-dir", str(tmp_path), "--config", str(cfg), "spectral"]) == 0
+    doc = json.loads((tmp_path / "spectral.json").read_text())
+    assert doc["Ns"] == [1, 50] and doc["verify_k1"]["samples"] >= 8
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    # a bad flag exits 2 and leaves the parser fit for the next call
+    assert run(["--out-dir", str(tmp_path), "spectral", "--kmax", "two"]) == 2
+    assert "argument --kmax: invalid int value: 'two'" in capsys.readouterr().err
+    assert run(["--out-dir", str(tmp_path / "a"), "spectral", "--kmax", "1"]) == 0
+    assert json.loads((tmp_path / "a" / "spectral.json").read_text())["Ns"] == [1, 50]
+    # config overrides do not outlive their call: the next call sees the defaults
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmax": 1, "eps": "1/20"}))
+    assert run(["--out-dir", str(tmp_path / "b"), "--config", str(cfg), "spectral"]) == 0
+    assert run(["--out-dir", str(tmp_path / "c"), "spectral"]) == 0
+    with_config = json.loads((tmp_path / "b" / "spectral.json").read_text())
+    defaults = json.loads((tmp_path / "c" / "spectral.json").read_text())
+    assert len(with_config["Ns"]) == 2 and with_config["eps"] == {"num": "1", "den": "20"}
+    assert defaults["Ns"] == [1, 50, 125000] and defaults["eps"] == {"num": "1", "den": "10"}
 
 
 def test_repro_subset(tmp_path):

@@ -10,6 +10,7 @@ from ergoarrays.szemeredi import (
     DensityResult,
     IntegerSet,
     LatticeSet,
+    PatternCount,
     PatternSpec,
     empirical_cylinder_measure,
     lattice_pattern_count,
@@ -82,6 +83,90 @@ def test_pattern_count_reports_scanned_range():
     res = pattern_count(evens, SYM, 10)
     lo, hi = res.scanned_a
     assert lo == 0 and hi <= 100
+
+
+def oracle_pattern_count(s, spec, N, max_witnesses=10):
+    """The per-n shift-and-mask loop pattern_count ran before its scan moved
+    into C-level maps: one window mask per n, bits shifted both ways."""
+    if not spec.pairs:
+        raise ValueError("pattern spec carries no (p, q) pairs")
+    lo, hi, bits = s.lo, s.hi, s.bits
+    width = hi - lo
+    count = 0
+    witnesses = []
+    a_lo_seen, a_hi_seen = None, None
+    any_feasible = False
+    for n in range(N + 1):
+        offsets = [p * n + q * N for p, q in spec.pairs]
+        t_lo = max(0, -min(offsets))
+        t_hi = width - max(0, max(offsets))
+        if t_lo >= t_hi:
+            continue
+        any_feasible = True
+        a_lo_seen = lo + t_lo if a_lo_seen is None else min(a_lo_seen, lo + t_lo)
+        a_hi_seen = lo + t_hi if a_hi_seen is None else max(a_hi_seen, lo + t_hi)
+        mask = (1 << t_hi) - (1 << t_lo)
+        hits = bits
+        for o in offsets:
+            hits &= bits >> o if o >= 0 else bits << -o
+            hits &= mask
+            if not hits:
+                break
+        if hits:
+            count += 1
+            if len(witnesses) < max_witnesses:
+                witnesses.append((n, lo + (hits & -hits).bit_length() - 1))
+    if not any_feasible:
+        raise ValueError(
+            f"no feasible a for any n <= {N}: window [{lo}, {hi}) cannot hold "
+            f"offsets spanning up to {max(abs(p) + abs(q) for p, q in spec.pairs) * N}"
+        )
+    return PatternCount(N, count, tuple(witnesses), (a_lo_seen, a_hi_seen))
+
+
+def _outcome(counter, *args):
+    try:
+        return counter(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def pattern_cases(draw):
+    """Windows 1-64 wide on either side of 0, dense, sparse, empty or full;
+    up to 3 pairs past the anchor, whose offsets often leave the window."""
+    width = draw(st.integers(1, 64))
+    lo = draw(st.integers(-80, 40))
+    bits = draw(st.integers(0, 2**width - 1) | st.sampled_from([0, 2**width - 1]))
+    step = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    pairs = draw(st.lists(st.tuples(step, st.integers(-3, 3)), min_size=0, max_size=3))
+    return IntegerSet(lo, lo + width, bits), PatternSpec(pairs=tuple(pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pattern_cases(), st.integers(0, 30), st.integers(-1, 12))
+def test_pattern_count_matches_loop_oracle(case, N, max_witnesses):
+    s, spec = case
+    expected = _outcome(oracle_pattern_count, s, spec, N, max_witnesses)
+    assert _outcome(pattern_count, s, spec, N, max_witnesses) == expected
+
+
+def test_pattern_count_oracle_examples():
+    # offsets leaving the window on the left (K > 0), and a window too narrow
+    s = IntegerSet.from_members([-7, -5, -4, -2, 0, 1, 3], (-8, 4))
+    spec = PatternSpec.parse("(0,0),(-2,1),(1,-2)")
+    for N in range(12):
+        assert pattern_count(s, spec, N, 3) == oracle_pattern_count(s, spec, N, 3)
+    assert pattern_count(s, spec, 4, 3).witnesses == ((2, 1), (3, -2), (4, 0))
+    assert pattern_count(s, spec, 11).scanned_a == (3, 4)  # one feasible n, one a
+    assert pattern_count(s, spec, 4, -1).witnesses == ()
+    with pytest.raises(ValueError) as got:
+        pattern_count(s, spec, 12)
+    with pytest.raises(ValueError) as want:
+        oracle_pattern_count(s, spec, 12)
+    assert str(got.value) == str(want.value) == (
+        "no feasible a for any n <= 12: window [-8, 4) cannot hold offsets spanning up to 36"
+    )
 
 
 def test_translation_invariance():
