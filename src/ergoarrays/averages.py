@@ -4,11 +4,16 @@ The exact path expands the squared L^2 distance of A_N to a scalar target
 into the mean of the terms x_n and the sum of their pairwise inner products
 <x_n, x_m>, each an exact rational.  Single-transformation arrays and
 commuting families share one distance routine that takes, per term, its
-row of shifts; terms with equal rows, each shift reduced mod the system's
-period q when it has one (T^q = id), form classes with multiplicities h_r.
+row of shifts; terms with equal rows form classes with multiplicities h_r.
 
 The system type picks the kernel, and every kernel works in integers:
 
+* rotations by a rational and finite point systems (``_Grid``): every
+  factor is an integer step function on a cyclic grid of Q cells, rows are
+  keyed mod the period q (T^q = id), and sum_{n,m} <x_n, x_m> = int V^2,
+  sum_n <x_n> = int V for V = sum_n x_n, from one sweep over the changes
+  of V: O(N + classes * c log c) for c changes per term, at most q^ell
+  classes (q^(ell*d) for d-vector shifts), any ell;
 * independent coordinates (Bernoulli shifts and lattices): an observable
   is, over its denominator, an integer combination of 1 and single-row
   cylinders, so a product of factors expands into atoms, coordinate ->
@@ -21,30 +26,25 @@ The system type picks the kernel, and every kernel works in integers:
   O(N*ell*a + overlapping class pairs * a^2 + signatures^2) for a atoms
   per class, where a^2 falls to the agreeing pairs when atoms crowd on
   shared coordinates and are looked up by symbol;
-* other exact systems (rotations, Markov shifts, finite point systems):
-  ``_Engine.inner`` intersects algebra sets, plain indicators into one
-  set, affine factors with integer numerators and equal intersections
-  merged; with ell >= 2 every pair of classes takes one inner product,
-  O(N*ell + classes^2) with at most q^ell classes (q^(ell*d) for d-vector
-  shifts).
+* Markov shifts: ``_Engine.inner`` intersects cylinder sets, plain
+  indicators into one set, affine factors with integer numerators and
+  equal intersections merged; with ell >= 2 every pair of classes takes
+  one inner product, O(N*ell + classes^2).
 
-With one factor (ell = 1, or one commuting generator pair) every pair term
-is a correlation C_f(d) = <T^d f, f>, C_f(d) = C_f(-d), so the pair sum is
-sum_d w_d C_f(d), taken by one ``sweep`` per correlation type.  On
-rotations C_f(d) is a sum of k^2 arc overlaps for k arcs, and the sweep
-integrates (sum_n x_n)^2 by sorting its 2kN arc ends; on independent
-coordinates with scalar shifts C_f(d) = (integral f)^2 once |d| exceeds
-the support diameter of f, and the sweep visits only neighbouring shifts.
-Elsewhere (Markov shifts, finite point systems, vector shifts) linear
-shifts give d = k*step the weight 2(N - k), other shifts are grouped into
-residue classes whose pairs weigh their differences, and ``_Engine.inner``
+Off the grid, with one factor (ell = 1, or one commuting generator pair)
+every pair term is a correlation C_f(d) = <T^d f, f>, C_f(d) = C_f(-d), so
+the pair sum is sum_d w_d C_f(d), taken by one ``sweep`` per correlation
+type.  On independent coordinates with scalar shifts C_f(d) = (integral
+f)^2 once |d| exceeds the support diameter of f, and the sweep visits only
+neighbouring shifts; elsewhere linear shifts give d = k*step the weight
+2(N - k), other shifts pair their distinct values, and ``_Engine.inner``
 runs once per distinct difference.
 
 More than ``_MAX_CLASSES`` = 4096 classes, wherever pairs of classes are
-visited, and an atom expansion whose maps fix more than 2^20 coordinates
-in total raise ResourceCapError.
-The van der Corput tables take C_f(s_{n+h} - s_n) for one factor and group
-the pairs (class(n), class(n+h)) otherwise.
+visited (off the grid), and an atom expansion whose maps fix more than
+2^20 coordinates in total raise ResourceCapError.  The van der Corput
+tables take one grid integral or inner product per distinct pair of rows
+(x_n, x_{n+h}), both moved by one shift so that the first starts at 0.
 
 A seeded Monte Carlo estimator covers the sampled tier and doubles as a
 cross-check of the exact path.
@@ -57,13 +57,13 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import add, neg, sub
+from functools import cache, cached_property
+from operator import add, sub
 from typing import Sequence
 
 from .intpoly import IntPoly2
 from .sets import _MAX_ROWS, ArcUnion, CylinderUnion
-from .systems import CircleRotation, GaussMap, LatticeAction, SampledSystem
+from .systems import CircleRotation, GaussMap, LatticeAction, SampledSystem, _PointSystem
 from .util import ResourceCapError
 
 
@@ -194,24 +194,10 @@ class _Engine:
         self._shift_cache: dict = {}
         self._measure_cache: dict = {}
         self.independent = getattr(system, "independent_coords", False)
-        # ``residue``: a shift mod the period q (T^q and every translation by
-        # q*e_i are the identity, so vectors reduce componentwise), None when
-        # aperiodic; ``key``: one representative of {d, -d} (C_f(d) = C_f(-d))
-        q = system.period
+        self.grid = isinstance(system, (CircleRotation, _PointSystem))  # pair sums take ``_Grid``
         self.diff = (lambda a, b: tuple(map(sub, a, b))) if vector_shifts else sub
-        minus = (lambda d: tuple(-x for x in d)) if vector_shifts else neg
-        mod = None if not q else (lambda v: tuple(x % q for x in v)) if vector_shifts else (lambda s: s % q)
-        self.residue = mod
-        if mod is not None:
-            self.key = lambda d: min(mod(d), mod(minus(d)))
-        else:
-            self.key = (lambda d: max(d, minus(d))) if vector_shifts else abs
-
-    def residue_rows(self, shift_rows) -> list[tuple]:
-        """Each term's row of shifts, every shift mapped by ``residue``, as a
-        hashable key: terms with equal keys are equal functions."""
-        mod = self.residue
-        return [tuple(row if mod is None else map(mod, row)) for row in shift_rows]
+        # one representative of {d, -d} (C_f(d) = C_f(-d))
+        self.key = (lambda d: max(d, tuple(-x for x in d))) if vector_shifts else abs
 
     def shifted(self, S, shift):
         key = (S, shift)
@@ -410,9 +396,9 @@ def _join(maps, agreeing, k: int, counts: Counter) -> None:
 
 class _Correlation:
     """C_f(d) for one observable through ``_Engine.inner``, memoized by
-    difference: the correlation of systems with no closed form (Markov
-    shifts, finite point systems).  ``total`` is sum_d w_d C_f(d) over a map
-    of differences (folded by ``_Engine.key``) to weights, and ``sweep`` the
+    difference: the correlation of Markov shifts, and of vector shifts on
+    independent coordinates.  ``total`` is sum_d w_d C_f(d) over a map of
+    differences (folded by ``_Engine.key``) to weights, and ``sweep`` the
     pair sum over a list of shifts."""
 
     def __init__(self, eng: _Engine, f: Observable, zero):
@@ -425,11 +411,8 @@ class _Correlation:
     def value(self, d):
         out = self._memo.get(d)
         if out is None:
-            out = self._memo[d] = self._uncached(d)
+            out = self._memo[d] = self.eng.inner([self.eng.factor(self.f, d), self.base])
         return out
-
-    def _uncached(self, d):
-        return self.eng.inner([self.eng.factor(self.f, d), self.base])
 
     def total(self, weights) -> Fraction:
         return sum((w * self.value(d) for d, w in weights.items()), _ZERO)
@@ -437,8 +420,8 @@ class _Correlation:
     def sweep(self, shifts) -> Fraction:
         """sum_{t,u} C_f(s_u - s_t) as sum_d w_d C_f(d).  Shifts linear in t
         give d = s_k - s_0 the weight 2(T - k) (T for k = 0); other shifts
-        are grouped into classes by ``_Engine.residue``, and every pair of
-        classes weighs its difference h*h'."""
+        are grouped into classes of equal shifts, and every pair of classes
+        weighs its difference h*h'."""
         eng, terms = self.eng, len(shifts)
         diff = eng.diff
         step = diff(shifts[1], shifts[0]) if terms > 1 else None
@@ -448,80 +431,12 @@ class _Correlation:
                 d = eng.key(diff(s, shifts[0]))
                 weights[d] = weights.get(d, 0) + (2 * (terms - k) if k else terms)
         else:
-            mod = eng.residue
-            classes = list(_classes(shifts if mod is None else map(mod, shifts)).items())
+            classes = list(_classes(shifts).items())
             for i, (r, h) in enumerate(classes):
                 for s, g in classes[i:]:
                     d = eng.key(diff(s, r))
                     weights[d] = weights.get(d, 0) + (2 * h * g if s != r else h * h)
         return self.total(weights)
-
-
-class _RotationCorrelation(_Correlation):
-    """Closed form on a rational rotation by alpha.  Over the common
-    denominator Q of alpha and of every arc endpoint, f = (c + sum_a w_a
-    1_{J_a}) / den with integer weights and J_a = [s_a, s_a + L_a) in units
-    of 1/Q.  T^{-d} J_a starts delta = s_a - s_b - d*alpha*Q (mod Q) past
-    the start of J_b, where it overlaps J_b in min(L_b, delta + L_a) - delta
-    when that is positive, plus min(L_b, delta + L_a - Q) when it wraps
-    through 0 and that is positive; so den^2 * Q * C_f(d) is an integer, a
-    sum of k^2 overlaps for k arcs."""
-
-    def __init__(self, eng: _Engine, f: Observable, zero):
-        super().__init__(eng, f, zero)
-        den, cnum, terms = self.base
-        alpha = eng.system.angle
-        Q = math.lcm(alpha.denominator, *(x.denominator for _, S in terms for arc in S.arcs for x in arc))
-        scaled = lambda x: x.numerator * (Q // x.denominator)
-        self.arcs = [(w, scaled(a), scaled(b) - scaled(a)) for w, S in terms for a, b in S.arcs]
-        self.pairs = [(wa * wb, sa - sb, la, lb) for wa, sa, la in self.arcs for wb, sb, lb in self.arcs]
-        self.Q, self.step, self.scale = Q, scaled(alpha), den * den * Q
-        self.cnum = cnum
-        self.const = cnum * cnum * Q + 2 * cnum * sum(w * length for w, _, length in self.arcs)
-
-    def _uncached(self, d) -> int:
-        Q = self.Q
-        x = d * self.step
-        total = self.const
-        for w, offset, la, lb in self.pairs:
-            delta = (offset - x) % Q
-            overlap = min(lb, delta + la) - delta
-            if overlap > 0:
-                total += w * overlap
-            wrap = delta + la - Q
-            if wrap > 0:
-                total += w * min(lb, wrap)
-        return total
-
-    def total(self, weights) -> Fraction:
-        # the closed form costs less than a memo lookup
-        return Fraction(sum(w * self._uncached(d) for d, w in weights.items()), self.scale)
-
-    def sweep(self, shifts) -> Fraction:
-        """sum_{t,u} <x_t, x_u> = integral of V^2 for the step function
-        V = sum_t x_t: sort the 2k*T arc ends of the shifted arcs and sweep,
-        in integers (V in units of 1/den, lengths in units of 1/Q)."""
-        Q = self.Q
-        start = len(shifts) * self.cnum  # V on [0, first event)
-        events = defaultdict(int)
-        for s in shifts:
-            p = s * self.step
-            for w, a, length in self.arcs:
-                lo = (a - p) % Q
-                hi = lo + length
-                events[lo] += w
-                if hi > Q:  # wraps through 0
-                    start += w
-                    hi -= Q
-                events[hi] -= w
-        total = prev = 0
-        v = start
-        for pos in sorted(events):
-            total += v * v * (pos - prev)
-            v += events[pos]
-            prev = pos
-        total += v * v * (Q - prev)
-        return Fraction(total, self.scale)
 
 
 class _IndependentCorrelation(_Correlation):
@@ -582,46 +497,146 @@ class _IndependentCorrelation(_Correlation):
 
 def _correlation(eng: _Engine, f: Observable, zero) -> _Correlation:
     """The correlation of f for the engine's system type."""
-    if isinstance(eng.system, CircleRotation) and not eng.vector:
-        return _RotationCorrelation(eng, f, zero)
     if eng.independent and all(isinstance(S, CylinderUnion) for _, S in f.terms):
         return _IndependentCorrelation(eng, f, zero)
     return _Correlation(eng, f, zero)
 
 
 # ---------------------------------------------------------------------------
+# step functions on a cyclic grid: rotations and finite point systems
+
+
+class _Grid:
+    """Terms on a rotation by a rational or a finite point system as integer
+    step functions on a cyclic grid of Q cells.
+
+    Over its denominator, a factor T^s f_j is its value where the grid
+    starts plus its changes (cell -> change), those at cell 0 included.  On
+    a rotation by alpha, Q is the common denominator of alpha and every arc
+    end, and T^{-s} moves each arc [a, b) s*alpha*Q cells back; on a point
+    system the cells are the points, and each point i of a shifted set
+    (``_Engine.shifted``) adds its coefficient at cell i and takes it back
+    at i + 1.  A term's product is one sort of its factors' changes.
+    Shifts are keyed mod the period q (T^q = id, and every translation by
+    q*e_i), so equal keys are equal factors."""
+
+    def __init__(self, eng: _Engine, observables):
+        self.eng = eng
+        self.forms = [f.integer_form for f in observables]
+        self.scale = math.prod(den for den, _, _ in self.forms)
+        system, q = eng.system, eng.system.period
+        self.mod = (lambda v: tuple(x % q for x in v)) if eng.vector else q.__rmod__
+        if isinstance(system, CircleRotation):
+            ends = [x for _, _, terms in self.forms for _, S in terms for arc in S.arcs for x in arc]
+            self.Q = Q = math.lcm(q, *(x.denominator for x in ends))
+            cells = lambda x: x.numerator * (Q // x.denominator)
+            self.step = cells(system.angle)
+            self.arcs = [[(w, cells(a), cells(b) - cells(a)) for w, S in terms for a, b in S.arcs] for _, _, terms in self.forms]
+            self.cell = None
+        else:
+            self.cell = {x: i for i, x in enumerate(system.full_set().members)}
+            self.Q = len(self.cell)
+
+    def add(self, j: int, shifts, acc) -> int:
+        """Add the changes of sum_s h * T^s f_j over the pairs (s, h) in
+        ``shifts`` to ``acc`` (a defaultdict(int)) and return its value
+        where the grid starts."""
+        _, cnum, terms = self.forms[j]
+        start, Q = cnum * sum(h for _, h in shifts), self.Q
+        for s, h in shifts:
+            if self.cell is None:  # arcs of cells, moved s*alpha*Q cells back
+                pieces, p = self.arcs[j], s * self.step
+            else:  # the points of the shifted sets, one cell each
+                pieces, p = [(w, self.cell[x], 1) for w, S in terms for x in self.eng.shifted(S, s).members], 0
+            for w, a, length in pieces:
+                w *= h
+                lo = (a - p) % Q
+                hi = lo + length
+                acc[lo] += w
+                if hi > Q:  # wraps through 0
+                    start += w
+                    hi -= Q
+                acc[hi] -= w
+        return start
+
+    def term(self, row, h: int, acc) -> int:
+        """Add h times the changes of prod_j T^{row[j]} f_{j mod ell} to
+        ``acc`` and return h times its value where the grid starts: the
+        product changes wherever a factor does."""
+        vals, moves = [], defaultdict(list)
+        for j, s in enumerate(row):
+            changes = defaultdict(int)
+            vals.append(self.add(j % len(self.forms), ((s, 1),), changes))
+            for c, d in changes.items():
+                moves[c].append((j, d))
+        old = start = math.prod(vals)
+        for c in sorted(moves):
+            for j, d in moves[c]:
+                vals[j] += d
+            new = math.prod(vals)
+            acc[c] += h * (new - old)
+            old = new
+        return h * start
+
+    def sweep(self, v: int, changes) -> tuple[int, int]:
+        """(Q * integral g, Q * integral g^2) for the step function g that
+        starts at v and takes the given changes (cell -> change)."""
+        one = two = prev = 0
+        for pos in sorted(changes):
+            width = pos - prev
+            one += v * width
+            two += v * v * width
+            v += changes[pos]
+            prev = pos
+        width = self.Q - prev
+        return one + v * width, two + v * v * width
+
+    def sums(self, columns) -> tuple[Fraction, Fraction]:
+        """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) = (integral V, integral V^2)
+        for V = sum_t x_t: one sweep over the changes of every class of rows,
+        weighted by its multiplicity."""
+        start, acc = 0, defaultdict(int)
+        if len(self.forms) == 1:  # the term is its factor
+            start = self.add(0, Counter(map(self.mod, columns[0])).items(), acc)
+        else:
+            for row, h in Counter(zip(*(map(self.mod, col) for col in columns))).items():
+                start += self.term(row, h, acc)
+        one, two = self.sweep(start, acc)
+        return Fraction(one, self.Q * self.scale), Fraction(two, self.Q * self.scale**2)
+
+
+# ---------------------------------------------------------------------------
 # pair sums
 
 
-def _distance(eng: _Engine, observables, shift_rows, c: Fraction) -> Fraction:
-    """|| mean_t x_t - c ||^2 over the terms x_t = prod_j T^{shift_rows[t][j]} f_j.
+def _distance(eng: _Engine, observables, columns, c: Fraction) -> Fraction:
+    """|| mean_t x_t - c ||^2 over the terms x_t = prod_j T^{columns[j][t]} f_j.
 
     Single-transformation arrays and commuting families differ only in how a
     term index maps to its row of shifts, so both come through here.
 
-    With one factor every pair term is a correlation, <x_t, x_u> =
-    C_f(s_u - s_t), and the correlation's ``sweep`` (``_correlation``) takes
-    the pair sum.
+    On a rotation or a finite point system ``_Grid.sums`` takes both sums
+    as integrals of V = sum_t x_t.  Elsewhere, with one factor every pair
+    term is a correlation, <x_t, x_u> = C_f(s_u - s_t), and the
+    correlation's ``sweep`` (``_correlation``) takes the pair sum.
 
-    With more factors the terms are grouped into classes by
-    ``_Engine.residue``, class r with multiplicity h_r; an aperiodic system
-    keys each row by itself, so its classes are its distinct rows.  On
-    independent coordinates ``_counted_sums`` takes both sums from the
-    classes' atoms.  Elsewhere the mean sum is sum_r h_r <x_r> and the pair
-    sum is sum_{r,r'} h_r h_r' <x_r, x_r'>, taken over unordered pairs with
-    factor 2 off the diagonal.
+    With more factors the terms are grouped into classes of equal rows,
+    class r with multiplicity h_r.  On independent coordinates
+    ``_counted_sums`` takes both sums from the classes' atoms.  Elsewhere the
+    mean sum is sum_r h_r <x_r> and the pair sum is sum_{r,r'} h_r h_r'
+    <x_r, x_r'>, taken over unordered pairs with factor 2 off the diagonal.
     """
-    terms = len(shift_rows)
-    if len(observables) == 1:
-        shifts = [row[0] for row in shift_rows]
+    terms = len(columns[0])
+    if eng.grid:
+        mean_sum, pair_sum = _Grid(eng, observables).sums(columns)
+    elif len(observables) == 1:
+        (shifts,) = columns
         corr = _correlation(eng, observables[0], eng.diff(shifts[0], shifts[0]))
         return corr.sweep(shifts) / terms**2 - 2 * c * corr.mean + c * c
-
-    mult = _classes(eng.residue_rows(shift_rows))
-    if eng.independent:
-        mean_sum, pair_sum = _counted_sums(eng, observables, mult)
+    elif eng.independent:
+        mean_sum, pair_sum = _counted_sums(eng, observables, _classes(zip(*columns)))
     else:
-        classes = [([eng.factor(f, s) for f, s in zip(observables, k)], h) for k, h in mult.items()]
+        classes = [([eng.factor(f, s) for f, s in zip(observables, k)], h) for k, h in _classes(zip(*columns)).items()]
         mean_sum = pair_sum = _ZERO
         for i, (xr, h) in enumerate(classes):
             mean_sum += h * eng.inner(xr)
@@ -731,10 +746,10 @@ def _convolve(a: dict, b: dict, k: int, counts: Counter) -> None:
             counts[tuple(map(add, x, y))] += k * kx * ky
 
 
-def _shift_rows(spec: ArraySpec, N: int, n_start: int, count: int) -> list[tuple[int, ...]]:
-    """Rows (P_1(n, N), ..., P_ell(n, N)) for n = n_start .. n_start+count-1,
-    each exponent walked along n by its difference table."""
-    return list(zip(*(p.values_along_n(N, n_start, count) for p in spec.exponents)))
+def _shift_columns(spec: ArraySpec, N: int, n_start: int, count: int) -> list[list[int]]:
+    """Per exponent, P_j(n, N) for n = n_start .. n_start+count-1, walked
+    along n by its difference table."""
+    return [list(p.values_along_n(N, n_start, count)) for p in spec.exponents]
 
 
 def array_term_inner(spec: ArraySpec, N: int, n1: int, n2: int) -> Fraction:
@@ -763,7 +778,7 @@ def l2_distance_exact(
     return _distance(
         _Engine(spec.system),
         spec.observables,
-        _shift_rows(spec, N, 1, N),
+        _shift_columns(spec, N, 1, N),
         c,
     )
 
@@ -788,7 +803,7 @@ def commuting_average(
     return _distance(
         _Engine(action.system, vector_shifts=True),
         cspec.observables,
-        [[action.shift_vector(j, n, N) for j in range(1, action.ell + 1)] for n in range(N + 1)],
+        [[action.shift_vector(j, n, N) for n in range(N + 1)] for j in range(1, action.ell + 1)],
         c,
     )
 
@@ -837,38 +852,22 @@ def l2_distance_mc(
     sampled = isinstance(system, SampledSystem)
     if target is None:
         target = spec.product_of_integrals()
-    shifts = _shift_rows(spec, N, 0, N + 1)
+    shifts = list(zip(*_shift_columns(spec, N, 0, N + 1)))
     if not getattr(system, "invertible", True):
         if any(s < 0 for row in shifts[1:] for s in row):
             raise ValueError("negative exponents on a non-invertible system")
+    eng = None if sampled else _Engine(system)
 
-    if sampled:
-        def term_value(x, n):
-            v = Fraction(1)
-            for f, s in zip(spec.observables, shifts[n]):
-                y = system.orbit(x, s)
-                v *= f.eval_at(y, lambda pt, S: system.point_in(pt, S))
-                if v == 0:
-                    return v
-            return v
-    else:
-        eng = _Engine(system)
-        pre = [
-            [tuple((c, eng.shifted(S, s)) for c, S in f.terms) for f, s in zip(spec.observables, row)]
-            for row in shifts
-        ]
-
-        def term_value(x, n):
-            v = Fraction(1)
-            for f, terms in zip(spec.observables, pre[n]):
-                acc = f.constant
-                for c, S in terms:
-                    if system.point_in(x, S):
-                        acc += c
-                v *= acc
-                if v == 0:
-                    return v
-            return v
+    def term_value(x, n):
+        v = Fraction(1)
+        for f, s in zip(spec.observables, shifts[n]):
+            if sampled:  # T^s x in S
+                v *= f.eval_at(system.orbit(x, s), system.point_in)
+            else:  # x in T^{-s} S
+                v *= f.eval_at(x, lambda pt, S: system.point_in(pt, eng.shifted(S, s)))
+            if v == 0:
+                return v
+        return v
 
     vals = []
     for s in range(samples):
@@ -977,26 +976,27 @@ def vdc_correlations(
     if isinstance(spec.system, SampledSystem):
         raise ValueError("sampled-tier system: correlations need the exact tier")
     eng = _Engine(spec.system)
-    shift_rows = _shift_rows(spec, N, 1, N + H)
-    rows = []
-    if spec.ell == 1:  # <x_n, x_{n+h}> = C_f(s_{n+h} - s_n)
-        corr = _correlation(eng, spec.observables[0], 0)
-        shifts = [s for s, in shift_rows]
-        for h in range(1, H + 1):
-            weights = Counter(eng.key(b - a) for a, b in zip(shifts[:N], shifts[h:]))
-            rows.append((h, corr.total(weights) / N))
-    else:
-        keys = eng.residue_rows(shift_rows)
-        x = {k: [eng.factor(f, s) for f, s in zip(spec.observables, k)] for k in keys}
-        inners: dict = {}  # one inner product per distinct (class(n), class(n+h))
-        for h in range(1, H + 1):
-            total = _ZERO
-            for pair, count in Counter(zip(keys[:N], keys[h:])).items():
-                ip = inners.get(pair)
-                if ip is None:
-                    ip = inners[pair] = eng.inner(x[pair[0]] + x[pair[1]])
-                total += ip if count == 1 else count * ip  # aperiodic pairs: skip the Fraction product
-            rows.append((h, total / N))
+    columns = _shift_columns(spec, N, 1, N + H)
+    if eng.grid:  # integers over Q * scale^2
+        grid = _Grid(eng, spec.observables)
+        mod, unit = grid.mod, grid.Q * grid.scale**2
+        inner = lambda row: grid.sweep(grid.term(row, 1, acc := defaultdict(int)), acc)[0]
+    else:  # int: no reduction
+        mod, unit = int, 1
+        factor = cache(lambda j, s: eng.factor(spec.observables[j % spec.ell], s))
+        inner = lambda row: eng.inner([factor(j, s) for j, s in enumerate(row)])
+    # <x_n, x_{n+h}> integrates the product over the joined rows of shifts,
+    # which T^{-s_1(n)} moves to start at 0: one integral per distinct key
+    rows, inners = [], {}
+    for h in range(1, H + 1):
+        total = 0
+        pairs = Counter(zip(*(map(mod, map(sub, col[k : k + N], columns[0])) for k in (0, h) for col in columns)))
+        for key, count in pairs.items():
+            ip = inners.get(key)
+            if ip is None:
+                ip = inners[key] = inner(key)
+            total += ip if count == 1 else count * ip  # aperiodic keys: skip the product
+        rows.append((h, Fraction(total, unit * N)))
     drop = math.ceil(H * trim_fraction)
     kept = sorted((abs(v), v) for _, v in rows)[: max(H - drop, 1)]
     dlim = sum((v for _, v in kept), Fraction(0)) / len(kept)

@@ -302,6 +302,15 @@ def _cmd_syndetic(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _parse_window(text: str, name: str) -> tuple[int, int]:
+    """A window "lo,hi"; ``name`` says where it was given."""
+    try:
+        lo, hi = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(f"{name} must be lo,hi with two integers, got {text!r}") from None
+    return lo, hi
+
+
 def _parse_set_descriptor(text: str, window) -> szemeredi.IntegerSet:
     text = text.strip()
     if text.endswith(".txt") or os.path.exists(text):
@@ -312,9 +321,8 @@ def _parse_set_descriptor(text: str, window) -> szemeredi.IntegerSet:
             raise ValueError("residue sets need an explicit --window lo,hi")
         return szemeredi.IntegerSet.from_residue(int(parts[0]), int(parts[2]), window)
     if parts and parts[0] == "random":
-        if len(parts) == 4:  # inline window: random <density> <seed> lo,hi
-            lo, hi = parts[3].split(",")
-            window = (int(lo), int(hi))
+        if len(parts) == 4:
+            window = _parse_window(parts[3], "the window of 'random <density> <seed> lo,hi'")
         if window is None:
             raise ValueError("random sets need a window (inline or --window lo,hi)")
         return szemeredi.IntegerSet.from_random(float(parts[1]), int(parts[2]), window)
@@ -324,10 +332,7 @@ def _parse_set_descriptor(text: str, window) -> szemeredi.IntegerSet:
 
 
 def _cmd_pattern_search(cfg: ExperimentConfig) -> int:
-    window = None
-    if "window" in cfg.options:
-        lo, hi = str(cfg.options["window"]).split(",")
-        window = (int(lo), int(hi))
+    window = _parse_window(str(cfg.options["window"]), "--window") if "window" in cfg.options else None
     s = _parse_set_descriptor(cfg.options["set"], window)
     spec = szemeredi.PatternSpec.parse(cfg.options["spec"])
     n_max = int(cfg.options["Nmax"])

@@ -11,6 +11,7 @@ one chain of C-level shifts and ANDs per N.  A CLI pattern search over a
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, permutations, product, repeat
@@ -153,6 +154,9 @@ class LatticeSet:
         return p in self.members
 
 
+_PAIR = r"\((-?\d+),(-?\d+)\)"  # one "(p,q)" of a pattern spec
+
+
 @dataclass(frozen=True)
 class PatternSpec:
     """Translation pattern a + p_j n + q_j N (or a + n z_j + N zhat_j in Z^d)."""
@@ -180,13 +184,9 @@ class PatternSpec:
     def parse(cls, text: str) -> "PatternSpec":
         """Parse "(0,0),(1,0),(-1,1)" into integer pairs."""
         body = text.replace(" ", "")
-        if not body:
-            raise ValueError("empty pattern spec")
-        pairs = []
-        for chunk in body.strip("()").split("),("):
-            p, q = chunk.split(",")
-            pairs.append((int(p), int(q)))
-        return cls(pairs=tuple(pairs))
+        if not re.fullmatch(rf"{_PAIR}(,{_PAIR})*", body):
+            raise ValueError(f"pattern spec must be pairs (p,q),(p,q),... of integers, got {text!r}")
+        return cls(pairs=tuple((int(p), int(q)) for p, q in re.findall(_PAIR, body)))
 
 
 @dataclass(frozen=True)

@@ -536,11 +536,19 @@ CHAIN = json.dumps({"matrix": [["9/10", "1/10"], ["1/10", "9/10"]]})
         (["repro-all", "--criteria", "99"], "unknown criteria [99]: the criteria are 1-11"),
         (["pattern-search", "--set", "0 mod 2", "--window", "0,100", "--spec", "(0,0),(1,0)", "--Nmax", "0"],
          "--Nmax must be >= 1"),
+        # a window or pattern spec of the wrong form names the input and the form it needs
+        ([*SEARCH[:3], "--window", "5", *SEARCH[5:]], "--window must be lo,hi"),
+        ([*SEARCH[:3], "--window", "a,b", *SEARCH[5:]], "--window must be lo,hi"),
+        (["pattern-search", "--set", "random 0.5 7 5", *SEARCH[5:]], "'random <density> <seed> lo,hi' must be lo,hi"),
+        (["pattern-search", "--set", "random 0.5 7 a,b", *SEARCH[5:]], "'random <density> <seed> lo,hi' must be lo,hi"),
+        ([*SEARCH[:6], "(0,0),(1,0", *SEARCH[7:]], "pattern spec must be pairs (p,q)"),
+        ([*SEARCH[:6], "((0,0),(1,0))", *SEARCH[7:]], "pattern spec must be pairs (p,q)"),
     ],
     ids=[
         "syndetic-eps-0", "syndetic-eps-negative", "spectral-samples-0", "spectral-samples-negative",
         "mixing-check-trials", "mixing-check-k", "mixing-check-horizon", "repro-unknown-criterion",
-        "pattern-search-nmax-0",
+        "pattern-search-nmax-0", "window-one-value", "window-not-integers", "inline-window-one-value",
+        "inline-window-not-integers", "spec-unclosed", "spec-double-parentheses",
     ],
 )
 def test_degenerate_arguments_name_the_bad_input(tmp_path, capsys, args, message):

@@ -204,8 +204,9 @@ def test_pattern_spec_validation():
     with pytest.raises(ValueError, match="nonzero"):
         PatternSpec(pairs=((0, 0), (0, 3)))
     assert PatternSpec.parse("(1,0),(-1,1)").pairs[0] == (0, 0)
-    with pytest.raises(ValueError):
-        PatternSpec.parse("")
+    for text in ("", "(0,0),(1,0", "((0,0),(1,0))"):  # empty, unclosed, doubled parentheses
+        with pytest.raises(ValueError, match="pattern spec"):
+            PatternSpec.parse(text)
 
 
 def test_syndetic_pattern_report_evens():
