@@ -18,13 +18,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterator, Mapping, Sequence
 
-from .util import binom
+from .util import ResourceCapError, binom
 
 Key = tuple[int, int]  # (degree in n, degree in N) of a binomial basis term
 
 _MONO = dict[Key, Fraction]
+
+_MAX_DEGREE = 32  # the parser expands no product of higher total degree in n and N
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,10 @@ class IntPoly2:
 
     def is_constant(self) -> bool:
         return all(k == (0, 0) for k, _ in self.terms)
+
+    def varying_terms(self) -> tuple[tuple[Key, int], ...]:
+        """The terms but the constant: p - q is constant iff these agree."""
+        return self.terms[1:] if self.terms and self.terms[0][0] == (0, 0) else self.terms
 
     def constant_value(self) -> int:
         """Value at (0, 0)."""
@@ -315,6 +322,9 @@ def _node_to_mono(node: ast.AST) -> _MONO:
             if not (isinstance(exp, ast.Constant) and isinstance(exp.value, int) and exp.value >= 0):
                 raise ValueError("exponents must be literal nonnegative integers")
             base = _node_to_mono(node.left)
+            if set(base) <= {(0, 0)}:  # a constant, raised in one step
+                c = base.get((0, 0), Fraction(0)) ** exp.value
+                return {(0, 0): c} if c else {}
             out: _MONO = {(0, 0): Fraction(1)}
             for _ in range(exp.value):
                 out = _mono_mul(out, base)
@@ -331,6 +341,8 @@ def _mono_add(a: _MONO, b: _MONO) -> _MONO:
 
 
 def _mono_mul(a: _MONO, b: _MONO) -> _MONO:
+    if max(u + v for u, v in (*a, (0, 0))) + max(u + v for u, v in (*b, (0, 0))) > _MAX_DEGREE:
+        raise ResourceCapError(f"polynomial of total degree over {_MAX_DEGREE} in n and N")
     out: _MONO = {}
     for (u1, v1), c1 in a.items():
         for (u2, v2), c2 in b.items():
@@ -347,11 +359,7 @@ def essentially_distinct(ps: Sequence[IntPoly2]) -> bool:
     """True iff every pairwise difference is a nonconstant polynomial."""
     if len(ps) < 2:
         raise ValueError("need at least two polynomials")
-    for a in range(len(ps)):
-        for b in range(a + 1, len(ps)):
-            if (ps[a] - ps[b]).is_constant():
-                return False
-    return True
+    return len({p.varying_terms() for p in ps}) == len(ps)
 
 
 @dataclass(frozen=True)
@@ -391,14 +399,14 @@ def shifted_distinctness_report(ps: Sequence[IntPoly2], h: int) -> ShiftReport:
         fam_a, ia, pa = family[a]
         for b in range(a + 1, len(family)):
             fam_b, ib, pb = family[b]
-            diff = pb - pa
-            if not diff.is_constant():
+            if pb.varying_terms() != pa.varying_terms():
                 continue
+            diff = pb.constant_value() - pa.constant_value()
             linear = ps[ia].linear_n_form()
             if fam_a == "base" and fam_b == "shift" and ia == ib and linear is not None:
-                expected.append((ia, diff.constant_value()))
+                expected.append((ia, diff))
             else:
-                violations.append(((fam_a, ia), (fam_b, ib), diff.constant_value()))
+                violations.append(((fam_a, ia), (fam_b, ib), diff))
     return ShiftReport(h, tuple(expected), tuple(violations))
 
 
@@ -421,15 +429,52 @@ class SmallValueCount:
 
 
 def count_small_values(p: IntPoly2, K: int, N: int) -> SmallValueCount:
+    """Count the n in [1, N] with |P(n, N)| <= K in O(d^2 log N) exact
+    integer evaluations, d the degree of n -> P(n, N) at this N.
+
+    At this N, P = sum_i a_i C(n, i) with a_i = sum_j c_ij C(N, j), so d is
+    the last i with a_i != 0 and the k-th forward difference is D^k =
+    sum_i a_(k+i) C(n, i).  Where D^k keeps one sign D^(k-1) is monotone, so
+    from the constant D^d down each monotone run of D^k splits where its sign
+    changes (one binary search) and runs of one direction merge.  P ends in at
+    most d monotone runs, and two binary searches on each bound |P| <= K.
+    """
     if K < 0:
         raise ValueError("K must be >= 0")
     if N < 1:
         raise ValueError("N must be >= 1")
-    count = sum(1 for v in p.values_along_n(N, 1, N) if abs(v) <= K)
-    # the k-th forward difference of P(0..deg_n, N) is the C(n, k) coefficient
-    # at this N, which can vanish (n*C(N, 3) at N = 2)
-    diffs, d = list(p.values_along_n(N, 0, p.deg_n + 1)), 0
-    for k in range(1, len(diffs)):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        d = k if diffs[0] else d
+    a = [0] * (p.deg_n + 1)
+    for (i, j), c in p.terms:
+        a[i] += c * binom(N, j)
+    d = max((i for i, c in enumerate(a) if c), default=0)
+    # m! D^k = e_0 + n(e_1 + (n - 1)(e_2 + ...)) for m = d - k, with integers e_i = a_(k+i) m!/i!
+    e = [[a[k + i] * factorial(d - k) // factorial(i) for i in range(d - k + 1)] for k in range(d + 1)]
+
+    def diff(k: int, n: int) -> int:  # (d - k)! D^k P(n, N)
+        v = 0
+        for i in range(d - k, -1, -1):
+            v = e[k][i] + (n - i) * v
+        return v
+
+    def first(lo: int, hi: int, pred) -> int:  # least n in [lo, hi] with pred, else hi + 1
+        if (at_lo := pred(lo)) or not pred(hi):
+            return lo if at_lo else hi + 1
+        while hi - lo > 1:  # pred(lo) is false, pred(hi) true
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+        return hi
+
+    # (start, nondecreasing) of each monotone run of D^(d-1), of P if d = 0, and an end mark
+    runs = [(1, a[d] >= 0), (N + 1, None)]
+    for k in range(d - 1, 0, -1):
+        split = []
+        for (lo, up), (end, _) in zip(runs, runs[1:]):
+            s = first(lo, end - 1, lambda n: (diff(k, n) >= 0) == up)
+            split += [(lo, not up)] * (lo < s) + [(s, up)] * (s < end)
+        runs = [r for i, r in enumerate(split) if not i or r[1] != split[i - 1][1]] + [(N + 1, None)]
+    count, bar = 0, K * factorial(d)  # diff(0, n) is d! P(n, N)
+    for (lo, up), (end, _) in zip(runs, runs[1:]):
+        sign = 1 if up else -1
+        past = lambda b: first(lo, end - 1, lambda n: sign * diff(0, n) > b)  # sign * P rises on the run
+        count += past(bar) - past(-bar - 1)
     return SmallValueCount(count, (2 * K + 1) * d if d else None)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -560,3 +564,14 @@ def test_degenerate_arguments_name_the_bad_input(tmp_path, capsys, args, message
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def test_polynomial_past_degree_cap_exits_3_quickly(tmp_path):
+    # the parser refuses the product before expanding it: one line, exit 3
+    spec = json.dumps({"observables": [{"set": {"cylinder": {"0": 0}}}], "exponents": ["(n+N)**500"]})
+    args = ["avg-sweep", "--system", BERN, "--spec", spec, "--Ns", "4"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ergoarrays.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and "total degree" in proc.stderr

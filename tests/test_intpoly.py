@@ -13,6 +13,7 @@ from ergoarrays.intpoly import (
     minimal_distinct_shift,
     shifted_distinctness_report,
 )
+from ergoarrays.util import ResourceCapError
 
 n_sym, N_sym = sympy.symbols("n N")
 
@@ -47,6 +48,18 @@ def test_parser_rejects_non_integer_valued():
     # integer-valued despite rational coefficients
     IntPoly2.parse("n*(n-1)*(n-2)/6")
     IntPoly2.parse("(n + N)*(n + N - 1)/2")
+
+
+def test_parser_degree_cap():
+    # products past the total-degree cap are refused before they are expanded
+    for text in ("(n+N)**33", "(n+N)**500", "n**20 * N**13", "(n*N)**17"):
+        with pytest.raises(ResourceCapError, match="total degree"):
+            IntPoly2.parse(text)
+    assert IntPoly2.parse("n**16 * N**16") == IntPoly2.from_monomials({(16, 16): 1})
+    # constant factors carry no degree, and a constant's power is one step
+    assert IntPoly2.parse("n*2**40") == IntPoly2.from_coeffs({(1, 0): 2**40})
+    assert IntPoly2.parse("2**100000 - 1") == IntPoly2.const(2**100000 - 1)
+    assert IntPoly2.parse("0**0 + 0**3*n + (-3)**3") == IntPoly2.const(-26)
 
 
 def test_parser_rejects_junk():
@@ -91,6 +104,20 @@ def test_eval_integrality_bulk():
 @given(polys, st.integers(-10, 10), st.integers(-20, 20), st.integers(-20, 20))
 def test_shift_n_matches_direct_eval(p, h, n, N):
     assert p.shift_n(h).eval(n, N) == p.eval(n + h, N)
+
+
+@given(polys, polys, st.integers(1, 6), st.integers(-5, 5))
+def test_constant_difference_by_terms(pa, pb, h, c):
+    # q - p is constant iff their non-constant terms agree, and then it is
+    # the difference of their constants
+    for q in (pb, pa + IntPoly2.const(c), pa.shift_n(h), pb.shift_n(h)):
+        diff = q - pa
+        assert (q.varying_terms() == pa.varying_terms()) == diff.is_constant()
+        if diff.is_constant():
+            assert q.constant_value() - pa.constant_value() == diff.constant_value()
+    family = [pa, pb, pa.shift_n(h), pb + IntPoly2.const(c)]
+    by_subtraction = all(not (q - p).is_constant() for i, p in enumerate(family) for q in family[i + 1 :])
+    assert essentially_distinct(family) == by_subtraction
 
 
 def test_essentially_distinct_examples():
@@ -149,6 +176,54 @@ def test_shift_report_preconditions():
         shifted_distinctness_report([IntPoly2.parse("n")], 0)
 
 
+def _scan_count(p: IntPoly2, K: int, N: int) -> SmallValueCount:
+    """count_small_values by a scan over every n in [1, N], its oracle."""
+    count = sum(1 for v in p.values_along_n(N, 1, N) if abs(v) <= K)
+    # the k-th forward difference of P(0..deg_n, N) is the C(n, k) coefficient
+    # at this N, which can vanish (n*C(N, 3) at N = 2)
+    diffs, d = list(p.values_along_n(N, 0, p.deg_n + 1)), 0
+    for k in range(1, len(diffs)):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        d = k if diffs[0] else d
+    return SmallValueCount(count, (2 * K + 1) * d if d else None)
+
+
+@st.composite
+def small_value_cases(draw):
+    """(P, K, N): random polynomials, or ones built from integer roots in
+    [-20, N + 20], so turning points and zeros fall inside the window; a
+    C(N, N + 1) term gives an n-degree that vanishes at this N."""
+    N = draw(st.one_of(st.integers(1, 4), st.integers(1, 600)))
+    if draw(st.booleans()):
+        p = draw(polys)
+    else:
+        roots = draw(st.lists(st.integers(-20, N + 20), min_size=1, max_size=4))
+        scale = draw(st.sampled_from([1, -1, 2, -3]))
+        p = IntPoly2.parse(f"{scale}*" + "*".join(f"(n - ({r}))" for r in roots))
+        p += IntPoly2.const(draw(st.integers(-3, 3)))
+        if draw(st.booleans()):
+            p += IntPoly2.from_coeffs({(len(roots) + 1, N + 1): draw(st.sampled_from([1, -2]))})
+    top = max(abs(v) for v in p.values_along_n(N, 1, N))
+    K = draw(st.sampled_from([0, 1, draw(st.integers(2, 30)), top + draw(st.integers(0, 3))]))
+    return p, K, N
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_value_cases())
+def test_count_small_values_matches_scan(case):
+    p, K, N = case
+    assert count_small_values(p, K, N) == _scan_count(p, K, N)
+
+
+def test_count_small_values_at_scale():
+    # exact answers at N = 10^18, far past any scan
+    N = 10**18
+    assert count_small_values(IntPoly2.parse("(n - 10**17)**2"), 100, N) == SmallValueCount(21, 402)
+    p = IntPoly2.parse("(n - 5)*(n - 10**9)*(n - 10**15)")
+    assert count_small_values(p, 0, N) == SmallValueCount(3, 3)
+    assert count_small_values(IntPoly2.parse("n*N - N**2"), 0, N) == SmallValueCount(1, 1)
+
+
 def _oracle_count(p: IntPoly2, K: int, N: int) -> int:
     expr = to_sympy(p)
     return sum(1 for n in range(1, N + 1) if abs(expr.subs({n_sym: n, N_sym: N})) <= K)
@@ -195,10 +270,11 @@ def test_small_value_ratio_vanishes():
     big = count_small_values(p, K, 10**5)
     assert Fraction(big.count, 10**5) < Fraction(1, 1000)
     # and is non-increasing past the largest small-value root
-    counts = [count_small_values(p, K, N).count for N in (20, 100, 1000)]
-    assert counts[0] == counts[1] == counts[2]
-    ratios = [Fraction(c, N) for c, N in zip(counts, (20, 100, 1000))]
-    assert ratios[0] >= ratios[1] >= ratios[2]
+    Ns = (20, 100, 1000, 10**12)
+    counts = [count_small_values(p, K, N).count for N in Ns]
+    assert counts == [12] * len(Ns)
+    ratios = [Fraction(c, N) for c, N in zip(counts, Ns)]
+    assert ratios == sorted(ratios, reverse=True)
 
 
 @given(polys, polys)
