@@ -527,11 +527,9 @@ class _Grid:
         system, q = eng.system, eng.system.period
         self.mod = (lambda v: tuple(x % q for x in v)) if eng.vector else q.__rmod__
         if isinstance(system, CircleRotation):
-            ends = [x for _, _, terms in self.forms for _, S in terms for arc in S.arcs for x in arc]
-            self.Q = Q = math.lcm(q, *(x.denominator for x in ends))
-            cells = lambda x: x.numerator * (Q // x.denominator)
-            self.step = cells(system.angle)
-            self.arcs = [[(w, cells(a), cells(b) - cells(a)) for w, S in terms for a, b in S.arcs] for _, _, terms in self.forms]
+            self.Q, self.step, arcs = system.cells([S for _, _, terms in self.forms for _, S in terms])
+            arcs = iter(arcs)
+            self.arcs = [[(w, a, b - a) for w, _ in terms for a, b in next(arcs)] for _, _, terms in self.forms]
             self.cell = None
         else:
             self.cell = {x: i for i, x in enumerate(system.full_set().members)}

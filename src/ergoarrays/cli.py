@@ -281,10 +281,20 @@ def _cmd_recurrence(cfg: ExperimentConfig) -> int:
 
 def _cmd_syndetic(cfg: ExperimentConfig) -> int:
     path = Path(cfg.options["in"])
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    bad = lambda line: ValueError(f"{path}, line {line}: a series CSV is N,S_num,S_den with integer cells and S_den > 0")
+    if rows[:1] != [["N", "S_num", "S_den"]]:
+        raise bad(1)
     values = {}
-    with path.open() as fh:
-        for row in csv.DictReader(fh):
-            values[int(row["N"])] = Fraction(int(row["S_num"]), int(row["S_den"]))
+    for line, row in enumerate(rows[1:], 2):
+        try:
+            N, num, den = map(int, row)
+        except ValueError:
+            raise bad(line) from None
+        if den <= 0:
+            raise bad(line)
+        values[N] = Fraction(num, den)
     eps = cfg.options["eps"]
     rep = recurrence.detect_syndetic(values, "auto" if eps == "auto" else parse_fraction(eps))
     doc = {

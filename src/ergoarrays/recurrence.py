@@ -1,22 +1,37 @@
 """Multiple-recurrence series S(N) and syndetic-set certificates.
 
 S(N) = (1/N) sum_{n=1}^N mu( intersection_{j=0}^l T^{-(p_j n + q_j N)} A )
-with (p_0, q_0) = (0, 0), computed exactly on the exact tier: O(q^2) terms
-plus O(N_max) additions when ``system.period`` is q, O(N_max^2) terms on
-aperiodic systems.  Syndeticity is certified only inside the computed window
-[1, N_max]; reports always say so.  The grid-extraction routine turns a
-two-parameter family of nonnegative values whose every M-square contains a
-large entry into a sequence N_j of column indices with bounded gaps and a
-lower bound on the column averages.
+with (p_0, q_0) = (0, 0), computed exactly on the exact tier: every term is
+an integer over one denominator per series, and each N takes one Fraction.
+With ``system.period`` q a term depends only on (n mod q, N mod q): O(q^2)
+terms plus O(N_max) additions; aperiodic systems pay O(N_max^2) terms.  The
+system type picks the term kernel, which moves A once per shift (reduced
+mod q, or mod each modulus for vectors on a product of cyclic rotations):
+rational rotations intersect integer cell intervals (``CircleRotation.cells``),
+O(ell*k^2) integer steps for k arcs; finite point systems AND int bitmasks
+and count bits; on Bernoulli shifts the sorted shifts {0, s_1, .., s_ell}
+split into clusters where neighbours lie more than A's support diameter
+apart, whose memoized (numerator, coordinate count) pairs multiply by
+independence and translation invariance, O(ell log ell); Markov shifts and
+Bernoulli lattices intersect and measure cylinder unions, a Fraction a term.
+Syndeticity is certified only inside the computed window [1, N_max];
+reports always say so.  The grid-extraction routine turns a two-parameter
+family of nonnegative values whose every M-square contains a large entry
+into a sequence N_j of column indices with bounded gaps and a lower bound
+on the column averages.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import accumulate
+from operator import and_, mod
 from typing import Mapping, Sequence
 
-from .systems import LatticeAction, SampledSystem
+from .systems import BernoulliLattice, CircleRotation, ExactSystem, LatticeAction, _PointSystem
 from .util import box_sums
 
 
@@ -29,6 +44,15 @@ def normalize_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], 
     if any(p == 0 for p, _ in pairs[1:]):
         raise ValueError("p_j must be nonzero for j >= 1")
     return pairs
+
+
+def _check_exact(system, A) -> None:
+    """A series needs an exact-tier system and a set of its algebra."""
+    if not isinstance(system, ExactSystem):
+        raise ValueError("recurrence series need an exact-tier system")
+    full = system.full_set()
+    if type(A) is not type(full) or full.intersect(A) != A:
+        raise ValueError(f"A must be a {type(full).__name__} inside the space of {type(system).__name__}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +68,7 @@ class RecurrenceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", normalize_pairs(self.pairs))
-        if isinstance(self.system, SampledSystem):
-            raise ValueError("recurrence series need an exact-tier system")
+        _check_exact(self.system, self.A)
 
 
 @dataclass(frozen=True)
@@ -54,6 +77,9 @@ class CommutingRecurrenceSpec:
 
     action: LatticeAction
     A: object
+
+    def __post_init__(self):
+        _check_exact(self.action.system, self.A)
 
 
 @dataclass(frozen=True)
@@ -70,38 +96,73 @@ class RecurrenceSeries:
         return self.values[-1][0]
 
 
-def _series(A, preimage, measure, shift_fns, n_max: int, label: str, period: int | None) -> RecurrenceSeries:
-    """Exact S(N) = (1/N) sum_n measure(A & preimage(A, s(n, N)) & ...) over
-    the shift functions s, for N = 1..n_max; preimages are memoized per shift.
+def _kernel(system, A, preimage, ell: int):
+    """(den, term) for the system's type, as the module docstring lists them:
+    term(shifts) = den * mu(A & preimage(A, s_1) & ...), an integer (a
+    Fraction, with den 1, on the set-algebra loop)."""
+    if isinstance(system, CircleRotation):
+        Q, step, (arcs,) = system.cells([A])
+
+        # T^{-s}A is A moved t = -s*step mod Q cells on; A's arcs lie in [0, Q],
+        # so they meet its copies at t and t - Q, and no piece need be split at Q
+        back = cache(lambda s: [(lo + t, hi + t) for t in ((-s * step) % Q, (-s * step) % Q - Q) for lo, hi in arcs])
+
+        def term(shifts):  # pieces of two sets of disjoint intervals are disjoint
+            X = arcs
+            for Y in map(back, shifts):
+                X = [(lo, hi) for a, b in X for c, d in Y if (lo := a if a > c else c) < (hi := b if b < d else d)]
+            return sum(hi - lo for lo, hi in X)
+
+        return Q, term
+    if isinstance(system, _PointSystem):
+        points = list(system.full_set().members)[::-1]  # bit i for the i-th point, as in averages._Grid
+        mask = lambda S: int("".join("01"[x in S.members] for x in points), 2)
+        a, back = mask(A), cache(lambda s: mask(preimage(A, s)))
+        return len(points), lambda shifts: reduce(and_, map(back, shifts), a).bit_count()
+    if system.independent_coords and not isinstance(system, BernoulliLattice):  # scalar coordinates
+        nums, den, k = system._nums, system._den, len(A.coords)
+        diam = A.coords[-1] - A.coords[0] if k else 0
+
+        @cache
+        def cluster(offsets):  # (numerator, coordinate count) of A & T^{-o}A & ... over den^count
+            inter = reduce(type(A).intersect, (preimage(A, o) for o in offsets), A)
+            return sum(math.prod(map(nums.__getitem__, row)) for row in inter.rows), len(inter.coords)
+
+        def term(shifts):  # clusters more than diam apart touch disjoint coordinates
+            us = sorted({0, *shifts})
+            out, count, first = 1, 0, 0
+            for i in range(1, len(us) + 1):
+                if i == len(us) or us[i] - us[i - 1] > diam:
+                    num, c = cluster(tuple(u - us[first] for u in us[first + 1 : i]))
+                    out, count, first = out * num, count + c, i
+            return out * den ** ((ell + 1) * k - count)
+
+        return den ** ((ell + 1) * k), term
+    back = cache(lambda s: preimage(A, s))
+    return 1, lambda shifts: system.measure(reduce(type(A).intersect, map(back, shifts), A))
+
+
+def _series(system, A, preimage, shift_fns, n_max: int, label: str, vector: bool = False) -> RecurrenceSeries:
+    """Exact S(N) = (1/N) sum_n mu(A & preimage(A, s(n, N)) & ...) over the
+    shift functions s, for N = 1..n_max, summed over the kernel's denominator.
     With a period q a term depends only on (n mod q, N mod q), so for N > q
     the sum at N is the sum at N - q plus the row of terms n = 1..q at N mod q,
     cached per residue; without one q = n_max + 1 and every term is summed."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    period = system.period
+    if period:  # shifts reduced mod the period, vectors mod each modulus
+        key = (lambda v: tuple(map(mod, v, system.moduli))) if vector else period.__rmod__
+        shift_fns = [lambda n, N, s=s: key(s(n, N)) for s in shift_fns]
+    den, term = _kernel(system, A, preimage, len(shift_fns))
     q = period or n_max + 1
-    shifted: dict = {}
-
-    def pre(shift):
-        out = shifted.get(shift)
-        if out is None:
-            out = preimage(A, shift)
-            shifted[shift] = out
-        return out
 
     def row(N, ns):
-        total = Fraction(0)
-        for n in ns:
-            inter = A
-            for shift in shift_fns:
-                inter = inter.intersect(pre(shift(n, N)))
-                if inter.is_empty():
-                    break
-            else:
-                total += measure(inter)
-        return total
+        # zero terms are dropped: adding one to a Fraction would cost a gcd
+        return sum(filter(None, (term([shift(n, N) for shift in shift_fns]) for n in ns)))
 
-    rows: dict[int, Fraction] = {}
-    totals: list[Fraction] = []  # totals[N - 1] = sum of the terms n = 1..N
+    rows: dict = {}
+    totals: list = []  # totals[N - 1] = sum of the terms n = 1..N, over den
     for N in range(1, n_max + 1):
         if N <= q:
             totals.append(row(N, range(1, N + 1)))
@@ -110,25 +171,26 @@ def _series(A, preimage, measure, shift_fns, n_max: int, label: str, period: int
             if t not in rows:
                 rows[t] = row(t, range(1, q + 1))
             totals.append(totals[N - q - 1] + rows[t])
-    values = tuple((N, total / N) for N, total in enumerate(totals, 1))
-    return RecurrenceSeries(values, measure(A), label)
+    values = tuple((N, Fraction(total, den * N)) for N, total in enumerate(totals, 1))
+    return RecurrenceSeries(values, system.measure(A), label)
 
 
 def recurrence_series(spec: RecurrenceSpec, n_max: int) -> RecurrenceSeries:
     """Exact S(N) for N = 1..n_max."""
     sys = spec.system
     shift_fns = [lambda n, N, p=p, q=q: p * n + q * N for p, q in spec.pairs[1:]]
-    return _series(spec.A, sys.preimage, sys.measure, shift_fns, n_max, "single-transformation", sys.period)
+    return _series(sys, spec.A, sys.preimage, shift_fns, n_max, "single-transformation")
 
 
 def commuting_recurrence_series(spec: CommutingRecurrenceSpec, n_max: int) -> RecurrenceSeries:
-    """Exact S(N) with the j-th term shifted by T_j^n That_j^N."""
+    """Exact S(N) with the j-th term shifted by T_j^n That_j^N; a
+    one-dimensional action shifts by integers."""
     action = spec.action
-    shift_fns = [
-        lambda n, N, j=j: action.shift_vector(j, n, N) for j in range(1, action.ell + 1)
-    ]
-    return _series(spec.A, action.preimage_set, action.measure, shift_fns, n_max, "commuting-family",
-                   action.system.period)
+    if action.d == 1:
+        shift_fns = [lambda n, N, a=a, b=b: a * n + b * N for (a,), (b,) in zip(action.z, action.zhat)]
+    else:
+        shift_fns = [lambda n, N, j=j: action.shift_vector(j, n, N) for j in range(1, action.ell + 1)]
+    return _series(action.system, spec.A, action.preimage_set, shift_fns, n_max, "commuting-family", action.d > 1)
 
 
 @dataclass(frozen=True)
@@ -219,14 +281,17 @@ def extract_syndetic_from_grid(grid: Sequence[Sequence], eps, M: int) -> GridExt
     L = len(grid)
     if L == 0 or any(len(row) != L for row in grid):
         raise ValueError("grid must be square and nonempty")
-    a = [[Fraction(v) for v in row] for row in grid]
-    if any(v < 0 for row in a for v in row):
+    cols = [[v if isinstance(v, int) else Fraction(v) for v in col] for col in zip(*grid)]
+    D = math.lcm(eps.denominator, *(v.denominator for col in cols for v in col))  # entries and eps over D
+    cols = [[v.numerator * (D // v.denominator) for v in col] for col in cols]
+    e = eps.numerator * (D // eps.denominator)
+    if any(v < 0 for col in cols for v in col):
         raise ValueError("grid entries must be nonnegative")
     if L < M:
         raise ValueError("grid smaller than one M-square")
 
     # column-major, so the first empty box is the first bad square in column order
-    sums = box_sums([int(a[n][m] >= eps) for m in range(L) for n in range(L)], (L, L), M)
+    sums = box_sums([int(v >= e) for col in cols for v in col], (L, L), M)
     if 0 in sums:
         m, n = divmod(sums.index(0), L - M + 1)
         raise ValueError(
@@ -234,22 +299,16 @@ def extract_syndetic_from_grid(grid: Sequence[Sequence], eps, M: int) -> GridExt
             f"has every entry < {eps}"
         )
 
+    prefix = [list(accumulate(col, initial=0)) for col in cols]  # prefix[m-1][k] = sum_{n<=k} a[n-1][m-1]
     Ns: list[int] = []
     averages: list[Fraction] = []
     j = 1
     while (j + 1) * (M + 1) - 1 <= L:
-        lo, hi = j * (M + 1), (j + 1) * (M + 1)  # columns m in [lo, hi)
-        depth = j * (M + 1)  # rows n in [1, depth]
-        best_m, best_sum = None, None
-        for m in range(lo, hi):
-            s = sum((a[n - 1][m - 1] for n in range(1, depth + 1)), Fraction(0))
-            if best_sum is None or s > best_sum:
-                best_m, best_sum = m, s
-        if best_sum * (M + 1) < eps * j:
+        depth = j * (M + 1)  # rows n in [1, depth], columns m in [depth, depth + M]
+        Nj = max(range(depth, depth + M + 1), key=lambda m: prefix[m - 1][depth])  # the first of ties
+        if prefix[Nj - 1][depth] * (M + 1) < e * j:
             raise RuntimeError("internal error: strip sum below the guaranteed bound")
-        Nj = best_m
-        full = sum((a[n - 1][Nj - 1] for n in range(1, Nj + 1)), Fraction(0))
-        avg = full / Nj
+        avg = Fraction(prefix[Nj - 1][Nj], D * Nj)
         if avg < eps / (M + 1) ** 2:
             raise RuntimeError(
                 f"column average {avg} at N_{j}={Nj} fell below eps/(M+1)^2"

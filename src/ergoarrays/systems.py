@@ -105,6 +105,14 @@ class CircleRotation(ExactSystem):
     def arc(self, a, b) -> ArcUnion:
         return ArcUnion.from_arcs([(Fraction(a), Fraction(b))])
 
+    def cells(self, sets: Sequence[ArcUnion]) -> tuple[int, int, list[list[tuple[int, int]]]]:
+        """The grid of Q cells that the angle and every arc end fall on (Q the
+        lcm of their denominators), the angle as a count of cells, and each
+        set's arcs [a, b) as integer cell intervals (a*Q, b*Q)."""
+        Q = math.lcm(self.period, *(x.denominator for S in sets for arc in S.arcs for x in arc))
+        cell = lambda x: x.numerator * (Q // x.denominator)
+        return Q, cell(self.angle), [[(cell(a), cell(b)) for a, b in S.arcs] for S in sets]
+
     def full_set(self) -> ArcUnion:
         return ArcUnion.full()
 
@@ -406,10 +414,9 @@ class CyclicLattice(_PointSystem):
         v = tuple(k * s for s in self.steps)
         return self.translate_preimage(S, v)
 
-    def translate_preimage(self, S: FiniteSubset, v: Vector) -> FiniteSubset:
-        return FiniteSubset.of(
-            self._wrap(tuple(x - dv for x, dv in zip(p, v))) for p in S.members
-        )
+    def translate_preimage(self, S: FiniteSubset, v: int | Vector) -> FiniteSubset:
+        v = v if isinstance(v, tuple) else (v,)
+        return FiniteSubset.of(self._wrap(tuple(x - dv for x, dv in zip(p, v))) for p in S.members)
 
     def random_set(self, rng: random.Random) -> FiniteSubset:
         return FiniteSubset.of(p for p in self.full_set().members if rng.random() < 0.5)
@@ -435,8 +442,8 @@ class BernoulliLattice(BernoulliShift):
         """T^{-k}S for the diagonal shift T = translation by (1, ..., 1)."""
         return S.shift(tuple(k for _ in range(self.d)))
 
-    def translate_preimage(self, S: CylinderUnion, v: Vector) -> CylinderUnion:
-        return S.shift(v)
+    def translate_preimage(self, S: CylinderUnion, v: int | Vector) -> CylinderUnion:
+        return S.shift(v if isinstance(v, tuple) else (v,))
 
     def random_set(self, rng: random.Random) -> CylinderUnion:
         constraints = {}

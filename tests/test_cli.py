@@ -524,6 +524,16 @@ def _series_csv(tmp_path):
     return str(path)
 
 
+# malformed series CSVs for syndetic --in, by placeholder
+BAD_SERIES = {
+    "{csv-zero-den}": "N,S_num,S_den\n1,0,1\n2,1,0\n",
+    "{csv-no-num}": "N,S_den\n1,1\n2,8\n",
+    "{csv-fraction-cell}": "N,S_num,S_den\n1,0,1\n2,1,8\n3,1/2,1\n",
+    "{csv-short-row}": "N,S_num,S_den\n1,0\n",
+    "{csv-empty}": "",
+}
+SERIES_FORM = "a series CSV is N,S_num,S_den with integer cells and S_den > 0"
+
 CHAIN = json.dumps({"matrix": [["9/10", "1/10"], ["1/10", "9/10"]]})
 
 
@@ -532,6 +542,12 @@ CHAIN = json.dumps({"matrix": [["9/10", "1/10"], ["1/10", "9/10"]]})
     [
         (["syndetic", "--in", "{csv}", "--eps", "0"], "eps must be > 0"),
         (["syndetic", "--in", "{csv}", "--eps", "-1"], "eps must be > 0"),
+        # the file, the line and the form a series CSV needs, not a traceback or a bare key
+        (["syndetic", "--in", "{csv-zero-den}"], f"series.csv, line 3: {SERIES_FORM}"),
+        (["syndetic", "--in", "{csv-no-num}"], f"series.csv, line 1: {SERIES_FORM}"),
+        (["syndetic", "--in", "{csv-fraction-cell}"], f"series.csv, line 4: {SERIES_FORM}"),
+        (["syndetic", "--in", "{csv-short-row}"], f"series.csv, line 2: {SERIES_FORM}"),
+        (["syndetic", "--in", "{csv-empty}"], f"series.csv, line 1: {SERIES_FORM}"),
         (["spectral", "--verify", "--samples", "0"], "samples must be >= 1"),
         (["spectral", "--verify", "--samples", "-5"], "samples must be >= 1"),
         (["mixing-check", "--chain", CHAIN, "--trials", "-2"], "--trials must be >= 1"),
@@ -549,7 +565,8 @@ CHAIN = json.dumps({"matrix": [["9/10", "1/10"], ["1/10", "9/10"]]})
         ([*SEARCH[:6], "((0,0),(1,0))", *SEARCH[7:]], "pattern spec must be pairs (p,q)"),
     ],
     ids=[
-        "syndetic-eps-0", "syndetic-eps-negative", "spectral-samples-0", "spectral-samples-negative",
+        "syndetic-eps-0", "syndetic-eps-negative", "syndetic-zero-den", "syndetic-no-num-column",
+        "syndetic-fraction-cell", "syndetic-short-row", "syndetic-empty-file", "spectral-samples-0", "spectral-samples-negative",
         "mixing-check-trials", "mixing-check-k", "mixing-check-horizon", "repro-unknown-criterion",
         "pattern-search-nmax-0", "window-one-value", "window-not-integers", "inline-window-one-value",
         "inline-window-not-integers", "spec-unclosed", "spec-double-parentheses",
@@ -559,7 +576,10 @@ def test_degenerate_arguments_name_the_bad_input(tmp_path, capsys, args, message
     # a threshold, sample or trial count that makes every check pass is an argument error
     out = tmp_path / "out"
     csv_path = _series_csv(tmp_path)
-    args = [csv_path if a == "{csv}" else a for a in args]
+    for a in args:
+        if a in BAD_SERIES:
+            Path(csv_path).write_text(BAD_SERIES[a])
+    args = [csv_path if a == "{csv}" or a in BAD_SERIES else a for a in args]
     assert run(["--out-dir", str(out), *args]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err

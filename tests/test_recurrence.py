@@ -14,14 +14,21 @@ from ergoarrays.recurrence import (
     recurrence_series,
 )
 from ergoarrays.repro import random_hypothesis_grid
+from ergoarrays.sets import ArcUnion, FiniteSubset
 from ergoarrays.systems import (
+    BernoulliLattice,
     BernoulliShift,
     CircleRotation,
     CyclicLattice,
     CyclicRotation,
     GaussMap,
+    IrrationalRotation,
+    LatticeAction,
+    MarkovShift,
+    RelabeledSystem,
     build_lattice_action,
 )
+from ergoarrays.util import box_sums
 
 from conftest import periodic_systems
 
@@ -72,6 +79,28 @@ def test_spec_validation():
     a = RecurrenceSpec(rot, A, [(1, 0)])
     b = RecurrenceSpec(rot, A, [(0, 0), (1, 0)])
     assert a.pairs == b.pairs == ((0, 0), (1, 0))
+
+
+def test_specs_reject_sampled_systems_and_foreign_sets():
+    # both specs answer with one ValueError, never an AttributeError deep in the series
+    irr = IrrationalRotation.sqrt2_minus_1()
+    with pytest.raises(ValueError, match="exact-tier"):
+        RecurrenceSpec(irr, CircleRotation(Fraction(1, 2)).arc(0, Fraction(1, 4)), [(1, 0)])
+    with pytest.raises(ValueError, match="exact-tier"):
+        CommutingRecurrenceSpec(LatticeAction(irr, ((1,),), ((0,),)), None)
+    rot, z5 = CircleRotation(Fraction(1, 3)), CyclicRotation(5)
+    bern = BernoulliShift.uniform(2)
+    action = build_lattice_action(z5, [1], [0])
+    for spec, match in [
+        (lambda: RecurrenceSpec(rot, FiniteSubset.of([0]), [(1, 0)]), "ArcUnion inside the space of CircleRotation"),
+        (lambda: RecurrenceSpec(z5, rot.arc(0, Fraction(1, 2)), [(1, 0)]), "FiniteSubset inside"),
+        (lambda: RecurrenceSpec(z5, FiniteSubset.of([0, 7]), [(1, 0)]), "FiniteSubset inside"),  # 7 is no point of Z_5
+        (lambda: RecurrenceSpec(bern, BernoulliShift.uniform(3).cylinder({0: 2}), [(1, 0)]), "alphabet"),
+        (lambda: CommutingRecurrenceSpec(action, rot.arc(0, Fraction(1, 2))), "FiniteSubset inside"),
+        (lambda: CommutingRecurrenceSpec(action, FiniteSubset.of([5])), "FiniteSubset inside"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            spec()
 
 
 def test_detect_syndetic_half_rotation():
@@ -196,6 +225,99 @@ def test_periodic_commuting_series_matches_direct_sum(data):
     assert series.values == direct_series(A, action.preimage_set, action.measure, shift_fns, n_max)
 
 
+def single_series_matches_direct_sum(system, A, pairs, n_max):
+    series = recurrence_series(RecurrenceSpec(system, A, pairs), n_max)
+    shift_fns = [lambda n, N, p=p, q=q: p * n + q * N for p, q in pairs]
+    return series.values == direct_series(A, system.preimage, system.measure, shift_fns, n_max)
+
+
+def bernoulli_sets(system, rng):
+    """Random cylinders, their unions and complements, and cylinders whose
+    support has gaps: a term's clusters split where shifts lie more than
+    the support diameter apart, so shifts exactly that far apart matter."""
+    a, b = system.random_set(rng), system.random_set(rng)
+    gapped = system.cylinder({0: rng.randrange(system.alphabet), rng.randint(2, 4): rng.randrange(system.alphabet)})
+    return [a, a.union(b), system.complement(a), gapped, system.complement(gapped)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_aperiodic_bernoulli_series_matches_direct_sum(data):
+    symbols = data.draw(st.integers(2, 3))
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=symbols, max_size=symbols))
+    system = BernoulliShift(tuple(Fraction(w, sum(weights)) for w in weights))
+    A = data.draw(st.sampled_from(bernoulli_sets(system, random.Random(data.draw(st.integers(0, 10**6))))))
+    # the oracle multiplies the rows of up to ell + 1 copies of A on disjoint
+    # supports, so ell is bounded by A's row count
+    ell = max([1] + [k for k in (2, 3) if len(A.rows) ** (k + 1) <= 4096])
+    coeff = st.integers(-3, 3)
+    pairs = data.draw(st.lists(st.tuples(coeff.filter(bool), coeff), min_size=1, max_size=ell))
+    assert single_series_matches_direct_sum(system, A, pairs, data.draw(st.integers(1, 14)))
+
+
+def test_gapped_cylinder_series_matches_direct_sum():
+    # shifts 2 apart meet at one coordinate of {0, 2}: not independent
+    bern = BernoulliShift((Fraction(1, 3), Fraction(2, 3)))
+    A = bern.cylinder({0: 0, 2: 1})
+    for pairs in ([(1, 0)], [(1, 0), (2, 1)], [(2, 0), (-1, 1), (1, -1)]):
+        assert single_series_matches_direct_sum(bern, A, pairs, 16)
+
+
+@pytest.mark.parametrize("arcs", [
+    [("5/6", "1/6")], [("2/3", "1/9"), ("1/5", "1/3")], [("0", "1/3")],
+    [("999990/1000003", "20/1000003"), ("26/1000003", "90/1000003")],
+])
+def test_fine_rotation_series_matches_direct_sum(arcs):
+    # period 1000003 exceeds N_max, so every term is summed; three of the
+    # sets wrap through 0, and the last one's arcs lie a few steps apart, so
+    # that shifts of at most 24*5 steps tell a rotation back from one forward
+    rot = CircleRotation(Fraction(3, 1000003))
+    A = ArcUnion.from_arcs([(Fraction(a), Fraction(b)) for a, b in arcs])
+    for pairs in ([(1, 0), (-1, 1)], [(1, 0), (2, 1)], [(2, -1), (-3, 2), (1, 1)]):
+        assert single_series_matches_direct_sum(rot, A, pairs, 24)
+
+
+def test_relabeled_series_matches_direct_sum():
+    rng = random.Random(5)
+    for base in (CyclicRotation(9, 4), CyclicLattice((2, 3), (1, 2))):
+        points = list(base.full_set().members)
+        system = RelabeledSystem(base, tuple((x, f"q{i}") for i, x in enumerate(rng.sample(points, len(points)))))
+        for _ in range(3):
+            A = system.random_set(rng)
+            assert single_series_matches_direct_sum(system, A, [(1, 0), (-2, 1)], 30)
+
+
+@pytest.mark.parametrize("z, zhat", [([(1, 0), (0, 1)], [(0, 1), (1, 1)]), ([(1, 2), (3, -1)], [(2, 0), (0, 5)])])
+def test_commuting_cyclic_lattice_series_matches_direct_sum(z, zhat):
+    # shifts are reduced mod 5 in the first coordinate and mod 7 in the second
+    system = CyclicLattice((5, 7))
+    action = build_lattice_action(system, z, zhat)
+    rng = random.Random(11)
+    for _ in range(3):
+        A = system.random_set(rng)
+        series = commuting_recurrence_series(CommutingRecurrenceSpec(action, A), 40)
+        shift_fns = [lambda n, N, j=j: action.shift_vector(j, n, N) for j in (1, 2)]
+        assert series.values == direct_series(A, action.preimage_set, action.measure, shift_fns, 40)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bernoulli_lattice_series_match_direct_sum(d):
+    # no period and, for d = 2, vector shifts: the set-algebra loop
+    system = BernoulliLattice((Fraction(1, 3), Fraction(2, 3)), d)
+    A = system.cylinder({(0,) * d: 0, (1,) + (0,) * (d - 1): 1})
+    assert single_series_matches_direct_sum(system, A, [(1, 0), (-1, 1)], 12)
+    action = build_lattice_action(system, [(1,) * d, (2,) + (0,) * (d - 1)], [(0,) * d, (1,) * d])
+    series = commuting_recurrence_series(CommutingRecurrenceSpec(action, A), 12)
+    shift_fns = [lambda n, N, j=j: action.shift_vector(j, n, N) for j in (1, 2)]
+    assert series.values == direct_series(A, action.preimage_set, action.measure, shift_fns, 12)
+
+
+def test_markov_series_matches_direct_sum():
+    mk = MarkovShift(((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 4), Fraction(3, 4))))
+    for A in (mk.cylinder({0: 0, 2: 1}), mk.complement(mk.cylinder({0: 1, 1: 1}))):
+        assert single_series_matches_direct_sum(mk, A, [(1, 0), (2, -1)], 14)
+
+
 def test_periodic_series_preimages_stay_bounded(monkeypatch):
     # rows are evaluated at residues, so the per-shift memo holds O(q) shifts
     # however long the series
@@ -271,6 +393,72 @@ def test_grid_extraction_reports_first_bad_square_in_column_order(data):
     n, m = first_bad_square(grid, 1, M)
     with pytest.raises(ValueError, match=rf"hypothesis fails: the {M}x{M} square at \(n,m\)=\({n},{m}\) "):
         extract_syndetic_from_grid(grid, 1, M)
+
+
+def fraction_grid_extraction(grid, eps, M):
+    """Oracle: the strip construction summed in Fractions, column by column."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, not {eps}: every square holds an entry >= {eps}")
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    L = len(grid)
+    if L == 0 or any(len(row) != L for row in grid):
+        raise ValueError("grid must be square and nonempty")
+    a = [[Fraction(v) for v in row] for row in grid]
+    if any(v < 0 for row in a for v in row):
+        raise ValueError("grid entries must be nonnegative")
+    if L < M:
+        raise ValueError("grid smaller than one M-square")
+    sums = box_sums([int(a[n][m] >= eps) for m in range(L) for n in range(L)], (L, L), M)
+    if 0 in sums:
+        m, n = divmod(sums.index(0), L - M + 1)
+        raise ValueError(f"hypothesis fails: the {M}x{M} square at (n,m)=({n+1},{m+1}) has every entry < {eps}")
+    Ns, averages = [], []
+    j = 1
+    while (j + 1) * (M + 1) - 1 <= L:
+        lo, hi = j * (M + 1), (j + 1) * (M + 1)
+        depth = j * (M + 1)
+        best_m, best_sum = None, None
+        for m in range(lo, hi):
+            s = sum((a[n - 1][m - 1] for n in range(1, depth + 1)), Fraction(0))
+            if best_sum is None or s > best_sum:
+                best_m, best_sum = m, s
+        full = sum((a[n - 1][best_m - 1] for n in range(1, best_m + 1)), Fraction(0))
+        Ns.append(best_m)
+        averages.append(full / best_m)
+        j += 1
+    if not Ns:
+        raise ValueError(f"grid of side {L} holds no full strip for M={M}")
+    return tuple(Ns), tuple(averages)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_grid_extraction_matches_fraction_oracle(data):
+    # mixed denominators, a fractional eps, entries drawn from few values so
+    # that columns tie, and grids that fail the hypothesis: the same members
+    # and averages, or the same error message
+    M = data.draw(st.integers(1, 4))
+    L = data.draw(st.integers(1, 20))
+    values = st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 4)])
+    grid = data.draw(st.lists(st.lists(values, min_size=L, max_size=L), min_size=L, max_size=L))
+    eps = data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)]))
+    try:
+        expected = fraction_grid_extraction(grid, eps, M)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            extract_syndetic_from_grid(grid, eps, M)
+        assert str(got.value) == str(exc)
+        return
+    ex = extract_syndetic_from_grid(grid, eps, M)
+    assert (ex.Ns, ex.row_averages, ex.eps) == (*expected, Fraction(eps))
+
+
+def test_grid_extraction_takes_the_first_of_tied_columns():
+    # every column sums alike, so each strip's first column is chosen
+    ex = extract_syndetic_from_grid([[1] * 12 for _ in range(12)], Fraction(1, 2), 2)
+    assert ex.Ns == (3, 6, 9) == fraction_grid_extraction([[1] * 12 for _ in range(12)], Fraction(1, 2), 2)[0]
 
 
 def test_grid_extraction_validation():
