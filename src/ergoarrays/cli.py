@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -181,6 +182,22 @@ def _build_observable(system, descriptor) -> Observable:
     return Observable.indicator(_build_set(system, descriptor["set"]))
 
 
+@contextmanager
+def _unbounded_int_digits():
+    """Lift CPython's int-to-str digit limit (Python 3.11+) while exact
+    series cells are written or read back; argument and config parsing keep
+    the limit as its guard against quadratic conversions."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _rationalize(value):
     if isinstance(value, Fraction):
         return fraction_to_json(value)
@@ -263,19 +280,21 @@ def _cmd_recurrence(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / (out if str(out).endswith(".csv") else f"{out}.csv")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "S_num", "S_den"])
-        for N, v in series.values:
-            writer.writerow([N, v.numerator, v.denominator])
-    print(f"wrote {path}")
-    if cfg.format in ("json", "both"):
-        doc = {
-            "experiment": "recurrence",
-            "mu_A": series.mu_A,
-            "values": {str(N): v for N, v in series.values},
-        }
-        _emit(cfg, "recurrence_series", doc)
+    with _unbounded_int_digits():
+        # every cell is text before the file opens, so a failed conversion leaves no partial CSV
+        rows = [[str(N), str(v.numerator), str(v.denominator)] for N, v in series.values]
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["N", "S_num", "S_den"])
+            writer.writerows(rows)
+        print(f"wrote {path}")
+        if cfg.format in ("json", "both"):
+            doc = {
+                "experiment": "recurrence",
+                "mu_A": series.mu_A,
+                "values": {str(N): v for N, v in series.values},
+            }
+            _emit(cfg, "recurrence_series", doc)
     return 0
 
 
@@ -287,14 +306,15 @@ def _cmd_syndetic(cfg: ExperimentConfig) -> int:
     if rows[:1] != [["N", "S_num", "S_den"]]:
         raise bad(1)
     values = {}
-    for line, row in enumerate(rows[1:], 2):
-        try:
-            N, num, den = map(int, row)
-        except ValueError:
-            raise bad(line) from None
-        if den <= 0:
-            raise bad(line)
-        values[N] = Fraction(num, den)
+    with _unbounded_int_digits():
+        for line, row in enumerate(rows[1:], 2):
+            try:
+                N, num, den = map(int, row)
+            except ValueError:
+                raise bad(line) from None
+            if den <= 0:
+                raise bad(line)
+            values[N] = Fraction(num, den)
     eps = cfg.options["eps"]
     rep = recurrence.detect_syndetic(values, "auto" if eps == "auto" else parse_fraction(eps))
     doc = {
@@ -307,7 +327,8 @@ def _cmd_syndetic(cfg: ExperimentConfig) -> int:
         "window": rep.window,
         "note": "certificate covers only N <= window",
     }
-    _emit(cfg, "syndetic", doc)
+    with _unbounded_int_digits():
+        _emit(cfg, "syndetic", doc)
     print(f"verdict: {rep.verdict} (max_gap={rep.max_gap})")
     return 0
 
@@ -349,7 +370,7 @@ def _cmd_pattern_search(cfg: ExperimentConfig) -> int:
     if n_max < 1:
         raise ValueError("--Nmax must be >= 1")
     eps = cfg.options["eps"]
-    counts = {N: szemeredi.pattern_count(s, spec, N).count for N in range(1, n_max + 1)}
+    counts = {N: szemeredi.pattern_count(s, spec, N, 0).count for N in range(1, n_max + 1)}  # no witnesses
     rep = recurrence.detect_syndetic(
         {N: Fraction(c, N) for N, c in counts.items()},
         "auto" if eps == "auto" else parse_fraction(eps),

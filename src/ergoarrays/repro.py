@@ -248,7 +248,7 @@ def run_grid_extraction(trials: int = 100, seed: int = 11) -> CriterionResult:
 def run_parity_dichotomy(n_max: int = 500) -> CriterionResult:
     evens = szemeredi.IntegerSet.from_residue(0, 2, (0, 10**4))
     spec = szemeredi.PatternSpec.parse("(0,0),(1,0),(-1,1)")
-    counts = {N: szemeredi.pattern_count(evens, spec, N).count for N in range(1, n_max + 1)}
+    counts = {N: szemeredi.pattern_count(evens, spec, N, 0).count for N in range(1, n_max + 1)}
     ok = all(c == 0 if N % 2 == 1 else 2 * c >= N for N, c in counts.items())
     rep = recurrence.detect_syndetic({N: Fraction(c, N) for N, c in counts.items()}, "auto")
     ok = ok and rep.max_gap == 2

@@ -595,3 +595,27 @@ def test_polynomial_past_degree_cap_exits_3_quickly(tmp_path):
                           capture_output=True, text=True, timeout=20)
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1 and "total degree" in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before Python 3.11")
+def test_recurrence_csv_past_the_int_str_digit_limit(tmp_path):
+    # S(N) on this chain passes 640 digits near N = 37: the CSV must still
+    # hold every row, syndetic must read them back, and the caller's limit
+    # must come back unchanged and still guard the arguments
+    chain = json.dumps(
+        {"kind": "markov-shift", "params": {"matrix": [["1/1000000", "999999/1000000"], ["999999/1000000", "1/1000000"]]}}
+    )
+    args = ["--out-dir", str(tmp_path), "recurrence", "--system", chain, "--set", '{"cylinder": {"0": 0}}',
+            "--pq", "(1,0),(2,1)", "--Nmax", "60"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        codes = [run(args), run(["--out-dir", str(tmp_path), "syndetic", "--in", str(tmp_path / "series.csv")])]
+        assert sys.get_int_max_str_digits() == 640
+        codes.append(run(args[:-1] + ["1" * 700]))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == [0, 0, 2]
+    rows = (tmp_path / "series.csv").read_text().splitlines()
+    assert len(rows) == 61
+    assert max(len(r) for r in rows) > 640

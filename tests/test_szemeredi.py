@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergoarrays import szemeredi
 from ergoarrays.szemeredi import (
     DensityResult,
     IntegerSet,
@@ -478,7 +480,110 @@ def test_lattice_upper_density_ties_keep_first_corner_and_first_width():
 def test_upper_density_rejects_bad_window_sizes():
     flat = LatticeSet.from_members([(0, 0), (1, 1)], (0, 0), (4, 4))
     line = IntegerSet.from_members([1, 2], (0, 10))
-    for s, too_wide in ((flat, 5), (line, 11)):
+    inverted = LatticeSet.from_members([], (0, 5), (4, 2))
+    for s, too_wide in ((flat, 5), (line, 11), (inverted, 1)):
         for sizes in ([0], [-1], [2, 0], [too_wide], []):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="window size|no window sizes"):
                 upper_density(s, sizes)
+
+
+# -- lattice pattern counts against the per-n member loop they replaced --
+
+
+def oracle_lattice_pattern_count(s: LatticeSet, spec: PatternSpec, N: int, max_witnesses: int = 10) -> PatternCount:
+    """For each n, the members in frozenset order until one has every
+    a + n z_j + N zhat_j in the set."""
+    if not spec.gamma:
+        raise ValueError("pattern spec carries no lattice vectors")
+    count = 0
+    witnesses = []
+    for n in range(N + 1):
+        offs = [
+            tuple(n * z + N * zh for z, zh in zip(zv, hv))
+            for zv, hv in zip(spec.gamma, spec.gamma_hat)
+        ]
+        found = None
+        for a in s.members:
+            if all(tuple(x + o for x, o in zip(a, off)) in s.members for off in offs):
+                found = a
+                break
+        if found is not None:
+            count += 1
+            if len(witnesses) < max_witnesses:
+                witnesses.append((n, found))
+    return PatternCount(N, count, tuple(witnesses), (None, None))
+
+
+@st.composite
+def lattice_specs(draw, d: int):
+    """1-3 distinct nonzero vectors z_j with coordinates in -3..3, and zhat_j
+    in -1..1 or -3..3, so that N zhat_j leaves the box for some draws and
+    stays inside for others."""
+    z = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    zhat = st.tuples(*[st.integers(-1, 1)] * d) | st.tuples(*[st.integers(-3, 3)] * d)
+    gamma = draw(st.lists(z, min_size=1, max_size=3, unique=True))
+    gamma_hat = draw(st.lists(zhat, min_size=len(gamma), max_size=len(gamma)))
+    return PatternSpec(gamma=tuple(gamma), gamma_hat=tuple(gamma_hat))
+
+
+@settings(max_examples=250, deadline=None)
+@given(lattice_sets(), st.data(), st.integers(0, 12), st.sampled_from([0, 1, 10]), st.sampled_from([0, 10**9]))
+def test_lattice_pattern_count_matches_member_loop_oracle(s, data, N, max_witnesses, mask_bits):
+    # mask_bits 0 sends every set to the per-n member loop, 10^9 to the mask
+    spec = data.draw(lattice_specs(s.d))
+    with mock.patch.object(szemeredi, "_MASK_BITS_PER_MEMBER", mask_bits):
+        got = lattice_pattern_count(s, spec, N, max_witnesses)
+    want = oracle_lattice_pattern_count(s, spec, N, max_witnesses)
+    assert (got.N, got.count, got.witnesses) == (want.N, want.count, want.witnesses)
+
+
+def test_lattice_witnesses_follow_member_order():
+    # one hit among many members, many hits, and 16 hits, none among the
+    # first 16 members in frozenset order
+    box = [(x, y) for x in range(-5, 11) for y in range(-3, 13)]
+    full = LatticeSet.from_members(box, (-5, -3), (11, 13))
+    sparse = LatticeSet.from_members(random.Random(7).sample(box, 40), (-5, -3), (11, 13))
+    specs = [
+        PatternSpec(gamma=((1, 0), (0, 1)), gamma_hat=((0, 0), (1, -1))),
+        PatternSpec(gamma=((15, 0), (0, 15)), gamma_hat=((0, 0), (0, 0))),
+        PatternSpec(gamma=((0, -15),), gamma_hat=((0, 0),)),
+    ]
+    for s in (full, sparse):
+        for spec in specs:
+            for N in range(16):
+                assert lattice_pattern_count(s, spec, N, 10) == oracle_lattice_pattern_count(s, spec, N, 10)
+    # only a = (-5, -3) keeps a + (15, 0) and a + (0, 15) in the box
+    assert lattice_pattern_count(full, specs[1], 1).witnesses[1] == (1, (-5, -3))
+    # the anchors a with a + (0, -15) in the box are the row y = 12
+    assert all(y != 12 for _, y in list(full.members)[:16])
+    assert lattice_pattern_count(full, specs[2], 1).witnesses[1][1] == next(a for a in full.members if a[1] == 12)
+
+
+def test_lattice_pattern_count_infeasible_and_mismatched():
+    s = LatticeSet.from_members([(0, 0), (1, 1)], (0, 0), (4, 4))
+    far = PatternSpec(gamma=((1, 0),), gamma_hat=((2, 0),))
+    assert lattice_pattern_count(s, far, 2) == PatternCount(2, 0, (), (None, None))  # every offset leaves the box
+    with pytest.raises(ValueError, match="2 coordinates"):
+        lattice_pattern_count(s, PatternSpec(gamma=((1, 0, 0),), gamma_hat=((0, 0, 0),)), 2)
+    with pytest.raises(ValueError, match="no lattice vectors"):
+        lattice_pattern_count(s, SYM, 2)
+
+
+def test_few_members_in_a_huge_box_skip_the_mask():
+    # a mask of 2·10^10 bits (4·10^9 in 3-d) would not fit; the member loop
+    # answers at once and builds no layout
+    far = LatticeSet.from_members([(0, 0), (1, 0), (2, 0), (99_999, 99_999)], (0, 0), (10**5, 10**5))
+    cube = LatticeSet.from_members(
+        [(x, x, 7) for x in range(0, 1000, 2)] + [(x, 999 - x, 3) for x in range(500)], (0, 0, 0), (1000, 1000, 1000)
+    )
+    specs = [
+        PatternSpec(gamma=((1, 0),), gamma_hat=((0, 0),)),
+        PatternSpec(gamma=((1, 0), (2, 0)), gamma_hat=((0, 0), (0, 0))),
+        PatternSpec(gamma=((1, 1, 0), (2, 2, 0)), gamma_hat=((0, 0, 0), (0, 0, 0))),
+        PatternSpec(gamma=((1, -1, 0),), gamma_hat=((1, 0, 0),)),
+    ]
+    for s, spec in ((far, specs[0]), (far, specs[1]), (cube, specs[2]), (cube, specs[3])):
+        for N in range(7):
+            assert lattice_pattern_count(s, spec, N) == oracle_lattice_pattern_count(s, spec, N)
+        assert "_layout" not in vars(s)
+    assert lattice_pattern_count(far, specs[1], 2).count == 2  # n = 0 and n = 1
