@@ -9,11 +9,19 @@ system type picks the term kernel, which moves A once per shift (reduced
 mod q, or mod each modulus for vectors on a product of cyclic rotations):
 rational rotations intersect integer cell intervals (``CircleRotation.cells``),
 O(ell*k^2) integer steps for k arcs; finite point systems AND int bitmasks
-and count bits; on Bernoulli shifts the sorted shifts {0, s_1, .., s_ell}
-split into clusters where neighbours lie more than A's support diameter
-apart, whose memoized (numerator, coordinate count) pairs multiply by
-independence and translation invariance, O(ell log ell); Markov shifts and
-Bernoulli lattices intersect and measure cylinder unions, a Fraction a term.
+and count bits; on Bernoulli and Markov shifts the sorted shifts
+{0, s_1, .., s_ell} split into clusters where neighbours lie more than A's
+support diameter apart, so the copies of A in two clusters cover disjoint
+coordinate ranges.  On Bernoulli shifts the clusters' memoized (numerator,
+coordinate count) pairs multiply by independence and translation
+invariance, O(ell log ell).  On Markov shifts each cluster's intersection
+is memoized as a sparse integer transfer matrix between the states at its
+first and last coordinate, and a term chains them from the stationary
+vector, bridging the gaps with powers of A = D*P: an integer over
+pi_den * D^W, W the largest span of any term, which is convex in (n, N) and
+so read at the corners of 1 <= n <= N <= N_max; O(ell log ell + ell*s^2)
+for s states.  Bernoulli lattices intersect and measure cylinder unions, a
+Fraction a term.
 Syndeticity is certified only inside the computed window [1, N_max];
 reports always say so.  The grid-extraction routine turns a two-parameter
 family of nonnegative values whose every M-square contains a large entry
@@ -31,7 +39,7 @@ from itertools import accumulate
 from operator import and_, mod
 from typing import Mapping, Sequence
 
-from .systems import BernoulliLattice, CircleRotation, ExactSystem, LatticeAction, _PointSystem
+from .systems import BernoulliLattice, CircleRotation, ExactSystem, LatticeAction, MarkovShift, _PointSystem
 from .util import box_sums
 
 
@@ -96,10 +104,11 @@ class RecurrenceSeries:
         return self.values[-1][0]
 
 
-def _kernel(system, A, preimage, ell: int):
+def _kernel(system, A, preimage, shift_fns, n_max: int):
     """(den, term) for the system's type, as the module docstring lists them:
     term(shifts) = den * mu(A & preimage(A, s_1) & ...), an integer (a
-    Fraction, with den 1, on the set-algebra loop)."""
+    Fraction, with den 1, on the set-algebra loop of Bernoulli lattices).
+    The shift functions and n_max bound the spans of a Markov series."""
     if isinstance(system, CircleRotation):
         Q, step, (arcs,) = system.cells([A])
 
@@ -119,8 +128,58 @@ def _kernel(system, A, preimage, ell: int):
         mask = lambda S: int("".join("01"[x in S.members] for x in points), 2)
         a, back = mask(A), cache(lambda s: mask(preimage(A, s)))
         return len(points), lambda shifts: reduce(and_, map(back, shifts), a).bit_count()
+    if isinstance(system, MarkovShift):
+        pi, pi_den = system._pi
+        D, states, bridge = system._den, range(system.alphabet), system._bridge
+        diam = A.coords[-1] - A.coords[0] if A.coords else 0
+        corners = ((1, 1), (1, n_max), (n_max, n_max))  # the span below is convex in (n, N)
+        W = diam + max(max([0, *s]) - min([0, *s]) for s in ([f(n, N) for f in shift_fns] for n, N in corners))
+        den, scale = pi_den * D**W, cache(lambda span: D ** (W - span))
+
+        @cache
+        def transfer(offsets):
+            """(first, last, sparse transfer matrix) of A & T^{-o}A & ..., its
+            coordinates relative to the cluster's first shift: an entry
+            (a, b, x) weighs its rows from state a at first to b at last.
+            () for the full set, None for the empty one."""
+            inter = reduce(type(A).intersect, (preimage(A, o) for o in offsets), A)
+            if not inter.rows or not inter.coords:
+                return () if inter.rows else None
+            ones, coords = [1] * len(states), inter.coords
+            rows_from = ([row for row in inter.rows if row[0] == a] for a in states)
+            M = [(a, b, x) for a, rows in enumerate(rows_from)
+                 for b, x in enumerate(system._forward(ones, coords, rows)) if x]
+            return coords[0], coords[-1], M
+
+        def term(shifts):
+            # as on Bernoulli shifts, clusters more than diam apart touch
+            # disjoint coordinate ranges; their transfer matrices chain from
+            # pi, bridged by powers of A, over pi_den * D^(last - first)
+            us = sorted({0, *shifts})
+            w, start = None, 0
+            for i in range(1, len(us) + 1):
+                if i < len(us) and us[i] - us[i - 1] <= diam:
+                    continue
+                u = us[start]
+                c = transfer(tuple(map(u.__rsub__, us[start + 1 : i])) if i - start > 1 else ())
+                start = i
+                if c is None:
+                    return 0
+                if c:
+                    lo, hi, M = c
+                    if w is None:
+                        v, first = pi, u + lo
+                    else:
+                        v = bridge(w, u + lo - last)
+                    w = [0] * len(pi)
+                    for a, b, x in M:
+                        w[b] += v[a] * x
+                    last = u + hi
+            return den if w is None else sum(w) * scale(last - first)
+
+        return den, term
     if system.independent_coords and not isinstance(system, BernoulliLattice):  # scalar coordinates
-        nums, den, k = system._nums, system._den, len(A.coords)
+        nums, den, k, copies = system._nums, system._den, len(A.coords), len(shift_fns) + 1
         diam = A.coords[-1] - A.coords[0] if k else 0
 
         @cache
@@ -135,9 +194,9 @@ def _kernel(system, A, preimage, ell: int):
                 if i == len(us) or us[i] - us[i - 1] > diam:
                     num, c = cluster(tuple(u - us[first] for u in us[first + 1 : i]))
                     out, count, first = out * num, count + c, i
-            return out * den ** ((ell + 1) * k - count)
+            return out * den ** (copies * k - count)
 
-        return den ** ((ell + 1) * k), term
+        return den ** (copies * k), term
     back = cache(lambda s: preimage(A, s))
     return 1, lambda shifts: system.measure(reduce(type(A).intersect, map(back, shifts), A))
 
@@ -154,7 +213,7 @@ def _series(system, A, preimage, shift_fns, n_max: int, label: str, vector: bool
     if period:  # shifts reduced mod the period, vectors mod each modulus
         key = (lambda v: tuple(map(mod, v, system.moduli))) if vector else period.__rmod__
         shift_fns = [lambda n, N, s=s: key(s(n, N)) for s in shift_fns]
-    den, term = _kernel(system, A, preimage, len(shift_fns))
+    den, term = _kernel(system, A, preimage, shift_fns, n_max)
     q = period or n_max + 1
 
     def row(N, ns):

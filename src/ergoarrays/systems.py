@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .sets import ArcUnion, CylinderUnion, FiniteSubset
-from .util import frac_mod1, mix64, parse_fraction
+from .util import ResourceCapError, frac_mod1, mix64, parse_fraction
 
 Vector = tuple[int, ...]
 
@@ -257,14 +257,71 @@ class BernoulliShift(_ShiftSystem):
         return row in S.rows
 
 
+_MAX_POWER_BITS = 1 << 16  # bits an entry of a Markov power A^t may reach
+_POWER_MEMO_BITS = 1 << 23  # bits of entries the power memo may hold
+
+
+class _IntPowers(dict):
+    """t -> A^t for an integer matrix A with nonnegative entries and row
+    sums D, so that no entry of A^t passes D^t: A^t holds at most
+    entries * (t*log2 D + 1) bits, fewer than (t + 1) units of
+    entries * max(1, log2 D) bits.  A missing power is one product past a
+    memoized A^(t-1), else (A^(t//2))^2 times A^(t mod 2) by repeated
+    squaring.  The memo holds at most ``_POWER_MEMO_BITS`` bits by that
+    count: past it, it is emptied down to A^0 and A^1.  A power whose
+    entries could pass ``_MAX_POWER_BITS`` bits raises ResourceCapError
+    before any product is taken."""
+
+    def __init__(self, A: tuple[tuple[int, ...], ...], D: int):
+        identity = tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
+        super().__init__({0: identity, 1: A})
+        self.base = dict(self)
+        self.cols, bits_per_step = tuple(zip(*A)), math.log2(D)
+        self.max_t = int(_MAX_POWER_BITS / bits_per_step) if D > 1 else math.inf
+        self.max_load = _POWER_MEMO_BITS // (len(A) ** 2 * max(1, bits_per_step))
+        self.load = self.base_load = 3  # units of A^0 and A^1
+
+    def __missing__(self, t: int) -> tuple[tuple[int, ...], ...]:
+        if not 0 <= t <= self.max_t:
+            if t < 0:
+                raise ValueError("matrix power must be >= 0")
+            raise ResourceCapError(
+                f"matrix power {t} would pass {_MAX_POWER_BITS} bits an entry (at most {self.max_t} here)"
+            )
+        prev = self.get(t - 1)
+        if prev is not None:
+            out = _matmul(prev, self.cols)
+        else:
+            half = self[t // 2]
+            out = _matmul(half, tuple(zip(*half)))
+            if t % 2:
+                out = _matmul(out, self.cols)
+        load = self.load + t + 1
+        if load > self.max_load:
+            self.clear()
+            self.update(self.base)
+            load = self.base_load + t + 1
+        if load <= self.max_load:
+            self[t] = out
+            self.load = load
+        return out
+
+
+def _matmul(X, cols):
+    """X times the matrix whose columns are cols."""
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in X)
+
+
 @dataclass(frozen=True)
 class MarkovShift(_ShiftSystem):
     """Left shift with the stationary Markov measure of a stochastic matrix.
 
     Measures are computed in integers by ``block_measure``: with D the lcm
-    of the matrix denominators, the powers of A = D*P are cached, and the
-    stationary vector is kept as integers over the lcm of its denominators,
-    so a row of symbols spanning coordinates c_0 < ... < c_k has measure
+    of the matrix denominators, powers of A = D*P come from a memo of
+    bounded size (``_IntPowers``; a power past its bit budget raises
+    ResourceCapError), and the stationary vector is kept as integers over
+    the lcm of its denominators, so a row of symbols spanning coordinates
+    c_0 < ... < c_k has measure
     pi[r_0] * prod_t A^(c_{t+1} - c_t)[r_t][r_{t+1}] / (pi_den * D^(c_k - c_0)).
     """
 
@@ -284,10 +341,9 @@ class MarkovShift(_ShiftSystem):
         den = math.lcm(*(p.denominator for row in matrix for p in row))
         pi_den = math.lcm(*(p.denominator for p in pi))
         A = tuple(tuple(p.numerator * (den // p.denominator) for p in row) for row in matrix)
-        identity = tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_pi", (tuple(p.numerator * (pi_den // p.denominator) for p in pi), pi_den))
-        object.__setattr__(self, "_int_powers", [identity, A])
+        object.__setattr__(self, "_powers", _IntPowers(A, den))
 
     @classmethod
     def iid(cls, probs: Sequence) -> "MarkovShift":
@@ -306,32 +362,37 @@ class MarkovShift(_ShiftSystem):
 
     states = alphabet
 
-    def _int_power(self, t: int) -> tuple[tuple[int, ...], ...]:
-        """A^t = D^t * P^t, from the cache."""
-        cache = self._int_powers
-        if len(cache) <= t:
-            cols = tuple(zip(*cache[1]))
-            while len(cache) <= t:
-                cache.append(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in cache[-1]))
-        return cache[t]
-
     def power(self, t: int) -> tuple[tuple[Fraction, ...], ...]:
-        if t < 0:
-            raise ValueError("matrix power must be >= 0")
-        scale = self._den**t
-        return tuple(tuple(Fraction(x, scale) for x in row) for row in self._int_power(t))
+        At, scale = self._powers[t], self._den**t
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in At)
+
+    def _bridge(self, w: Sequence[int], gap: int) -> list[int]:
+        """The state weights w carried ``gap`` coordinates on: w * A^gap."""
+        return [sum(map(operator.mul, w, col)) for col in zip(*self._powers[gap])]
+
+    def _forward(self, incoming: Sequence[int], coords: Sequence[int], rows: Iterable[Sequence[int]]) -> list[int]:
+        """Per state b, the sum over the rows ending in b of
+        incoming[r_0] * prod_t A^(c_{t+1} - c_t)[r_t][r_{t+1}]."""
+        steps = [self._powers[b - a] for a, b in zip(coords, coords[1:])]
+        w = [0] * len(self.matrix)
+        for row in rows:
+            p = incoming[row[0]]
+            for A, a, b in zip(steps, row, row[1:]):
+                p *= A[a][b]
+            w[row[-1]] += p
+        return w
 
     def block_measure(self, blocks: Iterable[tuple[Sequence[int], Collection[Sequence[int]]]]) -> Fraction:
         """mu of the intersection of events on ordered blocks of coordinates.
 
         Each block is (coords, rows): the admissible rows of symbols at the
         increasing coords, all of them after the previous block's.  One
-        integer forward pass carries, per state, the weight of the admitted
-        paths that sit in that state at the block's last coordinate; steps
-        inside a row and gaps between blocks multiply by cached powers of
-        A, so the total is one Fraction over pi_den * D^(last - first).  A
-        block with no coordinates is the full set (one empty row) or the
-        empty set (no rows).
+        integer forward pass (``_forward``) carries, per state, the weight
+        of the admitted paths that sit in that state at the block's last
+        coordinate; steps inside a row and gaps between blocks (``_bridge``)
+        multiply by powers of A, so the total is one Fraction over
+        pi_den * D^(last - first).  A block with no coordinates is the full
+        set (one empty row) or the empty set (no rows).
         """
         pi, pi_den = self._pi
         w = first = last = None
@@ -345,14 +406,8 @@ class MarkovShift(_ShiftSystem):
             elif coords[0] <= last:
                 raise ValueError("blocks must be ordered and disjoint")
             else:
-                incoming = [sum(map(operator.mul, w, col)) for col in zip(*self._int_power(coords[0] - last))]
-            steps = [self._int_power(b - a) for a, b in zip(coords, coords[1:])]
-            w = [0] * len(pi)
-            for row in rows:
-                p = incoming[row[0]]
-                for A, a, b in zip(steps, row, row[1:]):
-                    p *= A[a][b]
-                w[row[-1]] += p
+                incoming = self._bridge(w, coords[0] - last)
+            w = self._forward(incoming, coords, rows)
             last = coords[-1]
         if w is None:
             return Fraction(1)

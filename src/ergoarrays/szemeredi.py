@@ -151,11 +151,15 @@ class LatticeSet:
     members: frozenset[Vector]
 
     def __post_init__(self):
-        for p in self.members:
-            if len(p) != len(self.lo) or not all(
-                a <= x < b for x, a, b in zip(p, self.lo, self.hi)
-            ):
-                raise ValueError(f"member {p} outside the box")
+        # one C-level pass over the lengths and a min and max per coordinate
+        # column; the member is looked for only once the box check fails
+        members, lo, hi = self.members, self.lo, self.hi
+        if members and (
+            set(map(len, members)) != {len(lo)}
+            or any(min(col) < a or max(col) >= b for col, a, b in zip(zip(*members), lo, hi))
+        ):
+            bad = next(p for p in members if len(p) != len(lo) or not all(a <= x < b for x, a, b in zip(p, lo, hi)))
+            raise ValueError(f"member {bad} outside the box")
 
     @classmethod
     def from_members(cls, members: Iterable[Vector], lo: Vector, hi: Vector) -> "LatticeSet":

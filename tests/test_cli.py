@@ -435,6 +435,17 @@ def test_resource_cap_exit_code(tmp_path):
     assert run(["--out-dir", str(tmp_path), "mixing", "--chain", chain, "--alpha", "1"]) == 3
 
 
+def test_markov_power_past_the_bit_budget_exits_3(tmp_path, capsys):
+    # D = 6, so A^30000 would hold entries of about 77500 bits, past the
+    # 65536-bit budget: refused before it is built
+    args = ["--out-dir", str(tmp_path), "recurrence", "--system", MARKOV, "--set", '{"cylinder": {"0": 0}}',
+            "--pq", "(30000,0)", "--Nmax", "2"]
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("resource cap: matrix power 30000 would pass")
+    assert not (tmp_path / "series.csv").exists()
+
+
 GAUSS = '{"kind":"gauss-map"}'
 
 

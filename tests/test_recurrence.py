@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergoarrays.recurrence import (
@@ -14,7 +14,7 @@ from ergoarrays.recurrence import (
     recurrence_series,
 )
 from ergoarrays.repro import random_hypothesis_grid
-from ergoarrays.sets import ArcUnion, FiniteSubset
+from ergoarrays.sets import ArcUnion, CylinderUnion, FiniteSubset
 from ergoarrays.systems import (
     BernoulliLattice,
     BernoulliShift,
@@ -316,6 +316,59 @@ def test_markov_series_matches_direct_sum():
     mk = MarkovShift(((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 4), Fraction(3, 4))))
     for A in (mk.cylinder({0: 0, 2: 1}), mk.complement(mk.cylinder({0: 1, 1: 1}))):
         assert single_series_matches_direct_sum(mk, A, [(1, 0), (2, -1)], 14)
+
+
+def markov_sets(data, system):
+    """A single cylinder, a union of two, or the complement of either, all
+    inside a window of 4 coordinates, so of support span <= 3: copies of A
+    that share one coordinate, and copies whose ranges interleave without
+    sharing one (A on {0, 3} shifted by 1), both occur."""
+    lo = data.draw(st.integers(-3, 3))
+    cylinder = lambda: system.cylinder(
+        data.draw(st.dictionaries(st.integers(lo, lo + 3), st.integers(0, system.alphabet - 1), min_size=1, max_size=3))
+    )
+    A = cylinder()
+    if data.draw(st.booleans()):
+        A = A.union(cylinder())
+    return system.complement(A) if data.draw(st.booleans()) else A
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_markov_series_matches_direct_sum_on_random_chains(data):
+    s = data.draw(st.integers(2, 4))
+    weights = data.draw(
+        st.lists(st.lists(st.integers(0, 4), min_size=s, max_size=s).filter(any), min_size=s, max_size=s)
+    )
+    try:
+        system = MarkovShift(tuple(tuple(Fraction(w, sum(row)) for w in row) for row in weights))
+    except ValueError:  # no unique stationary distribution
+        assume(False)
+    A = markov_sets(data, system)
+    # the oracle multiplies the rows of up to ell + 1 copies of A, so ell is
+    # bounded by A's row count
+    ell = max([1] + [k for k in (2, 3) if len(A.rows) ** (k + 1) <= 4096])
+    coeff = st.integers(-3, 3)
+    pairs = data.draw(st.lists(st.tuples(coeff.filter(bool), coeff), min_size=1, max_size=ell))
+    n_max = data.draw(st.integers(1, 12))
+    shift_fns = [lambda n, N, p=p, q=q: p * n + q * N for p, q in pairs]
+    expected = direct_series(A, system.preimage, system.measure, shift_fns, n_max)
+    assert recurrence_series(RecurrenceSpec(system, A, pairs), n_max).values == expected
+    if len({p for p, _ in pairs}) == len(pairs):  # a lattice action needs distinct generators
+        action = build_lattice_action(system, [p for p, _ in pairs], [q for _, q in pairs])
+        assert commuting_recurrence_series(CommutingRecurrenceSpec(action, A), n_max).values == expected
+
+
+def test_markov_series_edge_sets_and_pairs():
+    mk = MarkovShift(((Fraction(1, 2), Fraction(1, 2), 0), (0, Fraction(1, 3), Fraction(2, 3)), (1, 0, 0)))
+    A = mk.complement(mk.cylinder({0: 1, 2: 2}))
+    # (0, 0) alone: no shift functions, every term is mu(A)
+    for B in (A, mk.cylinder({0: 0})):
+        series = recurrence_series(RecurrenceSpec(mk, B, [(0, 0)]), 9)
+        assert series.values == tuple((N, mk.measure(B)) for N in range(1, 10))
+    for B, value in ((mk.full_set(), 1), (CylinderUnion.empty(mk.alphabet), 0)):
+        series = recurrence_series(RecurrenceSpec(mk, B, [(1, 0), (-2, 1)]), 9)
+        assert series.values == tuple((N, Fraction(value)) for N in range(1, 10)) and series.mu_A == value
 
 
 def test_periodic_series_preimages_stay_bounded(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ergoarrays import systems
 from ergoarrays.sets import _MAX_ROWS, ArcUnion, CylinderUnion, intersect
 from ergoarrays.util import ResourceCapError
 from ergoarrays.systems import (
@@ -629,6 +630,55 @@ def test_block_measure_edge_blocks():
     assert chain.block_measure([([0], [(1,)]), ((), [])]) == 0
     with pytest.raises(ValueError, match="ordered and disjoint"):
         chain.block_measure([([0, 2], [(0, 0)]), ([2], [(0,)])])
+
+
+# -- the bounded matrix-power memo ---------------------------------------------
+
+MEMO_CHAIN = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 2)))
+
+
+def memo_bits(powers) -> int:
+    return sum(x.bit_length() for M in powers.values() for row in M for x in row)
+
+
+def test_far_power_keeps_the_memo_under_its_cap():
+    # caching every power up to A^16000 held about 190 MB; with
+    # pi = (3/7, 4/7) and P^t[0][1] = (4/7)(1 - (-1/6)^t) the answer is exact
+    chain = MarkovShift(MEMO_CHAIN)
+    assert chain.path_measure({0: 0, 16000: 1}) == Fraction(3, 7) * Fraction(4, 7) * (1 - Fraction(-1, 6) ** 16000)
+    powers = chain._powers
+    assert memo_bits(powers) <= systems._POWER_MEMO_BITS
+    assert len(powers) < 40  # the squaring chain, not every power
+
+
+def test_powers_match_the_fraction_oracle_under_a_small_memo(monkeypatch):
+    # a memo of 600 bits empties itself many times over the 41 powers, taken
+    # in shuffled order so both the one-step and the squaring branch run
+    monkeypatch.setattr(systems, "_POWER_MEMO_BITS", 600)
+    chain = MarkovShift(MEMO_CHAIN)
+    powers = oracle_powers(MEMO_CHAIN, 40)
+    ts = list(range(41)) * 2
+    random.Random(4).shuffle(ts)
+    for t in ts:
+        assert chain.power(t) == powers[t]
+        assert memo_bits(chain._powers) <= 600
+
+
+def test_power_past_the_bit_budget_is_refused_before_it_is_built(monkeypatch):
+    chain = MarkovShift(MEMO_CHAIN)  # D = 6: entries of A^t reach t * log2(6) bits
+    t_max = int(systems._MAX_POWER_BITS / math.log2(6))
+    assert chain.power(t_max)[0][0] > 0
+    products = []
+    matmul = systems._matmul
+    monkeypatch.setattr(systems, "_matmul", lambda X, Y: products.append(1) or matmul(X, Y))
+    for t in (t_max + 1, 10**9):
+        with pytest.raises(ResourceCapError, match=f"matrix power {t} would pass 65536 bits"):
+            chain.power(t)
+        with pytest.raises(ResourceCapError, match="matrix power"):
+            chain.path_measure({0: 0, t: 1})
+    assert products == []
+    with pytest.raises(ValueError, match=">= 0"):
+        chain.power(-1)
 
 
 def test_zoo_exposes_exact_protocol(zoo):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -260,6 +261,16 @@ def test_lattice_full_box_and_validation():
         PatternSpec(gamma=((1, 0), (1, 0)), gamma_hat=((0, 0), (0, 0)))
     with pytest.raises(ValueError, match="nonzero"):
         PatternSpec(gamma=((0, 0),), gamma_hat=((0, 1),))
+
+
+@pytest.mark.parametrize("bad", [(-1, 3), (2, 5), (7, 0), (0, -4), (3,), (1, 2, 0), ()])
+def test_lattice_set_rejects_members_off_the_box(bad):
+    # the box is [0, 7) x [-3, 5); the bad member hides among valid ones,
+    # and every valid column reaches both ends of the box
+    good = [(x, y) for x in range(7) for y in range(-3, 5) if (x + y) % 3]
+    assert LatticeSet.from_members(good, (0, -3), (7, 5)).members == frozenset(good)
+    with pytest.raises(ValueError, match=rf"member {re.escape(str(bad))} outside the box"):
+        LatticeSet.from_members(good + [bad], (0, -3), (7, 5))
 
 
 def test_empirical_cylinder_measures():
