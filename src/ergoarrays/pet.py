@@ -8,6 +8,11 @@ the precedence (descent) order on weight matrices, and one differencing
 reduction step; iterating the step descends strictly in precedence until the
 trivial matrix or an all-degree-one system is reached.
 
+``pet_trace``, ``reduce_step`` and ``weight_matrix`` share one kernel on
+rows of binomial-basis coefficients, each member encoded once: products are
+differences of rows, the h-shift is one Pascal table, the weight is read off
+the last nonzero entry.
+
 Only the combinatorial skeleton is certified here: the analytic content that
 each reduction step carries (conditional expectations, L^2 limits) lives in
 the averages module and is not asserted symbolically.
@@ -16,9 +21,12 @@ the averages module and is not asserted symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul, sub
 from typing import Sequence
 
 from .intpoly import IntPoly2
+from .util import ResourceCapError, binom
 
 
 class SystemHypothesisError(ValueError):
@@ -109,16 +117,6 @@ class PExpr:
         """Max degree in n over the generators (0 when constant in n)."""
         return max((p.deg_n for p in self.n_exps), default=0)
 
-    def shift_n(self, h: int) -> "PExpr":
-        """The h-differenced copy: n-exponents P(n+h) - P(h), N-parts kept."""
-        return PExpr(
-            tuple((p.shift_n(h)).drop_constant() for p in self.n_exps),
-            self.N_exps,
-        )
-
-    def sort_key(self):
-        return tuple((p.terms, q.terms) for p, q in zip(self.n_exps, self.N_exps))
-
 
 @dataclass(frozen=True, order=True)
 class Weight:
@@ -140,11 +138,7 @@ def weight(e: PExpr) -> Weight:
 def equivalent(e1: PExpr, e2: PExpr) -> bool:
     """Same weight and same leading coefficient at the weight index."""
     w1, w2 = weight(e1), weight(e2)
-    if w1 != w2:
-        return False
-    return (
-        e1.n_exps[w1.r - 1].top_coeff_n() == e2.n_exps[w2.r - 1].top_coeff_n()
-    )
+    return w1 == w2 and e1.n_exps[w1.r - 1].top_coeff_n() == e2.n_exps[w2.r - 1].top_coeff_n()
 
 
 @dataclass(frozen=True)
@@ -181,15 +175,11 @@ def weight_matrix(system: Sequence[PExpr]) -> WeightMatrix:
     k = system[0].k
     if any(e.k != k for e in system):
         raise ValueError("all expressions must share the generator count")
-    classes: dict[tuple[int, int], set[int]] = {}
-    D = 0
-    for e in system:
-        w = weight(e)  # raises on constant-in-n members
-        D = max(D, e.degree())
-        lead = e.n_exps[w.r - 1].top_coeff_n()
-        classes.setdefault((w.r, w.d), set()).add(lead)
-    counts = {rd: len(leads) for rd, leads in classes.items()}
-    return WeightMatrix.from_counts(k, D, counts)
+    rows = _Rows(system)
+    members = rows.encode(system)
+    if not all(any(n) for n, _ in members):
+        raise ValueError("expression is constant in n and carries no weight")
+    return rows.matrix([n for n, _ in members])
 
 
 def precedes(m_prime: WeightMatrix, m: WeightMatrix) -> bool:
@@ -213,59 +203,138 @@ def precedes(m_prime: WeightMatrix, m: WeightMatrix) -> bool:
     return False
 
 
-def _first_collision(system: Sequence[PExpr]) -> tuple[int, int] | None:
+Member = tuple[tuple[int, ...], tuple[int, ...]]  # (n-row, N-row)
+
+
+def _first_collision(members: Sequence[Member]) -> tuple[int, int] | None:
     """The lexicographically first pair i < j whose quotient is constant in n.
 
-    Exponents vanish at 0 and ``IntPoly2`` forms are canonical, so the
-    quotient e_i e_j^{-1} is constant in n exactly when the two n-parts are
-    equal: one dict of n-parts replaces the scan over all pairs.
+    Exponents vanish at 0 and rows are canonical, so the quotient is
+    constant in n exactly when the two n-rows are equal: one set of n-rows
+    replaces the scan over all pairs.
     """
-    groups: dict[tuple[IntPoly2, ...], list[int]] = {}
-    for i, e in enumerate(system):
-        groups.setdefault(e.n_exps, []).append(i)
-    return min(((g[0], g[1]) for g in groups.values() if len(g) > 1), default=None)
+    if len({n for n, _ in members}) == len(members):
+        return None
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (n, _) in enumerate(members):
+        groups.setdefault(n, []).append(i)
+    return min((g[0], g[1]) for g in groups.values() if len(g) > 1)
 
 
-def _check_hypotheses(system: Sequence[PExpr]) -> None:
-    for i, e in enumerate(system):
-        if e.is_constant_in_n():
+class _Rows:
+    """The descent on coefficient rows of one layout (k, D, D_N).
+
+    Entry r*D + i - 1 of a member's n-row holds the C(n, i) coefficient of
+    generator r + 1, and likewise its N-row up to D_N.  A product of members
+    is the difference of their rows, and the weight (r, d) is read from the
+    last nonzero entry t of the n-row as divmod(t, D) + 1, so comparing
+    weights is comparing t.  Shifts and products never raise D.
+    """
+
+    def __init__(self, system: Sequence[PExpr]):
+        self.k = system[0].k if system else 0
+        self.D = D = max((p.deg_n for e in system for p in e.n_exps), default=0)
+        self.DN = max((j for e in system for q in e.N_exps for (_, j), _ in q.terms), default=0)
+        self.cols = range(self.k * D)
+        # 0/1 masks over an n-row: the C(n, d) columns for each d, and every column of degree >= 2
+        self.degree_cols = [((0,) * (d - 1) + (1,) + (0,) * (D - d)) * self.k for d in range(1, D + 1)]
+        self.high = ((0,) + (1,) * (D - 1)) * self.k
+
+    def encode(self, system: Sequence[PExpr]) -> list[Member]:
+        """Members of other generator counts get rows of other lengths."""
+        def row(polys, width, axis):
+            out = [0] * (len(polys) * width)
+            for r, p in enumerate(polys):
+                for key, c in p.terms:
+                    out[r * width + key[axis] - 1] = c
+            return tuple(out)
+
+        return [(row(e.n_exps, self.D, 0), row(e.N_exps, self.DN, 1)) for e in system]
+
+    def terms(self, row: tuple[int, ...], width: int, r: int) -> tuple[tuple[int, int], ...]:
+        """(degree, coefficient) of each nonzero entry of generator r + 1."""
+        block = row[r * width : r * width + width]
+        return tuple(compress(enumerate(block, 1), block))
+
+    def decode(self, members: Sequence[Member]) -> list[PExpr]:
+        def polys(row, width, key):
+            return tuple(IntPoly2(tuple((key(i), c) for i, c in self.terms(row, width, r))) for r in range(self.k))
+
+        return [PExpr(polys(n, self.D, lambda i: (i, 0)), polys(N, self.DN, lambda j: (0, j))) for n, N in members]
+
+    def matrix(self, rows: Sequence[tuple[int, ...]]) -> WeightMatrix:
+        """Weight matrix of a system of nonzero n-rows."""
+        if not rows:
+            raise ValueError("empty system")
+        D, classes = self.D, {}
+        for n in rows:
+            t = max(compress(self.cols, n))
+            classes.setdefault(t, set()).add(n[t])
+        top = next((d for d in range(D, 0, -1) if any(any(compress(n, self.degree_cols[d - 1])) for n in rows)), 0)
+        return WeightMatrix.from_counts(self.k, top, {(t // D + 1, t % D + 1): len(v) for t, v in classes.items()})
+
+    def shifter(self, h: int):
+        """n-row of P -> n-row of P(n + h) - P(h), by the upper-triangular
+        table C(n + h, i) = sum_s C(h, i - s) C(n, s) with column s = 0 dropped."""
+        D = self.D
+        pascal = [binom(h, t) for t in range(D)]
+        spans = [(r * D + s, r * D + D, pascal[: D - s]) for r in range(self.k) for s in range(D)]
+        return lambda n: tuple(sum(map(mul, w, n[lo:hi])) for lo, hi, w in spans)
+
+    def sort_key(self, member: Member):
+        """PExpr's sparse order: per generator its n-terms, then its N-terms."""
+        return tuple((self.terms(member[0], self.D, r), self.terms(member[1], self.DN, r)) for r in range(self.k))
+
+    def step(self, system: list[Member], h: int, before: WeightMatrix | None = None,
+             pivot: int | None = None) -> tuple[list[Member], WeightMatrix]:
+        """One reduction of a system meeting the hypotheses, with the output's
+        weight matrix; ``before`` is the input's, if known."""
+        shift, aux = self.shifter(h), list(system)
+        seen = set(aux)  # systems are sets of members; the list keeps order
+        for n, N in system:
+            if any(compress(n, self.high)):  # degree-one copies equal their originals
+                copy = (shift(n), N)
+                if copy not in seen:
+                    seen.add(copy)
+                    aux.append(copy)
+        pair = _first_collision(aux)  # the input has none, so j is a copy
+        if pair is not None:
+            raise ShiftTooSmallError(h, f"auxiliary members {pair[0]} and {pair[1]} coincide in their n-parts")
+        ws = [max(compress(self.cols, n)) for n, _ in aux]
+        least = min(ws)
+        if pivot is None:
+            ties = [i for i, w in enumerate(ws) if w == least]
+            pivot = min(ties, key=lambda i: self.sort_key(aux[i])) if len(ties) > 1 else ties[0]
+        elif not 0 <= pivot < len(aux):
+            raise ValueError(f"pivot index {pivot} outside auxiliary system")
+        elif ws[pivot] != least:
+            raise ValueError("pivot must select a minimal-weight member")
+        pn, pN = aux.pop(pivot)
+        # n-rows stay distinct and nonzero: aux's are distinct
+        out = [(tuple(map(sub, n, pn)), tuple(map(sub, N, pN))) for n, N in aux]
+        after = self.matrix([n for n, _ in out])
+        if before is None:
+            before = self.matrix([n for n, _ in system])
+        if not precedes(after, before):
+            raise RuntimeError("internal error: reduction did not descend in precedence")
+        return out, after
+
+
+def _prepare(system: Sequence[PExpr]) -> tuple[_Rows, list[Member]]:
+    """Encode a system and check the nonconstant-quotient hypotheses."""
+    rows = _Rows(system)
+    members = rows.encode(system)
+    for i, (n, _) in enumerate(members):
+        if not any(n):
             raise SystemHypothesisError(f"expression {i} is constant in n")
-    pair = _first_collision(system)
+    pair = _first_collision(members)
     # the first member whose generator count differs from member 0's
     odd = next((j for j, e in enumerate(system) if e.k != system[0].k), None)
     if odd is not None and (pair is None or (0, odd) < pair):
         raise ValueError("generator counts differ")
     if pair is not None:
-        raise SystemHypothesisError(
-            f"expressions {pair[0]} and {pair[1]} have a quotient constant in n"
-        )
-
-
-def _auxiliary_system(system: Sequence[PExpr], h: int) -> list[PExpr]:
-    """Original expressions plus h-differenced copies of the degree>=2 ones.
-
-    Degree-one copies coincide with their originals and are not duplicated;
-    any other coincidence in n-parts means h is too small.
-    """
-    aux = list(system)
-    seen = set(aux)  # systems are sets of expressions; the list keeps order
-    for e in system:
-        if e.degree() >= 2:
-            shifted = e.shift_n(h)
-            if shifted not in seen:
-                seen.add(shifted)
-                aux.append(shifted)
-    pair = _first_collision(aux)
-    if pair is not None:
-        i, j = pair
-        if j < len(system):
-            raise SystemHypothesisError(
-                f"expressions {i} and {j} have a quotient constant in n"
-            )
-        raise ShiftTooSmallError(
-            h, f"auxiliary members {i} and {j} coincide in their n-parts"
-        )
-    return aux
+        raise SystemHypothesisError(f"expressions {pair[0]} and {pair[1]} have a quotient constant in n")
+    return rows, members
 
 
 def reduce_step(system: Sequence[PExpr], h: int, pivot: int | None = None) -> list[PExpr]:
@@ -280,39 +349,8 @@ def reduce_step(system: Sequence[PExpr], h: int, pivot: int | None = None) -> li
     select a member of minimal weight (ties in the automatic choice are
     broken by the lexicographic order on exponent coefficient vectors).
     """
-    return _reduce_step(system, h, pivot)[0]
-
-
-def _reduce_step(
-    system: Sequence[PExpr], h: int, pivot: int | None = None, before: WeightMatrix | None = None
-) -> tuple[list[PExpr], WeightMatrix]:
-    """reduce_step plus the output's weight matrix; ``before`` is the input's, if known."""
-    system = list(system)
-    _check_hypotheses(system)
-    aux = _auxiliary_system(system, h)
-    min_w = min(weight(e) for e in aux)
-    if pivot is None:
-        candidates = [i for i, e in enumerate(aux) if weight(e) == min_w]
-        pivot = min(candidates, key=lambda i: aux[i].sort_key())
-    else:
-        if not 0 <= pivot < len(aux):
-            raise ValueError(f"pivot index {pivot} outside auxiliary system")
-        if weight(aux[pivot]) != min_w:
-            raise ValueError("pivot must select a minimal-weight member")
-    piv_inv = aux[pivot].inv()
-    out: list[PExpr] = []
-    for i, e in enumerate(aux):
-        if i == pivot:
-            continue
-        reduced = e.mul(piv_inv)
-        if reduced.is_constant_in_n():
-            # cannot happen after the auxiliary-system scan; guard anyway
-            raise ShiftTooSmallError(h, f"member {i} collapses onto the pivot")
-        out.append(reduced)  # distinct: aux is, and multiplying by piv_inv is injective
-    after = weight_matrix(out)
-    if not precedes(after, weight_matrix(system) if before is None else before):
-        raise RuntimeError("internal error: reduction did not descend in precedence")
-    return out, after
+    rows, members = _prepare(list(system))
+    return rows.decode(rows.step(members, h, pivot=pivot)[0])
 
 
 def pet_trace(
@@ -333,33 +371,33 @@ def pet_trace(
     but the intermediate systems can grow by almost a factor of two per step
     (every degree->=2 member spawns a differenced copy), so dense systems
     mixing degree-one and higher-degree members blow up exponentially along
-    the descent.  ``max_system_size`` fails loudly instead of grinding.
+    the descent.  ``max_steps``, ``h_cap`` and ``max_system_size`` raise
+    ``ResourceCapError`` instead of grinding.
     """
-    system = list(system)
-    _check_hypotheses(system)
-    chain = [weight_matrix(system)]
+    rows, members = _prepare(list(system))
+    chain = [rows.matrix([n for n, _ in members])]
     step = 0
-    while not (chain[-1].is_m0() or all(e.degree() <= 1 for e in system)):
+    while not (chain[-1].is_m0() or chain[-1].D <= 1):
         if step >= max_steps:
-            raise RuntimeError(f"descent did not terminate within {max_steps} steps")
-        if len(system) > max_system_size:
-            raise RuntimeError(
+            raise ResourceCapError(f"descent did not terminate within {max_steps} steps")
+        if len(members) > max_system_size:
+            raise ResourceCapError(
                 f"system grew past {max_system_size} members at step {step}; "
                 "the full expansion of this descent is not desk-scale"
             )
         if h_schedule is not None:
             if step >= len(h_schedule):
                 raise ValueError("h_schedule exhausted before descent finished")
-            system, nxt = _reduce_step(system, h_schedule[step], before=chain[-1])
+            members, nxt = rows.step(members, h_schedule[step], chain[-1])
         else:
             for h in range(1, h_cap + 1):
                 try:
-                    system, nxt = _reduce_step(system, h, before=chain[-1])
+                    members, nxt = rows.step(members, h, chain[-1])
                     break
                 except ShiftTooSmallError:
                     continue
             else:
-                raise RuntimeError(f"no usable shift h <= {h_cap}")
-        chain.append(nxt)  # _reduce_step checked that it descends from chain[-1]
+                raise ResourceCapError(f"no usable shift h <= {h_cap}")
+        chain.append(nxt)  # step checked that it descends from chain[-1]
         step += 1
     return chain

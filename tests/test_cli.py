@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ergoarrays import szemeredi
+from ergoarrays import pet, szemeredi
 from ergoarrays.cli import _build_parser, main
 from ergoarrays.util import fraction_to_json
 
@@ -444,6 +444,23 @@ def test_markov_power_past_the_bit_budget_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("resource cap: matrix power 30000 would pass")
     assert not (tmp_path / "series.csv").exists()
+
+
+# a dense two-generator system whose descent grows past any desk-scale size
+BLOW_UP = {"system": [
+    {"n": ["0", "1/6*n**3 - 1/2*n**2 + 1/3*n"], "N": ["-1*N", "-2*N"]},
+    {"n": ["1/2*n**2 - 1/2*n", "-1*n**2 - 1*n"], "N": ["N", "0"]},
+    {"n": ["1/3*n**3 - 2*n**2 + 8/3*n", "-1/6*n**3 - 1/2*n**2 - 1/3*n"], "N": ["-1*N", "-1*N"]},
+]}
+
+
+def test_pet_reduce_past_the_size_cap_exits_3(tmp_path, capsys, monkeypatch):
+    trace = pet.pet_trace
+    monkeypatch.setattr(pet, "pet_trace", lambda system: trace(system, max_system_size=64))
+    assert run(["--out-dir", str(tmp_path), "pet-reduce", "--exprs", json.dumps(BLOW_UP)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("resource cap: system grew past 64 members at step ")
+    assert not list(tmp_path.iterdir())
 
 
 GAUSS = '{"kind":"gauss-map"}'

@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +20,7 @@ from ergoarrays.pet import (
     weight_matrix,
 )
 from ergoarrays.repro import _random_pet_system
+from ergoarrays.util import ResourceCapError
 
 
 def E(*n_exps, N_exps=None):
@@ -187,6 +187,19 @@ def test_random_descents_terminate_and_descend(seed):
         assert precedes(later, earlier)
 
 
+def test_dense_descent_hits_the_size_cap():
+    # two generators of degree 3: the descent passes 2048 members at step 27
+    system = [
+        PExpr.make(["0", "1/6*n**3 - 1/2*n**2 + 1/3*n"], ["-1*N", "-2*N"]),
+        PExpr.make(["1/2*n**2 - 1/2*n", "-1*n**2 - 1*n"], ["N", "0"]),
+        PExpr.make(["1/3*n**3 - 2*n**2 + 8/3*n", "-1/6*n**3 - 1/2*n**2 - 1/3*n"], ["-1*N", "-1*N"]),
+    ]
+    with pytest.raises(ResourceCapError, match="grew past 2048 members at step 27;"):
+        pet_trace(system, max_system_size=2048)
+    with pytest.raises(ResourceCapError, match="did not terminate within 5 steps"):
+        pet_trace(system, max_steps=5)
+
+
 def test_normalization_strips_origin_values():
     e = PExpr.make(["n**2 + 5"], ["N + 7"])
     assert e.n_exps[0].eval(0, 0) == 0
@@ -201,11 +214,35 @@ def test_make_rejects_mixed_variables():
         )
 
 
-# -- pairwise oracle for the n-part hashing ------------------------------------
+# -- IntPoly2 oracle for the coefficient-row kernel ----------------------------
 #
-# Brute-force copies of the hypothesis check, the auxiliary-family scan and
-# the reduction step that ask every pair of members whether its quotient
-# mul(inv()) is constant in n, with list membership for deduplication.
+# A standalone copy of the descent on PExpr and IntPoly2 arithmetic: every
+# pair of members is asked whether its quotient mul(inv()) is constant in n,
+# shifted copies come from IntPoly2.shift_n, duplicates are found by list
+# membership and ties by the sparse term order.  Of pet it uses only PExpr,
+# weight, precedes, WeightMatrix and the error types.
+
+
+def oracle_shift(e, h):
+    """The h-differenced copy: n-exponents P(n+h) - P(h), N-parts kept."""
+    return PExpr(tuple(p.shift_n(h).drop_constant() for p in e.n_exps), e.N_exps)
+
+
+def oracle_sort_key(e):
+    return tuple((p.terms, q.terms) for p, q in zip(e.n_exps, e.N_exps))
+
+
+def oracle_weight_matrix(system):
+    if not system:
+        raise ValueError("empty system")
+    if any(e.k != system[0].k for e in system):
+        raise ValueError("all expressions must share the generator count")
+    classes = {}
+    for e in system:
+        w = weight(e)
+        classes.setdefault((w.r, w.d), set()).add(e.n_exps[w.r - 1].top_coeff_n())
+    D = max(e.degree() for e in system)
+    return WeightMatrix.from_counts(system[0].k, D, {rd: len(v) for rd, v in classes.items()})
 
 
 def oracle_check_hypotheses(system):
@@ -224,7 +261,7 @@ def oracle_auxiliary_system(system, h):
     aux = list(system)
     for e in system:
         if e.degree() >= 2:
-            shifted = e.shift_n(h)
+            shifted = oracle_shift(e, h)
             if shifted not in aux:
                 aux.append(shifted)
     for i in range(len(aux)):
@@ -240,13 +277,18 @@ def oracle_auxiliary_system(system, h):
     return aux
 
 
-def oracle_reduce_step(system, h):
+def oracle_reduce_step(system, h, pivot=None):
     system = list(system)
     oracle_check_hypotheses(system)
     aux = oracle_auxiliary_system(system, h)
     min_w = min(weight(e) for e in aux)
-    candidates = [i for i, e in enumerate(aux) if weight(e) == min_w]
-    pivot = min(candidates, key=lambda i: aux[i].sort_key())
+    if pivot is None:
+        candidates = [i for i, e in enumerate(aux) if weight(e) == min_w]
+        pivot = min(candidates, key=lambda i: oracle_sort_key(aux[i]))
+    elif not 0 <= pivot < len(aux):
+        raise ValueError(f"pivot index {pivot} outside auxiliary system")
+    elif weight(aux[pivot]) != min_w:
+        raise ValueError("pivot must select a minimal-weight member")
     piv_inv = aux[pivot].inv()
     out = []
     for i, e in enumerate(aux):
@@ -257,21 +299,40 @@ def oracle_reduce_step(system, h):
             raise ShiftTooSmallError(h, f"member {i} collapses onto the pivot")
         if reduced not in out:
             out.append(reduced)
-    if not precedes(weight_matrix(out), weight_matrix(system)):
+    if not precedes(oracle_weight_matrix(out), oracle_weight_matrix(system)):
         raise RuntimeError("internal error: reduction did not descend in precedence")
     return out
 
 
-def oracle_reduce_step_with_matrix(system, h, before=None):
-    out = oracle_reduce_step(system, h)
-    return out, weight_matrix(out)
-
-
-def oracle_pet_trace(system, **kw):
-    with mock.patch.multiple(
-        pet, _reduce_step=oracle_reduce_step_with_matrix, _check_hypotheses=oracle_check_hypotheses
-    ):
-        return pet_trace(system, **kw)
+def oracle_pet_trace(system, h_schedule=None, max_steps=10**6, h_cap=10_000, max_system_size=100_000):
+    system = list(system)
+    oracle_check_hypotheses(system)
+    chain = [oracle_weight_matrix(system)]
+    step = 0
+    while not (chain[-1].is_m0() or all(e.degree() <= 1 for e in system)):
+        if step >= max_steps:
+            raise ResourceCapError(f"descent did not terminate within {max_steps} steps")
+        if len(system) > max_system_size:
+            raise ResourceCapError(
+                f"system grew past {max_system_size} members at step {step}; "
+                "the full expansion of this descent is not desk-scale"
+            )
+        if h_schedule is not None:
+            if step >= len(h_schedule):
+                raise ValueError("h_schedule exhausted before descent finished")
+            system = oracle_reduce_step(system, h_schedule[step])
+        else:
+            for h in range(1, h_cap + 1):
+                try:
+                    system = oracle_reduce_step(system, h)
+                    break
+                except ShiftTooSmallError:
+                    continue
+            else:
+                raise ResourceCapError(f"no usable shift h <= {h_cap}")
+        chain.append(oracle_weight_matrix(system))
+        step += 1
+    return chain
 
 
 def outcome(f, *args, **kw):
@@ -290,7 +351,10 @@ def _n_parts(k):
 
 
 def _N_parts(k):
-    return st.tuples(*[st.integers(-2, 2).map(lambda c: IntPoly2.from_coeffs({(0, 1): c}))] * k)
+    poly = st.dictionaries(st.integers(1, 2), st.integers(-2, 2), max_size=2).map(
+        lambda c: IntPoly2.from_coeffs({(0, d): v for d, v in c.items()})
+    )
+    return st.tuples(*[poly] * k)
 
 
 @st.composite
@@ -315,9 +379,19 @@ def colliding_systems(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(colliding_systems())
-def test_reduce_step_and_trace_match_pairwise_oracle(system):
+@given(colliding_systems(), st.lists(st.integers(-1, 4), max_size=6), st.integers(1, 3))
+def test_reduce_step_and_trace_match_pairwise_oracle(system, h_schedule, h_cap):
     for h in range(1, 7):
         assert outcome(reduce_step, system, h) == outcome(oracle_reduce_step, system, h)
+    # every pivot index of the auxiliary family, and a few outside it
+    for h in (1, 2):
+        for p in range(-1, 2 * len(system) + 2):
+            got = outcome(reduce_step, system, h, pivot=p)
+            assert got == outcome(oracle_reduce_step, system, h, pivot=p)
+    assert outcome(weight_matrix, system) == outcome(oracle_weight_matrix, system)
     caps = dict(max_steps=8, max_system_size=12)
     assert outcome(pet_trace, system, **caps) == outcome(oracle_pet_trace, system, **caps)
+    caps["h_cap"] = h_cap
+    assert outcome(pet_trace, system, **caps) == outcome(oracle_pet_trace, system, **caps)
+    got = outcome(pet_trace, system, h_schedule=h_schedule, **caps)
+    assert got == outcome(oracle_pet_trace, system, h_schedule=h_schedule, **caps)
