@@ -17,15 +17,14 @@ The system type picks the kernel, and every kernel works in integers:
 * independent coordinates (Bernoulli shifts and lattices): an observable
   is, over its denominator, an integer combination of 1 and single-row
   cylinders, so a product of factors expands into atoms, coordinate ->
-  symbol maps with integer weights (zero where two rows disagree), whose
-  measure depends only on their signature, the count of fixed coordinates
-  per symbol.  ``_Engine.inner`` sums atom weights by signature; with
-  ell >= 2 the pair sum counts every pair of classes as disjoint by
-  convolving those sums, then visits only the pairs of classes that share
-  a coordinate and, in them, the pairs of atoms that agree:
-  O(N*ell*a + overlapping class pairs * a^2 + signatures^2) for a atoms
-  per class, where a^2 falls to the agreeing pairs when atoms crowd on
-  shared coordinates and are looked up by symbol;
+  symbol maps with integer weights (zero where two rows disagree) and
+  integer masses (``_mass``).  ``_Engine.inner`` sums their weighted
+  masses; with ell >= 2 terms on disjoint coordinates are independent, so
+  the pair sum is the squared mean sum plus, for only the pairs of classes
+  that share a coordinate, their joint sum over agreeing atoms minus the
+  product of their means: O(N*ell*a + overlapping class pairs * a^2) for a
+  atoms per class, where a^2 falls to the agreeing pairs when atoms crowd
+  on shared coordinates and are looked up by symbol;
 * Markov shifts: ``_Engine.inner`` intersects cylinder sets, plain
   indicators into one set, affine factors with integer numerators and
   equal intersections merged; with ell >= 2 every pair of classes takes
@@ -33,12 +32,12 @@ The system type picks the kernel, and every kernel works in integers:
 
 Off the grid, with one factor (ell = 1, or one commuting generator pair)
 every pair term is a correlation C_f(d) = <T^d f, f>, C_f(d) = C_f(-d), so
-the pair sum is sum_d w_d C_f(d), taken by one ``sweep`` per correlation
-type.  On independent coordinates with scalar shifts C_f(d) = (integral
-f)^2 once |d| exceeds the support diameter of f, and the sweep visits only
-neighbouring shifts; elsewhere linear shifts give d = k*step the weight
-2(N - k), other shifts pair their distinct values, and ``_Engine.inner``
-runs once per distinct difference.
+the pair sum is sum_d w_d C_f(d), taken by one ``_Correlation.sweep``.
+Linear shifts give d = k*step the weight 2(N - k), other shifts pair their
+distinct values, and ``_Engine.inner`` runs once per distinct difference.
+On independent coordinates with scalar shifts C_f(d) = (integral f)^2 once
+|d| exceeds the support diameter of f, so the sweep visits only
+neighbouring shifts.
 
 More than ``_MAX_CLASSES`` = 4096 classes, wherever pairs of classes are
 visited (off the grid), and an atom expansion whose maps fix more than
@@ -58,7 +57,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import add, sub
+from operator import sub
 from typing import Sequence
 
 from .intpoly import IntPoly2
@@ -223,11 +222,13 @@ class _Engine:
         """Exact integral of the product of the given factors."""
         if not self.independent:
             return self._expand(factors)
-        alphabet = self.system.alphabet
-        counts: Counter = Counter()
-        for w, A in _atom_product([_atoms(f, alphabet) for f in factors]):
-            counts[_signature(A.values(), alphabet)] += w
-        return self.by_signature(counts, math.prod(den for den, _, _ in factors))
+        nums, den = self.system._nums, self.system._den
+        sizes: Counter = Counter()  # coordinates fixed -> weighted masses
+        for w, A in _atom_product([_atoms(f, self.system.alphabet) for f in factors]):
+            sizes[len(A)] += w * _mass(A, nums)
+        top = max(sizes, default=0)
+        total = sum(m * den ** (top - size) for size, m in sizes.items())
+        return Fraction(total, math.prod(den for den, _, _ in factors) * den**top)
 
     def _expand(self, factors) -> Fraction:
         """Plain indicators (coefficient 1, no constant) are intersected into
@@ -264,17 +265,6 @@ class _Engine:
         total = sum((w if S is None else w * self.measure(S) for S, w in weights.items() if w), _ZERO)
         return total / scale
 
-    # atoms on independent coordinates
-
-    def by_signature(self, counts, scale: int) -> Fraction:
-        """sum_sig k_sig * mu(sig) / scale, where mu(sig) = prod_s p_s^sig[s]
-        is the measure of every atom with that signature: one integer sum
-        over den^top, with p_s = nums[s] / den and top the largest atom."""
-        nums, den = self.system._nums, self.system._den
-        top = max(map(sum, counts), default=0)
-        total = sum(k * math.prod(map(pow, nums, sig)) * den ** (top - sum(sig)) for sig, k in counts.items() if k)
-        return Fraction(total, scale * den**top)
-
 
 _ZERO = Fraction(0)
 _MAX_CLASSES = 4096  # classes a pair sum may visit pairwise
@@ -300,12 +290,9 @@ def _atoms(factor, alphabet: int) -> list[tuple[int, tuple, tuple]]:
     return [(w, coords, row) for (coords, row), w in weights.items() if w]
 
 
-def _signature(symbols, alphabet: int) -> tuple[int, ...]:
-    """The number of coordinates an atom fixes to each symbol."""
-    sig = [0] * alphabet
-    for s in symbols:
-        sig[s] += 1
-    return tuple(sig)
+def _mass(A: dict, nums) -> int:
+    """den^len(A) times the measure of the cylinder that A fixes: the product of its symbols' numerators."""
+    return math.prod(map(nums.__getitem__, A.values()))
 
 
 def _agreeing(atoms):
@@ -376,37 +363,40 @@ def _atom_product(atom_lists) -> list[tuple[int, dict]]:
     return out
 
 
-def _join(maps, agreeing, k: int, counts: Counter) -> None:
-    """Add k * w * v to ``counts`` at the signature of the merged map for
-    every map (w, map, signature) and every atom (v, coords, row) that
-    ``agreeing`` finds for it: the map's signature plus the symbols of the
-    coordinates it leaves free."""
-    for w, A, sig in maps:
-        for v, coords, row in agreeing(A):
-            merged = list(sig)
-            for c, s in zip(coords, row):
-                if c not in A:
-                    merged[s] += 1
-            counts[tuple(merged)] += k * w * v
-
-
 # ---------------------------------------------------------------------------
 # one-factor correlations C_f(d) = <T^d f, f>
 
 
 class _Correlation:
     """C_f(d) for one observable through ``_Engine.inner``, memoized by
-    difference: the correlation of Markov shifts, and of vector shifts on
-    independent coordinates.  ``total`` is sum_d w_d C_f(d) over a map of
-    differences (folded by ``_Engine.key``) to weights, and ``sweep`` the
-    pair sum over a list of shifts."""
+    difference.  ``total`` is sum_d w_d C_f(d) over a map of differences
+    (folded by ``_Engine.key``) to weights, and ``sweep`` the pair sum over
+    a list of shifts.  On independent coordinates C_f(d) = (integral f)^2
+    once d moves the support of f off itself, past its diameter ``reach``:
+    per axis on a lattice, where a vector shift needs one axis past it and
+    the diagonal shift of a scalar d needs |d| past the smallest.  Other
+    systems have no diameter (``reach`` None)."""
 
     def __init__(self, eng: _Engine, f: Observable, zero):
         self.eng = eng
         self.f = f
+        self.zero = zero
         self.base = eng.factor(f, zero)
         self.mean = eng.inner([self.base])
+        self.square = self.mean * self.mean
         self._memo: dict = {}
+        self.reach = None
+        if eng.independent and all(isinstance(S, CylinderUnion) for _, S in f.terms):
+            points = [c if isinstance(c, tuple) else (c,) for _, S in self.base[2] for c in S.coords]
+            reach = [max(axis) - min(axis) for axis in zip(*points)] or [-1] * (len(zero) if eng.vector else 1)
+            self.reach = reach if eng.vector else min(reach)
+
+    def far(self, d) -> bool:
+        if self.reach is None:
+            return False
+        if self.eng.vector:
+            return any(abs(x) > r for x, r in zip(d, self.reach))
+        return abs(d) > self.reach
 
     def value(self, d):
         out = self._memo.get(d)
@@ -415,91 +405,34 @@ class _Correlation:
         return out
 
     def total(self, weights) -> Fraction:
-        return sum((w * self.value(d) for d, w in weights.items()), _ZERO)
+        return sum((w * (self.square if self.far(d) else self.value(d)) for d, w in weights.items()), _ZERO)
 
     def sweep(self, shifts) -> Fraction:
         """sum_{t,u} C_f(s_u - s_t) as sum_d w_d C_f(d).  Shifts linear in t
         give d = s_k - s_0 the weight 2(T - k) (T for k = 0); other shifts
-        are grouped into classes of equal shifts, and every pair of classes
-        weighs its difference h*h'."""
+        are sorted into classes of equal shifts, and every pair of classes
+        weighs its difference h*h'.  A scalar diameter stops both scans at
+        it, and every other pair is far; without one the classes are capped."""
         eng, terms = self.eng, len(shifts)
-        diff = eng.diff
+        diff, key = eng.diff, eng.key
+        reach = None if eng.vector else self.reach
         step = diff(shifts[1], shifts[0]) if terms > 1 else None
-        weights: dict = {}
-        if all(diff(b, a) == step for a, b in zip(shifts[1:], shifts[2:])):
-            for k, s in enumerate(shifts):
-                d = eng.key(diff(s, shifts[0]))
-                weights[d] = weights.get(d, 0) + (2 * (terms - k) if k else terms)
+        near: dict = defaultdict(int)
+        if len(set(map(diff, shifts[1:], shifts))) <= 1:
+            span = terms if reach is None or not step else min(terms, reach // abs(step) + 1)
+            for k in range(span):
+                near[key(diff(shifts[k], shifts[0]))] += 2 * (terms - k) if k else terms
         else:
-            classes = list(_classes(shifts).items())
-            for i, (r, h) in enumerate(classes):
-                for s, g in classes[i:]:
-                    d = eng.key(diff(s, r))
-                    weights[d] = weights.get(d, 0) + (2 * h * g if s != r else h * h)
-        return self.total(weights)
-
-
-class _IndependentCorrelation(_Correlation):
-    """On independent coordinates T^d f and f are independent once d moves
-    the support of f off itself, so C_f(d) = (integral f)^2 when |d|
-    exceeds the support diameter.  On a lattice the diameters are per axis:
-    a vector shift needs one axis past its diameter, and the diagonal shift
-    of a scalar d moves every axis, so it needs |d| past the smallest."""
-
-    def __init__(self, eng: _Engine, f: Observable, zero):
-        super().__init__(eng, f, zero)
-        points = [c if isinstance(c, tuple) else (c,) for _, S in self.base[2] for c in S.coords]
-        reach = [max(axis) - min(axis) for axis in zip(*points)] if points else None
-        self.reach = reach if reach is None or eng.vector else min(reach)
-        self.square = self.mean * self.mean
-
-    def far(self, d) -> bool:
-        if self.reach is None:
-            return True
-        if self.eng.vector:
-            return any(abs(x) > r for x, r in zip(d, self.reach))
-        return abs(d) > self.reach
-
-    def total(self, weights) -> Fraction:
-        far, near = 0, {}
-        for d, w in weights.items():
-            if self.far(d):
-                far += w
-            else:
-                near[d] = w
-        return far * self.square + super().total(near)
-
-    def sweep(self, shifts) -> Fraction:
-        """Neighbour scan: sort the distinct shift values and weigh only the
-        pairs within the diameter; every other ordered pair is far.  T
-        equally spaced distinct shifts are weighed at once: the gap j*|step|
-        gets 2(T - j).  Vector shifts take the base sweep."""
-        if self.eng.vector:
-            return super().sweep(shifts)
-        reach = -1 if self.reach is None else self.reach
-        terms = len(shifts)
-        step = shifts[1] - shifts[0] if terms > 1 else 0
-        if step and shifts == list(range(shifts[0], shifts[0] + terms * step, step)):
-            near = {j * abs(step): 2 * (terms - j) if j else terms for j in range(min(terms, reach // abs(step) + 1))}
-        else:
-            values = sorted(Counter(shifts).items())
-            near = defaultdict(int)
+            values = sorted((_classes(shifts) if reach is None else Counter(shifts)).items())
             for i, (v, h) in enumerate(values):
-                near[0] += h * h
-                j = i + 1
-                while j < len(values) and values[j][0] - v <= reach:
+                near[self.zero] += h * h
+                for j in range(i + 1, len(values)):
                     u, g = values[j]
-                    near[u - v] += 2 * h * g
-                    j += 1
+                    if reach is not None and u - v > reach:
+                        break
+                    near[key(diff(u, v))] += 2 * h * g
         far = terms**2 - sum(near.values())
         return far * self.square + self.total(near)
-
-
-def _correlation(eng: _Engine, f: Observable, zero) -> _Correlation:
-    """The correlation of f for the engine's system type."""
-    if eng.independent and all(isinstance(S, CylinderUnion) for _, S in f.terms):
-        return _IndependentCorrelation(eng, f, zero)
-    return _Correlation(eng, f, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +548,8 @@ def _distance(eng: _Engine, observables, columns, c: Fraction) -> Fraction:
 
     On a rotation or a finite point system ``_Grid.sums`` takes both sums
     as integrals of V = sum_t x_t.  Elsewhere, with one factor every pair
-    term is a correlation, <x_t, x_u> = C_f(s_u - s_t), and the
-    correlation's ``sweep`` (``_correlation``) takes the pair sum.
+    term is a correlation, <x_t, x_u> = C_f(s_u - s_t), and
+    ``_Correlation.sweep`` takes the pair sum.
 
     With more factors the terms are grouped into classes of equal rows,
     class r with multiplicity h_r.  On independent coordinates
@@ -629,7 +562,7 @@ def _distance(eng: _Engine, observables, columns, c: Fraction) -> Fraction:
         mean_sum, pair_sum = _Grid(eng, observables).sums(columns)
     elif len(observables) == 1:
         (shifts,) = columns
-        corr = _correlation(eng, observables[0], eng.diff(shifts[0], shifts[0]))
+        corr = _Correlation(eng, observables[0], eng.diff(shifts[0], shifts[0]))
         return corr.sweep(shifts) / terms**2 - 2 * c * corr.mean + c * c
     elif eng.independent:
         mean_sum, pair_sum = _counted_sums(eng, observables, _classes(zip(*columns)))
@@ -658,19 +591,15 @@ def _counted_sums(eng: _Engine, observables, mult) -> tuple[Fraction, Fraction]:
     independent-coordinates system, for the classes of terms in ``mult``
     (row of shifts -> multiplicity h).
 
-    Every factor is, over its denominator, an integer combination of atoms
-    (``_atoms``), so each class expands into weighted atoms
-    (``_atom_product``), its weights scaled by h; the measure of an atom
-    depends only on its signature, the number of fixed coordinates per
-    symbol.  Classes whose atoms fix disjoint coordinates are independent,
-    so every pair of classes is first counted as if disjoint, by convolving
-    the signature weights in integers; then only the pairs of classes that
-    share a coordinate are visited, each moving its weight from the
-    disjoint signatures to the merged ones of the pairs of atoms that
-    agree.  Atoms are compared pairwise, or, where the atoms of a class
-    crowd on shared coordinates, looked up by symbol (``_agreeing``,
-    ``_join``).  Fractions enter once, in ``_Engine.by_signature``.
+    Each class r expands into weighted maps (``_atoms``, ``_atom_product``),
+    and m_r = h_r <x_r> sums their masses (``_mass``).  Classes on disjoint
+    coordinates are independent, so the pair sum is (sum_r m_r)^2 plus
+    k (h_r h_r' <x_r, x_r'> - m_r m_r'), k = 2 off the diagonal, over only
+    the pairs of classes that share a coordinate; the joint term streams
+    the maps of r against those of r' as atoms (``_agreeing``).  Every sum
+    is an integer over den^(2 top), top the most coordinates a map fixes.
     """
+    nums, den = eng.system._nums, eng.system._den
     alphabet = eng.system.alphabet
     # each atom as a cylinder, to be moved by the system
     bases = [
@@ -678,70 +607,44 @@ def _counted_sums(eng: _Engine, observables, mult) -> tuple[Fraction, Fraction]:
         for f in observables
     ]
     move = eng.move  # shifts rarely repeat across classes, so skip the cache
-    classes = []  # (maps (weight, map, signature), ``_agreeing`` over them or None)
-    singles: Counter = Counter()
-    where: dict = {}  # coordinate -> indices of the classes that fix it
+    classes = []  # per class: its maps (map, weight * mass), as atoms (weight, coords, row), ``_agreeing``
+    where = defaultdict(set)  # coordinate -> indices of the classes that fix it
     for i, (row, h) in enumerate(mult.items()):
-        maps = []
         shifted = [[(v, move(S, s).coords, r) for v, S, r in base] for base, s in zip(bases, row)]
+        maps, atoms = [], []
         for w, A in _atom_product(shifted):
-            sig = _signature(A.values(), alphabet)
-            maps.append((h * w, A, sig))
-            singles[sig] += h * w
+            maps.append((A, h * w * _mass(A, nums)))
+            atoms.append((h * w, tuple(A), tuple(A.values())))
             for c in A:
-                js = where.setdefault(c, [])
-                if not js or js[-1] != i:  # once per class
-                    js.append(i)
-        index = None
-        if len(maps) > 4:  # as ``_agreeing`` would find, without building the list
-            index = _agreeing([(w, tuple(A), tuple(A.values())) for w, A, _ in maps])
-        classes.append((maps, index))
+                where[c].add(i)
+        classes.append((maps, atoms, _agreeing(atoms)))
 
-    pairs: Counter = Counter()
-    _convolve(singles, singles, 1, pairs)
-    for i, (maps, _) in enumerate(classes):
-        for j in {j for _, A, _ in maps for c in A for j in where[c] if j >= i}:
-            other, index = classes[j]
-            k = 1 if i == j else 2  # (i, j) and (j, i)
-            if index is not None:  # many maps of class j share coords: look up the agreeing ones
-                _convolve(_signature_weights(maps), _signature_weights(other), -k, pairs)
-                _join(maps, index, k, pairs)
-                continue
-            for w, A, sig in maps:  # otherwise compare every pair of maps directly
-                for v, B, other_sig in other:
-                    if A.keys().isdisjoint(B):
-                        continue  # independent, as counted
-                    disjoint = tuple(map(add, sig, other_sig))
-                    pairs[disjoint] -= k * w * v
-                    merged = list(disjoint)
-                    for c, s in B.items():
+    top = max((len(A) for maps, _, _ in classes for A, _ in maps), default=0)
+    pows = [den**e for e in range(2 * top + 1)]
+    means = [sum(mass * pows[top - len(A)] for A, mass in maps) for maps, _, _ in classes]
+    mean_sum = sum(means)
+    pair_sum = mean_sum * mean_sum
+    for i, (maps, _, _) in enumerate(classes):
+        for j in {j for A, _ in maps for c in A for j in where[c] if j >= i}:
+            _, atoms, index = classes[j]
+            joint = 0
+            for A, mass in maps:
+                fixed = len(A)
+                for v, coords, row in atoms if index is None else index(A):
+                    m, n = mass * v, fixed
+                    for c, s in zip(coords, row):
                         r = A.get(c)
                         if r is None:
-                            continue
-                        if r != s:
+                            m *= nums[s]
+                            n += 1
+                        elif r != s:
                             break
-                        merged[s] -= 1
                     else:
-                        pairs[tuple(merged)] += k * w * v
+                        joint += m * pows[2 * top - n]
+            pair_sum += (1 if i == j else 2) * (joint - means[i] * means[j])
 
-    scale = math.prod(f.integer_form[0] for f in observables)
-    return eng.by_signature(singles, scale), eng.by_signature(pairs, scale * scale)
-
-
-def _signature_weights(maps) -> Counter:
-    """The weights of maps (weight, map, signature) summed by signature."""
-    out: Counter = Counter()
-    for w, _, sig in maps:
-        out[sig] += w
-    return out
-
-
-def _convolve(a: dict, b: dict, k: int, counts: Counter) -> None:
-    """Add k times the signature weights of every pair of independent atoms
-    from a and b to ``counts``."""
-    for x, kx in a.items():
-        for y, ky in b.items():
-            counts[tuple(map(add, x, y))] += k * kx * ky
+    scale = math.prod(f.integer_form[0] for f in observables) * pows[top]
+    return Fraction(mean_sum, scale), Fraction(pair_sum, scale * scale)
 
 
 def _shift_columns(spec: ArraySpec, N: int, n_start: int, count: int) -> list[list[int]]:
@@ -915,6 +818,8 @@ def convergence_sweep(
     monotone non-increase within tolerance past a burn-in of the first
     quarter of the Ns.
     """
+    if method not in ("exact", "mc"):
+        raise ValueError(f"method must be exact or mc, not {method!r}")
     Ns = list(Ns)
     if not Ns or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be a nonempty increasing sequence")

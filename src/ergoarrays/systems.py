@@ -763,6 +763,17 @@ def _list_param(params: Mapping, name: str) -> list:
     return value
 
 
+def _scalar(value, name: str, convert=int):
+    """A scalar parameter, or a list parameter's entry, through ``convert``
+    of its text; null, lists, objects and booleans raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"system parameter {name!r} must hold numbers or strings, got {type(value).__name__}")
+    try:
+        return convert(str(value))
+    except ValueError as exc:
+        raise ValueError(f"system parameter {name!r}: {exc}") from None
+
+
 def build_system(descriptor: Mapping):
     if not isinstance(descriptor, Mapping):
         raise ValueError("system descriptor must be a JSON object")
@@ -774,31 +785,32 @@ def build_system(descriptor: Mapping):
     if unknown:
         raise ValueError(f"unknown descriptor fields: {sorted(unknown)}")
     if kind == "cyclic-rotation":
-        return CyclicRotation(int(params["modulus"]), int(params.get("step", 1)))
+        return CyclicRotation(_scalar(params["modulus"], "modulus"), _scalar(params.get("step", 1), "step"))
     if kind == "circle-rotation-rational":
-        return CircleRotation(parse_fraction(str(params["angle"])))
+        return CircleRotation(_scalar(params["angle"], "angle", parse_fraction))
     if kind == "bernoulli-shift":
-        return BernoulliShift(tuple(parse_fraction(str(p)) for p in _list_param(params, "probs")))
+        return BernoulliShift(tuple(_scalar(p, "probs", parse_fraction) for p in _list_param(params, "probs")))
     if kind == "markov-shift":
         return MarkovShift(params["matrix"])
     if kind == "product":
         return CyclicLattice(
-            tuple(int(m) for m in _list_param(params, "moduli")),
-            tuple(int(s) for s in _list_param(params, "steps")) if "steps" in params else None,
+            tuple(_scalar(m, "moduli") for m in _list_param(params, "moduli")),
+            tuple(_scalar(s, "steps") for s in _list_param(params, "steps")) if "steps" in params else None,
         )
     if kind == "bernoulli-lattice":
         return BernoulliLattice(
-            tuple(parse_fraction(str(p)) for p in _list_param(params, "probs")), int(params["d"])
+            tuple(_scalar(p, "probs", parse_fraction) for p in _list_param(params, "probs")), _scalar(params["d"], "d")
         )
     if kind == "relabeled":
-        base = build_system(params["base"])
-        pairs = tuple((p, q) for p, q in params["relabel"])
-        return RelabeledSystem(base, pairs)
+        base, pairs = build_system(params["base"]), _list_param(params, "relabel")
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ValueError("system parameter 'relabel' must be a list of [base point, new point] pairs")
+        return RelabeledSystem(base, tuple(map(tuple, pairs)))
     if kind == "circle-rotation-irrational":
-        bits = int(params.get("bits", 128))
+        bits = _scalar(params.get("bits", 128), "bits")
         if params.get("angle") == "sqrt2-1":
             return IrrationalRotation.sqrt2_minus_1(bits)
-        return IrrationalRotation.from_float(float(params["angle"]), bits)
+        return IrrationalRotation.from_float(_scalar(params["angle"], "angle", float), bits)
     if kind == "gauss-map":
         return GaussMap()
     raise ValueError(f"unknown system kind {kind!r}")

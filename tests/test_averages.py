@@ -553,7 +553,7 @@ def test_sweep_matches_constant_step_weights(data):
     for k in range(T):
         weights[lag(k)] += 2 * (T - k) if k else T
     eng = _Engine(system, vector_shifts=vector)
-    corr = averages._correlation(eng, f, lag(0))
+    corr = averages._Correlation(eng, f, lag(0))
     assert corr.sweep(shifts) == corr.total(weights)
 
 
@@ -717,6 +717,12 @@ def test_sweep_validates_Ns():
         convergence_sweep(bernoulli_spec(), [8, 8])
     with pytest.raises(ValueError):
         convergence_sweep(bernoulli_spec(), [])
+
+
+def test_sweep_rejects_unknown_methods():
+    # any method but "exact" and "mc" used to run Monte Carlo
+    with pytest.raises(ValueError, match="method must be exact or mc, not 'exakt'"):
+        convergence_sweep(bernoulli_spec(), [4, 8], method="exakt")
 
 
 # -- van der Corput tables -----------------------------------------------------

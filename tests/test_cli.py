@@ -104,6 +104,40 @@ def test_avg_sweep_rejects_duplicate_linear_coefficients(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", [{"center": "no"}, {"center": 0}, {"assert_distinct": None}, {"assert_distinct": [True]}])
+def test_spec_switches_take_only_json_booleans(tmp_path, capsys, field):
+    # "center": "no" used to center, as true does
+    spec = json.dumps({"observables": [{"set": {"cylinder": {"0": 0}}}], "exponents": ["n"], **field})
+    assert run(["--out-dir", str(tmp_path), "avg-sweep", "--system", BERN, "--spec", spec, "--Ns", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be true or false" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"kind": "cyclic-rotation", "params": {"modulus": None}},
+        {"kind": "cyclic-rotation", "params": {"modulus": [3]}},
+        '{"kind": "cyclic-rotation", "params": {"modulus": 1e400}}',
+        {"kind": "cyclic-rotation", "params": {"modulus": 5, "step": True}},
+        {"kind": "bernoulli-lattice", "params": {"probs": ["1/2", "1/2"], "d": None}},
+        {"kind": "product", "params": {"moduli": [2, None]}},
+        {"kind": "relabeled", "params": {"base": {"kind": "cyclic-rotation", "params": {"modulus": 2}}, "relabel": 5}},
+        {"kind": "relabeled", "params": {"base": {"kind": "cyclic-rotation", "params": {"modulus": 2}}, "relabel": [5]}},
+    ],
+    ids=["null", "list", "overflow", "bool", "lattice-null-d", "null-modulus-entry", "relabel-scalar", "relabel-entry"],
+)
+def test_malformed_scalar_system_params_exit_2(tmp_path, system):
+    spec = json.dumps({"observables": [{"set": {"points": [0]}}], "exponents": ["n"]})
+    system = system if isinstance(system, str) else json.dumps(system)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ergoarrays.cli", "avg-sweep", "--system", system, "--spec", spec,
+                           "--Ns", "4"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: system parameter ")
+
+
 def test_malformed_json_is_argument_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
