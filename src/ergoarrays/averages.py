@@ -6,7 +6,7 @@ into the mean of the terms x_n and the sum of their pairwise inner products
 commuting families share one distance routine that takes, per term, its
 row of shifts; terms with equal rows form classes with multiplicities h_r.
 
-The system type picks the kernel, and every kernel works in integers:
+The system type picks one of two kernels, both in integers:
 
 * rotations by a rational and finite point systems (``_Grid``): every
   factor is an integer step function on a cyclic grid of Q cells, rows are
@@ -14,21 +14,20 @@ The system type picks the kernel, and every kernel works in integers:
   sum_n <x_n> = int V for V = sum_n x_n, from one sweep over the changes
   of V: O(N + classes * c log c) for c changes per term, at most q^ell
   classes (q^(ell*d) for d-vector shifts), any ell;
-* independent coordinates (Bernoulli shifts and lattices): an observable
-  is, over its denominator, an integer combination of 1 and single-row
-  cylinders, so a product of factors expands into atoms, coordinate ->
-  symbol maps with integer weights (zero where two rows disagree) and
-  integer masses (``_mass``).  ``_Engine.inner`` sums their weighted
-  masses; with ell >= 2 terms on disjoint coordinates are independent, so
-  the pair sum is the squared mean sum plus, for only the pairs of classes
-  that share a coordinate, their joint sum over agreeing atoms minus the
-  product of their means: O(N*ell*a + overlapping class pairs * a^2) for a
-  atoms per class, where a^2 falls to the agreeing pairs when atoms crowd
-  on shared coordinates and are looked up by symbol;
-* Markov shifts: ``_Engine.inner`` intersects cylinder sets, plain
-  indicators into one set, affine factors with integer numerators and
-  equal intersections merged; with ell >= 2 every pair of classes takes
-  one inner product, O(N*ell + classes^2).
+* shift systems (Bernoulli and Markov shifts, Bernoulli lattices): an
+  observable is, over its denominator, an integer combination of 1 and
+  disjoint cylinders, so a product of factors expands into atoms,
+  coordinate -> symbol maps with integer weights (zero where two rows
+  disagree), and the system weighs each map as an integer over a power of
+  its denominator (``_weigh``); ``_Engine.inner`` sums the weighted masses.
+  On independent coordinates (Bernoulli) with ell >= 2, terms on disjoint
+  coordinates are independent, so the pair sum is the squared mean sum
+  plus, for only the pairs of classes that share a coordinate, their joint
+  sum over agreeing atoms minus the product of their means:
+  O(N*ell*a + overlapping class pairs * a^2) for a atoms per class, where
+  a^2 falls to the agreeing pairs when atoms crowd on shared coordinates
+  and are looked up by symbol.  On Markov shifts with ell >= 2 every pair
+  of classes adds its masses to one integer sum, O(N*ell + classes^2).
 
 Off the grid, with one factor (ell = 1, or one commuting generator pair)
 every pair term is a correlation C_f(d) = <T^d f, f>, C_f(d) = C_f(-d), so
@@ -97,6 +96,25 @@ class Observable:
         den = math.lcm(self.constant.denominator, *(c.denominator for c, _ in self.terms))
         scaled = lambda c: c.numerator * (den // c.denominator)
         return den, scaled(self.constant), tuple((scaled(c), S) for c, S in self.terms if c)
+
+    @cached_property
+    def atoms(self) -> list[tuple[int, CylinderUnion, tuple]]:
+        """On a shift system, the numerator cnum + sum num * 1_S of
+        ``integer_form`` as weighted atoms (weight, cylinder, row), equal ones
+        merged: the whole space for the constant, and per set its rows, or,
+        where its complement has fewer rows, the whole space minus those, as
+        disjoint cylinders (``_split``)."""
+        _, cnum, terms = self.integer_form
+        alphabet = terms[0][1].alphabet if terms else 1
+        weights = {((), ()): cnum}
+        for num, S in terms:
+            rows = S.rows
+            if 2 * len(rows) > alphabet ** len(S.coords) + 1:
+                weights[(), ()] += num
+                rows, num = S.complement().rows, -num
+            for key in _split(S.coords, rows, alphabet):
+                weights[key] = weights.get(key, 0) + num
+        return [(w, CylinderUnion(coords, frozenset((row,)), alphabet), row) for (coords, row), w in weights.items() if w]
 
     def sup_bound(self) -> Fraction:
         """Upper bound for the sup norm (triangle inequality)."""
@@ -184,115 +202,61 @@ def _product_of_integrals(system, observables) -> Fraction:
 
 
 class _Engine:
-    """Caches translated sets, measures and integrals for one computation."""
+    """Moves sets and factors and integrates products for one computation."""
 
     def __init__(self, system, vector_shifts: bool = False):
         self.system = system
         self.vector = vector_shifts
         self.move = system.translate_preimage if vector_shifts else system.preimage  # uncached
-        self._shift_cache: dict = {}
-        self._measure_cache: dict = {}
+        self.shifted = cache(self.move)
         self.independent = getattr(system, "independent_coords", False)
-        self.grid = isinstance(system, (CircleRotation, _PointSystem))  # pair sums take ``_Grid``
+        self.grid = isinstance(system, (CircleRotation, _PointSystem))  # integrals take ``_Grid``
         self.diff = (lambda a, b: tuple(map(sub, a, b))) if vector_shifts else sub
         # one representative of {d, -d} (C_f(d) = C_f(-d))
         self.key = (lambda d: max(d, tuple(-x for x in d))) if vector_shifts else abs
 
-    def shifted(self, S, shift):
-        key = (S, shift)
-        out = self._shift_cache.get(key)
-        if out is None:
-            out = self.move(S, shift)
-            self._shift_cache[key] = out
-        return out
-
-    def measure(self, S) -> Fraction:
-        out = self._measure_cache.get(S)
-        if out is None:
-            out = self.system.measure(S)
-            self._measure_cache[S] = out
-        return out
-
     def factor(self, obs: Observable, shift):
-        """The observable's ``integer_form`` with every set shifted."""
-        den, cnum, terms = obs.integer_form
-        return den, cnum, tuple((num, self.shifted(S, shift)) for num, S in terms)
+        """(den, atoms) on a shift system: the observable over its
+        denominator as atoms (``Observable.atoms``), each moved by the shift."""
+        return obs.integer_form[0], [(w, self.move(C, shift).coords, row) for w, C, row in obs.atoms]
+
+    def masses(self, factors, acc, h: int = 1) -> None:
+        """Add the factors' atom product (``_atom_product``) to acc: a map of
+        weight w that the system weighs m / (_unit * _den^e) adds h*w*m to acc[e]."""
+        weigh = self.system._weigh
+        for w, A in _atom_product([atoms for _, atoms in factors]):
+            m, e = weigh(A)
+            acc[e] += h * w * m
+
+    def integral(self, acc, den: int) -> Fraction:
+        """sum_e acc[e] / (den * _unit * _den^e), over the largest e, by
+        Horner's rule over the increasing exponents."""
+        D, total, top = self.system._den, 0, 0
+        for e in sorted(acc):
+            total, top = total * D ** (e - top) + acc[e], e
+        return Fraction(total, den * self.system._unit * D**top)
 
     def inner(self, factors) -> Fraction:
-        """Exact integral of the product of the given factors."""
-        if not self.independent:
-            return self._expand(factors)
-        nums, den = self.system._nums, self.system._den
-        sizes: Counter = Counter()  # coordinates fixed -> weighted masses
-        for w, A in _atom_product([_atoms(f, self.system.alphabet) for f in factors]):
-            sizes[len(A)] += w * _mass(A, nums)
-        top = max(sizes, default=0)
-        total = sum(m * den ** (top - size) for size, m in sizes.items())
-        return Fraction(total, math.prod(den for den, _, _ in factors) * den**top)
-
-    def _expand(self, factors) -> Fraction:
-        """Plain indicators (coefficient 1, no constant) are intersected into
-        one set first.  Each affine factor then maps every (set, integer
-        weight) pair to its constant and to each of its terms, and equal
-        intersections are merged; the total takes one measure per distinct
-        set and one division by the product of the factor denominators."""
-        inter = None
-        affine = []
-        for f in factors:
-            den, cnum, terms = f
-            if cnum or den != 1 or len(terms) != 1 or terms[0][0] != 1:
-                affine.append(f)
-                continue
-            S = terms[0][1]
-            inter = S if inter is None else inter.intersect(S)
-            if inter.is_empty():
-                return _ZERO
-        if not affine:
-            return self.measure(inter)
-        weights = {inter: 1}
-        scale = 1
-        for den, cnum, terms in affine:
-            scale *= den
-            nxt: dict = {}
-            for S0, w in weights.items():
-                if cnum:
-                    nxt[S0] = nxt.get(S0, 0) + w * cnum
-                for num, S in terms:
-                    S1 = S if S0 is None else S0.intersect(S)
-                    if not S1.is_empty():
-                        nxt[S1] = nxt.get(S1, 0) + w * num
-            weights = nxt
-        total = sum((w if S is None else w * self.measure(S) for S, w in weights.items() if w), _ZERO)
-        return total / scale
+        """Exact integral of the product of the given factors (``factor``)."""
+        acc: dict = defaultdict(int)  # exponent -> weighted masses
+        self.masses(factors, acc)
+        return self.integral(acc, math.prod(den for den, _ in factors))
 
 
 _ZERO = Fraction(0)
 _MAX_CLASSES = 4096  # classes a pair sum may visit pairwise
 
 
-def _atoms(factor, alphabet: int) -> list[tuple[int, tuple, tuple]]:
-    """The numerator cnum + sum num * 1_S of a factor (den, cnum, terms) over
-    cylinder unions as weighted atoms (weight, coords, row), each the
-    cylinder fixing those coordinates to that row, equal ones merged: the
-    whole space ((), ()) for the constant, and per set one atom per row (its
-    rows are disjoint cylinders), or, where its complement has fewer rows,
-    the whole space minus one atom per missing row."""
-    _, cnum, terms = factor
-    weights = {((), ()): cnum}
-    for num, S in terms:
-        rows = S.rows
-        if 2 * len(rows) > alphabet ** len(S.coords) + 1:
-            weights[(), ()] += num
-            rows = S.complement().rows
-            num = -num
-        for row in rows:
-            weights[S.coords, row] = weights.get((S.coords, row), 0) + num
-    return [(w, coords, row) for (coords, row), w in weights.items() if w]
-
-
-def _mass(A: dict, nums) -> int:
-    """den^len(A) times the measure of the cylinder that A fixes: the product of its symbols' numerators."""
-    return math.prod(map(nums.__getitem__, A.values()))
+def _split(coords, rows, alphabet: int) -> list[tuple[tuple, tuple]]:
+    """Disjoint cylinders (coords, row) whose union is the given rows over
+    coords: rows that share a prefix and take every completion of it merge
+    into the cylinder of that prefix."""
+    if len(rows) == alphabet ** len(coords):
+        return [((), ())]
+    groups = defaultdict(list)
+    for row in rows:
+        groups[row[0]].append(row[1:])
+    return [((coords[0], *c), (s, *r)) for s, rest in groups.items() for c, r in _split(coords[1:], rest, alphabet)]
 
 
 def _agreeing(atoms):
@@ -368,10 +332,10 @@ def _atom_product(atom_lists) -> list[tuple[int, dict]]:
 
 
 class _Correlation:
-    """C_f(d) for one observable through ``_Engine.inner``, memoized by
-    difference.  ``total`` is sum_d w_d C_f(d) over a map of differences
-    (folded by ``_Engine.key``) to weights, and ``sweep`` the pair sum over
-    a list of shifts.  On independent coordinates C_f(d) = (integral f)^2
+    """C_f(d) for one observable through ``_Engine.inner``.  ``total`` is
+    sum_d w_d C_f(d) over a map of differences to weights, and ``sweep`` the
+    pair sum over a list of shifts, whose differences it folds by
+    ``_Engine.key``.  On independent coordinates C_f(d) = (integral f)^2
     once d moves the support of f off itself, past its diameter ``reach``:
     per axis on a lattice, where a vector shift needs one axis past it and
     the diagonal shift of a scalar d needs |d| past the smallest.  Other
@@ -384,10 +348,9 @@ class _Correlation:
         self.base = eng.factor(f, zero)
         self.mean = eng.inner([self.base])
         self.square = self.mean * self.mean
-        self._memo: dict = {}
         self.reach = None
-        if eng.independent and all(isinstance(S, CylinderUnion) for _, S in f.terms):
-            points = [c if isinstance(c, tuple) else (c,) for _, S in self.base[2] for c in S.coords]
+        if eng.independent:
+            points = [c if isinstance(c, tuple) else (c,) for _, S in f.integer_form[2] for c in S.coords]
             reach = [max(axis) - min(axis) for axis in zip(*points)] or [-1] * (len(zero) if eng.vector else 1)
             self.reach = reach if eng.vector else min(reach)
 
@@ -398,14 +361,9 @@ class _Correlation:
             return any(abs(x) > r for x, r in zip(d, self.reach))
         return abs(d) > self.reach
 
-    def value(self, d):
-        out = self._memo.get(d)
-        if out is None:
-            out = self._memo[d] = self.eng.inner([self.eng.factor(self.f, d), self.base])
-        return out
-
     def total(self, weights) -> Fraction:
-        return sum((w * (self.square if self.far(d) else self.value(d)) for d, w in weights.items()), _ZERO)
+        eng, f, base = self.eng, self.f, self.base
+        return sum((w * (self.square if self.far(d) else eng.inner([eng.factor(f, d), base])) for d, w in weights.items()), _ZERO)
 
     def sweep(self, shifts) -> Fraction:
         """sum_{t,u} C_f(s_u - s_t) as sum_d w_d C_f(d).  Shifts linear in t
@@ -555,7 +513,8 @@ def _distance(eng: _Engine, observables, columns, c: Fraction) -> Fraction:
     class r with multiplicity h_r.  On independent coordinates
     ``_counted_sums`` takes both sums from the classes' atoms.  Elsewhere the
     mean sum is sum_r h_r <x_r> and the pair sum is sum_{r,r'} h_r h_r'
-    <x_r, x_r'>, taken over unordered pairs with factor 2 off the diagonal.
+    <x_r, x_r'>, taken over unordered pairs with factor 2 off the diagonal,
+    each as integer masses per exponent (``_Engine.masses``).
     """
     terms = len(columns[0])
     if eng.grid:
@@ -568,12 +527,14 @@ def _distance(eng: _Engine, observables, columns, c: Fraction) -> Fraction:
         mean_sum, pair_sum = _counted_sums(eng, observables, _classes(zip(*columns)))
     else:
         classes = [([eng.factor(f, s) for f, s in zip(observables, k)], h) for k, h in _classes(zip(*columns)).items()]
-        mean_sum = pair_sum = _ZERO
+        means, pairs = defaultdict(int), defaultdict(int)  # exponent -> masses
         for i, (xr, h) in enumerate(classes):
-            mean_sum += h * eng.inner(xr)
+            eng.masses(xr, means, h)
             for j in range(i, len(classes)):
                 xs, g = classes[j]
-                pair_sum += (1 if i == j else 2) * h * g * eng.inner(xr + xs)
+                eng.masses(xr + xs, pairs, (1 if i == j else 2) * h * g)
+        scale = math.prod(f.integer_form[0] for f in observables)
+        mean_sum, pair_sum = eng.integral(means, scale), eng.integral(pairs, scale * scale)
     return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
@@ -591,29 +552,23 @@ def _counted_sums(eng: _Engine, observables, mult) -> tuple[Fraction, Fraction]:
     independent-coordinates system, for the classes of terms in ``mult``
     (row of shifts -> multiplicity h).
 
-    Each class r expands into weighted maps (``_atoms``, ``_atom_product``),
-    and m_r = h_r <x_r> sums their masses (``_mass``).  Classes on disjoint
-    coordinates are independent, so the pair sum is (sum_r m_r)^2 plus
-    k (h_r h_r' <x_r, x_r'> - m_r m_r'), k = 2 off the diagonal, over only
-    the pairs of classes that share a coordinate; the joint term streams
-    the maps of r against those of r' as atoms (``_agreeing``).  Every sum
-    is an integer over den^(2 top), top the most coordinates a map fixes.
+    Each class r expands into weighted maps (``Observable.atoms``,
+    ``_atom_product``), and m_r = h_r <x_r> sums their masses (``_weigh``).
+    Classes on disjoint coordinates are independent, so the pair sum is
+    (sum_r m_r)^2 plus k (h_r h_r' <x_r, x_r'> - m_r m_r'), k = 2 off the
+    diagonal, over only the pairs of classes that share a coordinate; the
+    joint term streams the maps of r against those of r' as atoms
+    (``_agreeing``).  Every sum is an integer over den^(2 top), top the
+    most coordinates a map fixes.
     """
-    nums, den = eng.system._nums, eng.system._den
-    alphabet = eng.system.alphabet
-    # each atom as a cylinder, to be moved by the system
-    bases = [
-        [(v, CylinderUnion(coords, frozenset((r,)), alphabet), r) for v, coords, r in _atoms(f.integer_form, alphabet)]
-        for f in observables
-    ]
-    move = eng.move  # shifts rarely repeat across classes, so skip the cache
+    weigh, nums, den = eng.system._weigh, eng.system._nums, eng.system._den
+    move = eng.move  # ``_Engine.factor`` inlined: one call per class and factor costs 5 %
     classes = []  # per class: its maps (map, weight * mass), as atoms (weight, coords, row), ``_agreeing``
     where = defaultdict(set)  # coordinate -> indices of the classes that fix it
     for i, (row, h) in enumerate(mult.items()):
-        shifted = [[(v, move(S, s).coords, r) for v, S, r in base] for base, s in zip(bases, row)]
         maps, atoms = [], []
-        for w, A in _atom_product(shifted):
-            maps.append((A, h * w * _mass(A, nums)))
+        for w, A in _atom_product([[(v, move(C, s).coords, r) for v, C, r in f.atoms] for f, s in zip(observables, row)]):
+            maps.append((A, h * w * weigh(A)[0]))
             atoms.append((h * w, tuple(A), tuple(A.values())))
             for c in A:
                 where[c].add(i)
@@ -653,15 +608,22 @@ def _shift_columns(spec: ArraySpec, N: int, n_start: int, count: int) -> list[li
     return [list(p.values_along_n(N, n_start, count)) for p in spec.exponents]
 
 
+def _row_integral(eng: _Engine, observables):
+    """(mod, unit, integral) for rows of 2*ell shifts: integral(row) is unit
+    times the integral of prod_j T^{row[j]} f_{j mod ell}, an integer on a
+    grid (``_Grid``), else by ``_Engine.inner``, and mod reduces a shift
+    without changing that."""
+    if eng.grid:
+        grid = _Grid(eng, observables)
+        return grid.mod, grid.Q * grid.scale**2, lambda row: grid.sweep(grid.term(row, 1, acc := defaultdict(int)), acc)[0]
+    factor = cache(lambda j, s: eng.factor(observables[j % len(observables)], s))
+    return int, 1, lambda row: eng.inner([factor(j, s) for j, s in enumerate(row)])
+
+
 def array_term_inner(spec: ArraySpec, N: int, n1: int, n2: int) -> Fraction:
     """Exact <x_{n1,N}, x_{n2,N}> for the array terms of the spec."""
-    eng = _Engine(spec.system)
-    factors = [
-        eng.factor(f, p.eval(n, N))
-        for n in (n1, n2)
-        for f, p in zip(spec.observables, spec.exponents)
-    ]
-    return eng.inner(factors)
+    _, unit, integral = _row_integral(_Engine(spec.system), spec.observables)
+    return Fraction(integral([p.eval(n, N) for n in (n1, n2) for p in spec.exponents]), unit)
 
 
 def l2_distance_exact(
@@ -676,12 +638,7 @@ def l2_distance_exact(
     if N < 1:
         raise ValueError("N must be >= 1")
     c = spec.product_of_integrals() if target is None else Fraction(target)
-    return _distance(
-        _Engine(spec.system),
-        spec.observables,
-        _shift_columns(spec, N, 1, N),
-        c,
-    )
+    return _distance(_Engine(spec.system), spec.observables, _shift_columns(spec, N, 1, N), c)
 
 
 def commuting_average(
@@ -701,12 +658,8 @@ def commuting_average(
         raise ValueError("N must be >= 1")
     action = cspec.action
     c = cspec.product_of_integrals() if target is None else Fraction(target)
-    return _distance(
-        _Engine(action.system, vector_shifts=True),
-        cspec.observables,
-        [[action.shift_vector(j, n, N) for n in range(N + 1)] for j in range(1, action.ell + 1)],
-        c,
-    )
+    columns = [[action.shift_vector(j, n, N) for n in range(N + 1)] for j in range(1, action.ell + 1)]
+    return _distance(_Engine(action.system, vector_shifts=True), cspec.observables, columns, c)
 
 
 # ---------------------------------------------------------------------------
@@ -878,16 +831,8 @@ def vdc_correlations(
         raise ValueError("H must be >= 1")
     if isinstance(spec.system, SampledSystem):
         raise ValueError("sampled-tier system: correlations need the exact tier")
-    eng = _Engine(spec.system)
     columns = _shift_columns(spec, N, 1, N + H)
-    if eng.grid:  # integers over Q * scale^2
-        grid = _Grid(eng, spec.observables)
-        mod, unit = grid.mod, grid.Q * grid.scale**2
-        inner = lambda row: grid.sweep(grid.term(row, 1, acc := defaultdict(int)), acc)[0]
-    else:  # int: no reduction
-        mod, unit = int, 1
-        factor = cache(lambda j, s: eng.factor(spec.observables[j % spec.ell], s))
-        inner = lambda row: eng.inner([factor(j, s) for j, s in enumerate(row)])
+    mod, unit, inner = _row_integral(_Engine(spec.system), spec.observables)
     # <x_n, x_{n+h}> integrates the product over the joined rows of shifts,
     # which T^{-s_1(n)} moves to start at 0: one integral per distinct key
     rows, inners = [], {}

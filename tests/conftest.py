@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from ergoarrays.systems import (
@@ -48,6 +49,34 @@ def periodic_systems(draw):
         moduli = draw(st.sampled_from([(2,), (5,), (2, 3), (3, 4), (4, 6), (2, 2, 3)]))
         system = CyclicLattice(moduli, tuple(draw(st.integers(-6, 6)) for _ in moduli))
     return system
+
+
+def markov_chain(data):
+    """A 2-4-state chain with zero entries allowed and a unique stationary
+    distribution."""
+    s = data.draw(st.integers(2, 4))
+    weights = data.draw(
+        st.lists(st.lists(st.integers(0, 4), min_size=s, max_size=s).filter(any), min_size=s, max_size=s)
+    )
+    try:
+        return MarkovShift(tuple(tuple(Fraction(w, sum(row)) for w in row) for row in weights))
+    except ValueError:  # no unique stationary distribution
+        assume(False)
+
+
+def markov_sets(data, system):
+    """A single cylinder, a union of two, or the complement of either, all
+    inside a window of 4 coordinates, so of support span <= 3: copies of A
+    that share one coordinate, and copies whose ranges interleave without
+    sharing one (A on {0, 3} shifted by 1), both occur."""
+    lo = data.draw(st.integers(-3, 3))
+    cylinder = lambda: system.cylinder(
+        data.draw(st.dictionaries(st.integers(lo, lo + 3), st.integers(0, system.alphabet - 1), min_size=1, max_size=3))
+    )
+    A = cylinder()
+    if data.draw(st.booleans()):
+        A = A.union(cylinder())
+    return system.complement(A) if data.draw(st.booleans()) else A
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -24,7 +25,7 @@ from ergoarrays.averages import (
     _Engine,
     _shift_columns,
 )
-from ergoarrays.sets import ArcUnion, CylinderUnion, intersect
+from ergoarrays.sets import ArcUnion, CylinderUnion, FiniteSubset, intersect
 from ergoarrays.systems import (
     BernoulliLattice,
     BernoulliShift,
@@ -38,7 +39,7 @@ from ergoarrays.systems import (
 )
 from ergoarrays.util import ResourceCapError
 
-from conftest import exact_zoo, periodic_systems
+from conftest import exact_zoo, markov_chain, markov_sets, periodic_systems
 
 
 def bernoulli_spec(center=False, exponents=("n",), ell=1):
@@ -446,10 +447,15 @@ def observables(draw, system):
 # -- the inner-product kernel and the one-factor path against the reference --
 
 
+def shift_systems():
+    """The shift systems of the zoo: ``_Engine.inner`` integrates on these."""
+    return [system for system in exact_zoo() if hasattr(system, "cylinder")]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_engine_inner_matches_reference_expansion(data):
-    system = data.draw(st.sampled_from(exact_zoo()))
+    system = data.draw(st.sampled_from(shift_systems()))
     k = data.draw(st.integers(1, 4))
     obs = [data.draw(affine_observables(system)) for _ in range(k)]
     shifts = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
@@ -457,6 +463,76 @@ def test_engine_inner_matches_reference_expansion(data):
     factors = [eng.factor(f, s) for f, s in zip(obs, shifts)]
     raw = [raw_factor(f, lambda S, s=s: system.preimage(S, s)) for f, s in zip(obs, shifts)]
     assert eng.inner(factors) == reference_inner(system, raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_grid_row_integral_matches_reference_expansion(data):
+    # rotations and point systems integrate a row of shifts on ``_Grid``,
+    # reached through array_term_inner: 2 or 4 factors
+    system = data.draw(st.sampled_from([s for s in exact_zoo() if s not in shift_systems()]))
+    ell = data.draw(st.integers(1, 2))
+    obs = [data.draw(affine_observables(system)) for _ in range(ell)]
+    spec = ArraySpec.create(system, obs, data.draw(st.lists(st.sampled_from(["n", "-n", "2*n - N", "N"]), min_size=ell, max_size=ell)))
+    N, n1, n2 = data.draw(st.integers(0, 3)), data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    x1, x2 = raw_rows(system, spec.observables, spec.exponents, (n1, n2), N)
+    assert array_term_inner(spec, N, n1, n2) == reference_inner(system, x1 + x2)
+
+
+@pytest.mark.parametrize("system", exact_zoo(), ids=lambda s: type(s).__name__)
+def test_exact_paths_intersect_no_sets(system):
+    # the grid and the atom kernel integrate products without set algebra
+    rng = random.Random(5)
+    S, U = system.random_set(rng), system.random_set(rng)
+    f, g = Observable.indicator(S), Observable(Fraction(1, 3), ((Fraction(-2), U), (Fraction(1, 2), system.complement(S))))
+    specs = [ArraySpec.create(system, [f], ["n**2"], center=True), ArraySpec.create(system, [f, g], ["n", "2*n + N"])]
+    answers = lambda: [(l2_distance_exact(s, 5), vdc_correlations(s, 5, 2).rows, array_term_inner(s, 5, 1, 3)) for s in specs]
+    expected = answers()
+
+    def refuse(*_):
+        raise AssertionError("an exact path intersected sets")
+
+    with contextlib.ExitStack() as stack:
+        for cls in (CylinderUnion, ArcUnion, FiniteSubset):
+            stack.enter_context(mock.patch.object(cls, "intersect", refuse))
+        assert answers() == expected
+        with pytest.raises(AssertionError, match="intersected"):
+            intersect(S, U)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_markov_atom_kernel_matches_reference_expansion(data):
+    # random 2-4-state chains with zero entries; affine observables over
+    # single cylinders, unions and complements spanning up to 4 coordinates
+    system = markov_chain(data)
+    pool = [markov_sets(data, system), markov_sets(data, system)]
+    sets = st.sampled_from(pool)
+    # the oracle intersects 2 * ell factors, so ell = 2 takes narrow sets
+    wide = max(len(T.rows) for S in pool for T in (S, system.complement(S)))
+    ell = data.draw(st.integers(1, 2 if wide**4 <= 4096 else 1))
+    obs = [data.draw(affine_observables(system, sets)) for _ in range(ell)]
+    vector = data.draw(st.booleans())
+    shifts = data.draw(st.lists(st.integers(-4, 4).map(lambda s: (s,) if vector else s), min_size=2 * ell, max_size=2 * ell))
+    eng = _Engine(system, vector_shifts=vector)
+    move = system.translate_preimage if vector else system.preimage
+    raw = [raw_factor(f, lambda S, s=s: move(S, s)) for f, s in zip(obs * 2, shifts)]
+    assert eng.inner([eng.factor(f, s) for f, s in zip(obs * 2, shifts)]) == reference_inner(system, raw)
+    N = data.draw(st.integers(1, 4))
+    if vector:  # a lattice action on the chain: commuting_average
+        z = data.draw(st.lists(st.integers(-2, 2).filter(bool), min_size=ell, max_size=ell, unique=True))
+        action = build_lattice_action(system, z, data.draw(st.lists(st.integers(-2, 2), min_size=ell, max_size=ell)))
+        cspec = CommutingArraySpec(action, tuple(obs))
+        assert commuting_average(cspec, N) == all_pairs_distance(system, commuting_rows(action, obs, N), cspec.product_of_integrals())
+        return
+    exps = data.draw(st.lists(st.sampled_from(ORACLE_EXPONENTS), min_size=ell, max_size=ell))
+    spec = ArraySpec.create(system, obs, exps, center=data.draw(st.booleans()))
+    rows = raw_rows(system, spec.observables, spec.exponents, range(1, N + 1), N)
+    assert l2_distance_exact(spec, N) == all_pairs_distance(system, rows, spec.product_of_integrals())
+    H = data.draw(st.integers(1, 2))
+    x = raw_rows(system, spec.observables, spec.exponents, range(N + H + 1), N)
+    expected = [(h, sum((reference_inner(system, x[n] + x[n + h]) for n in range(1, N + 1)), Fraction(0)) / N) for h in range(1, H + 1)]
+    assert list(vdc_correlations(spec, N, H).rows) == expected
 
 
 ONE_FACTOR_EXPONENTS = ["n", "n*N", "3*n + N", "-n + 2", "N", "n**2", "n**2 - 3*n", "2*n**2 + n*N", "N*n**2 - 5"]

@@ -19,6 +19,13 @@ def run(args):
     return main(args)
 
 
+def run_cli(tmp_path, args):
+    """The CLI in a fresh interpreter, from tmp_path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "ergoarrays.cli", *args], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=20)
+
+
 def test_recurrence_and_syndetic_roundtrip(tmp_path):
     out = tmp_path / "r"
     code = run(
@@ -131,11 +138,29 @@ def test_spec_switches_take_only_json_booleans(tmp_path, capsys, field):
 def test_malformed_scalar_system_params_exit_2(tmp_path, system):
     spec = json.dumps({"observables": [{"set": {"points": [0]}}], "exponents": ["n"]})
     system = system if isinstance(system, str) else json.dumps(system)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-m", "ergoarrays.cli", "avg-sweep", "--system", system, "--spec", spec,
-                           "--Ns", "4"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+    proc = run_cli(tmp_path, ["avg-sweep", "--system", system, "--spec", spec, "--Ns", "4"])
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: system parameter ")
+
+
+@pytest.mark.parametrize("angle", ['"inf"', '"-inf"', '"nan"', "1e400"])
+def test_non_finite_irrational_angle_exits_2(tmp_path, angle):
+    system = '{"kind": "circle-rotation-irrational", "params": {"angle": %s}}' % angle
+    spec = json.dumps({"observables": [{"set": {"arc": ["0", "1/2"]}}], "exponents": ["n"]})
+    proc = run_cli(tmp_path, ["avg-sweep", "--system", system, "--spec", spec, "--Ns", "4", "--method", "mc"])
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: system parameter 'angle' must be finite")
+
+
+def test_relabeled_product_system_from_json(tmp_path):
+    system = '{"kind":"relabeled","params":{"base":{"kind":"product","params":{"moduli":[2]}},"relabel":[[[0],[1]],[[1],[0]]]}}'
+    spec = json.dumps({"observables": [{"set": {"points": [[0]]}}], "exponents": ["n"]})
+    proc = run_cli(tmp_path, ["avg-sweep", "--system", system, "--spec", spec, "--Ns", "4"])
+    assert proc.returncode == 0, proc.stderr
+    # a JSON object is no point
+    for bad in (system.replace("[[[0],[1]]", '[[[0],{"a":1}]'), system.replace("[[[0],[1]]", '[[[0],[[{}]]]')):
+        proc = run_cli(tmp_path, ["avg-sweep", "--system", bad, "--spec", spec, "--Ns", "4"])
+        assert proc.returncode == 2 and proc.stderr.count("\n") == 1 and "a point must be" in proc.stderr
 
 
 def test_malformed_json_is_argument_error(tmp_path):
@@ -652,9 +677,7 @@ def test_polynomial_past_degree_cap_exits_3_quickly(tmp_path):
     # the parser refuses the product before expanding it: one line, exit 3
     spec = json.dumps({"observables": [{"set": {"cylinder": {"0": 0}}}], "exponents": ["(n+N)**500"]})
     args = ["avg-sweep", "--system", BERN, "--spec", spec, "--Ns", "4"]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-m", "ergoarrays.cli", *args], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=20)
+    proc = run_cli(tmp_path, args)
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1 and "total degree" in proc.stderr
 

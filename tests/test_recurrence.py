@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergoarrays.recurrence import (
@@ -30,7 +30,7 @@ from ergoarrays.systems import (
 )
 from ergoarrays.util import box_sums
 
-from conftest import periodic_systems
+from conftest import markov_chain, markov_sets, periodic_systems
 
 
 def half_rotation_series(n_max=20):
@@ -318,32 +318,10 @@ def test_markov_series_matches_direct_sum():
         assert single_series_matches_direct_sum(mk, A, [(1, 0), (2, -1)], 14)
 
 
-def markov_sets(data, system):
-    """A single cylinder, a union of two, or the complement of either, all
-    inside a window of 4 coordinates, so of support span <= 3: copies of A
-    that share one coordinate, and copies whose ranges interleave without
-    sharing one (A on {0, 3} shifted by 1), both occur."""
-    lo = data.draw(st.integers(-3, 3))
-    cylinder = lambda: system.cylinder(
-        data.draw(st.dictionaries(st.integers(lo, lo + 3), st.integers(0, system.alphabet - 1), min_size=1, max_size=3))
-    )
-    A = cylinder()
-    if data.draw(st.booleans()):
-        A = A.union(cylinder())
-    return system.complement(A) if data.draw(st.booleans()) else A
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_markov_series_matches_direct_sum_on_random_chains(data):
-    s = data.draw(st.integers(2, 4))
-    weights = data.draw(
-        st.lists(st.lists(st.integers(0, 4), min_size=s, max_size=s).filter(any), min_size=s, max_size=s)
-    )
-    try:
-        system = MarkovShift(tuple(tuple(Fraction(w, sum(row)) for w in row) for row in weights))
-    except ValueError:  # no unique stationary distribution
-        assume(False)
+    system = markov_chain(data)
     A = markov_sets(data, system)
     # the oracle multiplies the rows of up to ell + 1 copies of A, so ell is
     # bounded by A's row count

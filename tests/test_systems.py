@@ -211,6 +211,23 @@ def test_relabeled_system_is_isomorphic():
         RelabeledSystem(base, ((0, "a"), (1, "a"), (2, "c")))
 
 
+def test_relabeled_product_from_json_is_isomorphic_to_its_base():
+    # JSON points of a product are lists; relabel pairs and point sets take them as tuples
+    from ergoarrays.averages import ArraySpec, Observable, l2_distance_exact
+
+    base_doc = {"kind": "product", "params": {"moduli": [2, 3]}}
+    swap = lambda p: [(p[0] + 1) % 2, p[1]]
+    points = [[a, b] for a in range(2) for b in range(3)]
+    rel = build_system({"kind": "relabeled", "params": {"base": base_doc, "relabel": [[p, swap(p)] for p in points]}})
+    base = build_system(base_doc)
+    members = [[0, 1], [1, 2]]
+    f = Observable.indicator(base.point_set(map(tuple, members)))
+    g = Observable.indicator(rel.point_set([swap(p) for p in members]))
+    for exps in (["n"], ["n**2"]):
+        expected = l2_distance_exact(ArraySpec.create(base, [f], exps, center=True), 7)
+        assert l2_distance_exact(ArraySpec.create(rel, [g], exps, center=True), 7) == expected
+
+
 def test_sampling_determinism():
     bern = BernoulliShift.uniform(2)
     a = bern.sample_point(7, 3)
