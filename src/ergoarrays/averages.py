@@ -245,6 +245,7 @@ class _Engine:
 
 _ZERO = Fraction(0)
 _MAX_CLASSES = 4096  # classes a pair sum may visit pairwise
+_TRIM_FRACTION = Fraction(1, 20)  # share of the largest |values| the vdc diagnostic drops
 
 
 def _split(coords, rows, alphabet: int) -> list[tuple[tuple, tuple]]:
@@ -292,24 +293,13 @@ def _agreeing(atoms):
 def _atom_product(atom_lists) -> list[tuple[int, dict]]:
     """The product of factors given as lists of atoms (weight, coords, row),
     as (weight, coordinate -> symbol map) pairs: every choice of one atom
-    per factor whose rows agree where they share a coordinate, merged.  A
-    factor with one atom extends each map in place, a wider one copies it,
-    and atoms that crowd on shared coords are looked up (``_agreeing``)
-    rather than tried one by one.  Raises once the maps fix more than
-    ``_MAX_ROWS`` coordinates in total."""
+    per factor whose rows agree where they share a coordinate, merged into
+    a copy of the map; atoms that crowd on shared coords are looked up
+    (``_agreeing``) rather than tried one by one.  Raises once the maps fix
+    more than ``_MAX_ROWS`` coordinates in total."""
     out = [(1, {})]
     for atoms in atom_lists:
         nxt = []
-        if len(atoms) == 1:
-            ((w, coords, row),) = atoms
-            for W, A in out:
-                for c, s in zip(coords, row):
-                    if A.setdefault(c, s) != s:
-                        break
-                else:
-                    nxt.append((W * w, A))
-            out = nxt
-            continue
         size = 0
         index = _agreeing(atoms)
         for W, A in out:
@@ -824,9 +814,7 @@ class VdcReport:
     trim_fraction: Fraction
 
 
-def vdc_correlations(
-    spec: ArraySpec, N: int, H: int, trim_fraction: Fraction = Fraction(1, 20)
-) -> VdcReport:
+def vdc_correlations(spec: ArraySpec, N: int, H: int) -> VdcReport:
     if H < 1:
         raise ValueError("H must be >= 1")
     if isinstance(spec.system, SampledSystem):
@@ -845,7 +833,7 @@ def vdc_correlations(
                 ip = inners[key] = inner(key)
             total += ip if count == 1 else count * ip  # aperiodic keys: skip the product
         rows.append((h, Fraction(total, unit * N)))
-    drop = math.ceil(H * trim_fraction)
+    drop = math.ceil(H * _TRIM_FRACTION)
     kept = sorted((abs(v), v) for _, v in rows)[: max(H - drop, 1)]
     dlim = sum((v for _, v in kept), Fraction(0)) / len(kept)
-    return VdcReport(N, H, tuple(rows), dlim, trim_fraction)
+    return VdcReport(N, H, tuple(rows), dlim, _TRIM_FRACTION)

@@ -9,10 +9,12 @@ system type picks the term kernel, which moves A once per shift (reduced
 mod q, or mod each modulus for vectors on a product of cyclic rotations):
 rational rotations intersect integer cell intervals (``CircleRotation.cells``),
 O(ell*k^2) integer steps for k arcs; finite point systems AND int bitmasks
-and count bits; on Bernoulli and Markov shifts the sorted shifts
-{0, s_1, .., s_ell} split into clusters where neighbours lie more than A's
-support diameter apart, so the copies of A in two clusters cover disjoint
-coordinate ranges.  On Bernoulli shifts the clusters' memoized (numerator,
+and count bits; on Bernoulli and Markov shifts and Bernoulli lattices the
+sorted shifts {0, s_1, .., s_ell} split into clusters where neighbours lie
+more than A's spread along the first axis apart (its support diameter on
+Z), so the copies of A in two clusters cover disjoint coordinates; on a
+lattice, diagonal scalar shifts and d-vector shifts both sort along that
+axis.  On Bernoulli shifts and lattices the clusters' memoized (numerator,
 coordinate count) pairs multiply by independence and translation
 invariance, O(ell log ell).  On Markov shifts each cluster's intersection
 is memoized as a sparse integer transfer matrix between the states at its
@@ -20,8 +22,7 @@ first and last coordinate, and a term chains them from the stationary
 vector, bridging the gaps with powers of A = D*P: an integer over
 pi_den * D^W, W the largest span of any term, which is convex in (n, N) and
 so read at the corners of 1 <= n <= N <= N_max; O(ell log ell + ell*s^2)
-for s states.  Bernoulli lattices intersect and measure cylinder unions, a
-Fraction a term.
+for s states.
 Syndeticity is certified only inside the computed window [1, N_max];
 reports always say so.  The grid-extraction routine turns a two-parameter
 family of nonnegative values whose every M-square contains a large entry
@@ -36,10 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate
-from operator import and_, mod
+from operator import and_, mod, sub
 from typing import Mapping, Sequence
 
-from .systems import BernoulliLattice, CircleRotation, ExactSystem, LatticeAction, MarkovShift, _PointSystem
+from .systems import CircleRotation, ExactSystem, LatticeAction, MarkovShift, _PointSystem
 from .util import box_sums
 
 
@@ -104,11 +105,11 @@ class RecurrenceSeries:
         return self.values[-1][0]
 
 
-def _kernel(system, A, preimage, shift_fns, n_max: int):
+def _kernel(system, A, preimage, shift_fns, n_max: int, vector: bool):
     """(den, term) for the system's type, as the module docstring lists them:
-    term(shifts) = den * mu(A & preimage(A, s_1) & ...), an integer (a
-    Fraction, with den 1, on the set-algebra loop of Bernoulli lattices).
-    The shift functions and n_max bound the spans of a Markov series."""
+    term(shifts) = den * mu(A & preimage(A, s_1) & ...), an integer.  The
+    shift functions and n_max bound the spans of a Markov series; vector
+    marks d-vector shifts on a lattice."""
     if isinstance(system, CircleRotation):
         Q, step, (arcs,) = system.cells([A])
 
@@ -178,27 +179,33 @@ def _kernel(system, A, preimage, shift_fns, n_max: int):
             return den if w is None else sum(w) * scale(last - first)
 
         return den, term
-    if system.independent_coords and not isinstance(system, BernoulliLattice):  # scalar coordinates
-        nums, den, k, copies = system._nums, system._den, len(A.coords), len(shift_fns) + 1
-        diam = A.coords[-1] - A.coords[0] if k else 0
+    # Bernoulli shifts and lattices, on independent coordinates: copies of A
+    # more than its spread along the first axis apart share no coordinate,
+    # and scalar (diagonal) and d-vector shifts both sort along that axis
+    nums, den, k, copies = system._nums, system._den, len(A.coords), len(shift_fns) + 1
+    firsts = [c[0] for c in A.coords] if k and isinstance(A.coords[0], tuple) else A.coords
+    spread = firsts[-1] - firsts[0] if k else 0  # the support is sorted, lexicographically on Z^d
+    if vector:
+        zero, rel = (0,) * system.d, lambda us, u: tuple(tuple(map(sub, v, u)) for v in us)
+    else:
+        zero, rel = 0, lambda us, u: tuple(map(u.__rsub__, us))
 
-        @cache
-        def cluster(offsets):  # (numerator, coordinate count) of A & T^{-o}A & ... over den^count
-            inter = reduce(type(A).intersect, (preimage(A, o) for o in offsets), A)
-            return sum(math.prod(map(nums.__getitem__, row)) for row in inter.rows), len(inter.coords)
+    @cache
+    def cluster(offsets):  # (numerator, coordinate count) of A & T^{-o}A & ... over den^count
+        inter = reduce(type(A).intersect, (preimage(A, o) for o in offsets), A)
+        return sum(math.prod(map(nums.__getitem__, row)) for row in inter.rows), len(inter.coords)
 
-        def term(shifts):  # clusters more than diam apart touch disjoint coordinates
-            us = sorted({0, *shifts})
-            out, count, first = 1, 0, 0
-            for i in range(1, len(us) + 1):
-                if i == len(us) or us[i] - us[i - 1] > diam:
-                    num, c = cluster(tuple(u - us[first] for u in us[first + 1 : i]))
-                    out, count, first = out * num, count + c, i
-            return out * den ** (copies * k - count)
+    def term(shifts):
+        us = sorted({zero, *shifts})
+        lead = [u[0] for u in us] if vector else us
+        out, count, first = 1, 0, 0
+        for i in range(1, len(us) + 1):
+            if i == len(us) or lead[i] - lead[i - 1] > spread:
+                num, c = cluster(rel(us[first + 1 : i], us[first]))
+                out, count, first = out * num, count + c, i
+        return out * den ** (copies * k - count)
 
-        return den ** (copies * k), term
-    back = cache(lambda s: preimage(A, s))
-    return 1, lambda shifts: system.measure(reduce(type(A).intersect, map(back, shifts), A))
+    return den ** (copies * k), term
 
 
 def _series(system, A, preimage, shift_fns, n_max: int, label: str, vector: bool = False) -> RecurrenceSeries:
@@ -213,12 +220,11 @@ def _series(system, A, preimage, shift_fns, n_max: int, label: str, vector: bool
     if period:  # shifts reduced mod the period, vectors mod each modulus
         key = (lambda v: tuple(map(mod, v, system.moduli))) if vector else period.__rmod__
         shift_fns = [lambda n, N, s=s: key(s(n, N)) for s in shift_fns]
-    den, term = _kernel(system, A, preimage, shift_fns, n_max)
+    den, term = _kernel(system, A, preimage, shift_fns, n_max, vector)
     q = period or n_max + 1
 
     def row(N, ns):
-        # zero terms are dropped: adding one to a Fraction would cost a gcd
-        return sum(filter(None, (term([shift(n, N) for shift in shift_fns]) for n in ns)))
+        return sum(term([shift(n, N) for shift in shift_fns]) for n in ns)
 
     rows: dict = {}
     totals: list = []  # totals[N - 1] = sum of the terms n = 1..N, over den

@@ -145,9 +145,13 @@ class CylinderUnion:
         `alphabet` extensions, which a count of the deleted rows shows; a
         set free at several positions separately is free at all of them at
         once, so they are projected out together (the empty set is free at
-        every position)."""
+        every position).  The deleted rows are zipped from columns taken
+        once; with fewer than two columns they are the one row () of a
+        one-coordinate support, or none for the empty set."""
         rows = frozenset(rows)
-        keep = [p for p in range(len(coords)) if len({r[:p] + r[p + 1 :] for r in rows}) * alphabet != len(rows)]
+        cols = list(zip(*rows))
+        count = lambda p: len(set(zip(*cols[:p], *cols[p + 1 :]))) if len(cols) > 1 else min(len(rows), 1)
+        keep = [p for p in range(len(coords)) if count(p) * alphabet != len(rows)]
         if len(keep) < len(coords):
             rows = frozenset(tuple(map(r.__getitem__, keep)) for r in rows)
         return cls(tuple(map(coords.__getitem__, keep)), rows, alphabet)
@@ -187,18 +191,7 @@ class CylinderUnion:
             raise ValueError("alphabet mismatch")
         if self.is_empty() or other.is_empty():
             return CylinderUnion.empty(self.alphabet)
-        # fast path: two single cylinders merge coordinatewise
-        if len(self.rows) == 1 and len(other.rows) == 1:
-            a = dict(zip(self.coords, next(iter(self.rows))))
-            for c, s in zip(other.coords, next(iter(other.rows))):
-                if a.setdefault(c, s) != s:
-                    return CylinderUnion.empty(self.alphabet)
-            if self.alphabet == 1:
-                return CylinderUnion.cylinder(a, 1)
-            # with two or more symbols one row depends on every coordinate
-            coords = tuple(sorted(a))
-            return CylinderUnion(coords, frozenset({tuple(map(a.__getitem__, coords))}), self.alphabet)
-        # otherwise a hash join on the shared coordinates, merging every pair
+        # a hash join on the shared coordinates, merging every pair
         # of rows that agree there; on disjoint supports the product is
         # canonical, since a coordinate it does not depend on would be one
         # that a factor does not depend on

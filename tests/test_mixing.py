@@ -266,6 +266,16 @@ def test_verify_spectral_bound_needs_a_sample(samples):
         verify_spectral_bound(spectral_levels(Fraction(1, 10), 2), 1, samples)
 
 
+@pytest.mark.parametrize("k, samples, n_cap", [(1, 64, None), (2, 12, 500)])
+def test_verify_spectral_bound_matches_enumeration(k, samples, n_cap):
+    # the closed form n_max * dist(u N_k, Z) against every n <= n_max
+    c = spectral_levels(Fraction(1, 10), 2)
+    rep = verify_spectral_bound(c, k, samples, n_cap)
+    n_max = n_cap or c.Ns[k]
+    enumerated = max(dist_to_int(u * n * c.Ns[k]) for u in c.sample_points(k, samples) for n in range(1, n_max + 1))
+    assert (rep.max_deviation, rep.n_max) == (enumerated, n_max)
+
+
 def test_verify_spectral_bound_k2_closed_form_matches_enumeration():
     c = spectral_levels(Fraction(1, 10), 2)
     u = c.sample_points(2, 5)[3]

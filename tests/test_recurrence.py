@@ -302,7 +302,7 @@ def test_commuting_cyclic_lattice_series_matches_direct_sum(z, zhat):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_bernoulli_lattice_series_match_direct_sum(d):
-    # no period and, for d = 2, vector shifts: the set-algebra loop
+    # no period and, for d = 2, vector shifts: the cluster kernel
     system = BernoulliLattice((Fraction(1, 3), Fraction(2, 3)), d)
     A = system.cylinder({(0,) * d: 0, (1,) + (0,) * (d - 1): 1})
     assert single_series_matches_direct_sum(system, A, [(1, 0), (-1, 1)], 12)
@@ -310,6 +310,38 @@ def test_bernoulli_lattice_series_match_direct_sum(d):
     series = commuting_recurrence_series(CommutingRecurrenceSpec(action, A), 12)
     shift_fns = [lambda n, N, j=j: action.shift_vector(j, n, N) for j in (1, 2)]
     assert series.values == direct_series(A, action.preimage_set, action.measure, shift_fns, 12)
+
+
+@st.composite
+def lattice_sets(draw, system):
+    """A cylinder, or a union of two, inside a box whose side is drawn per
+    axis, so A's spread along the first axis and along the last one differ."""
+    sides = draw(st.lists(st.integers(0, 3), min_size=system.d, max_size=system.d))
+    box = st.tuples(*(st.integers(0, side) for side in sides))
+    cylinder = lambda: system.cylinder({c: draw(st.integers(0, 1)) for c in draw(st.sets(box, min_size=1, max_size=3))})
+    A = cylinder()
+    return A.union(cylinder()) if draw(st.booleans()) else A
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_bernoulli_lattice_series_match_direct_sum_on_random_sets(data):
+    # terms split into clusters where the first coordinates of neighbouring
+    # shifts differ by more than A's spread along the first axis: diagonal
+    # scalar shifts and vector ones, negative generators included
+    system = BernoulliLattice((Fraction(1, 3), Fraction(2, 3)), data.draw(st.integers(1, 2)))
+    A = data.draw(lattice_sets(system))
+    ell = max([1] + [k for k in (2, 3) if len(A.rows) ** (k + 1) <= 4096])  # bounds the oracle's rows
+    n_max = data.draw(st.integers(1, 10))
+    coeff = st.integers(-3, 3)
+    pairs = data.draw(st.lists(st.tuples(coeff.filter(bool), coeff), min_size=1, max_size=ell))
+    assert single_series_matches_direct_sum(system, A, pairs, n_max)
+    vector = st.tuples(*[coeff] * system.d)
+    z = data.draw(st.lists(vector.filter(any), min_size=1, max_size=ell, unique=True))
+    action = build_lattice_action(system, z, [data.draw(vector) for _ in z])
+    series = commuting_recurrence_series(CommutingRecurrenceSpec(action, A), n_max)
+    shift_fns = [lambda n, N, j=j: action.shift_vector(j, n, N) for j in range(1, len(z) + 1)]
+    assert series.values == direct_series(A, action.preimage_set, action.measure, shift_fns, n_max)
 
 
 def test_markov_series_matches_direct_sum():
