@@ -14,33 +14,26 @@ The system type picks one of two kernels, both in integers:
   sum_n <x_n> = int V for V = sum_n x_n, from one sweep over the changes
   of V: O(N + classes * c log c) for c changes per term, at most q^ell
   classes (q^(ell*d) for d-vector shifts), any ell;
-* shift systems (Bernoulli and Markov shifts, Bernoulli lattices): an
-  observable is, over its denominator, an integer combination of 1 and
-  disjoint cylinders, so a product of factors expands into atoms,
-  coordinate -> symbol maps with integer weights (zero where two rows
-  disagree), and the system weighs each map as an integer over a power of
-  its denominator (``_weigh``); ``_Engine.inner`` sums the weighted masses.
-  On independent coordinates (Bernoulli) with ell >= 2, terms on disjoint
-  coordinates are independent, so the pair sum is the squared mean sum
-  plus, for only the pairs of classes that share a coordinate, their joint
-  sum over agreeing atoms minus the product of their means:
-  O(N*ell*a + overlapping class pairs * a^2) for a atoms per class, where
-  a^2 falls to the agreeing pairs when atoms crowd on shared coordinates
-  and are looked up by symbol.  On Markov shifts with ell >= 2 every pair
-  of classes adds its masses to one integer sum, O(N*ell + classes^2).
+* shift systems (Bernoulli and Markov shifts, Bernoulli lattices): every
+  integral of a product is the system's memoized coordinate scan
+  (``_ShiftSystem.integral``).  With ell >= 2 on independent coordinates
+  only the pairs of classes that share a coordinate join (``_class_sums``):
+  O(N*ell + overlapping class pairs) integrals; on Markov shifts every pair
+  of classes joins, O(N*ell + classes^2).
 
 Off the grid, with one factor (ell = 1, or one commuting generator pair)
 every pair term is a correlation C_f(d) = <T^d f, f>, C_f(d) = C_f(-d), so
 the pair sum is sum_d w_d C_f(d), taken by one ``_Correlation.sweep``.
 Linear shifts give d = k*step the weight 2(N - k), other shifts pair their
-distinct values, and ``_Engine.inner`` runs once per distinct difference.
+distinct values, and one integral runs per distinct difference.
 On independent coordinates with scalar shifts C_f(d) = (integral f)^2 once
 |d| exceeds the support diameter of f, so the sweep visits only
 neighbouring shifts.
 
 More than ``_MAX_CLASSES`` = 4096 classes, wherever pairs of classes are
-visited (off the grid), and an atom expansion whose maps fix more than
-2^20 coordinates in total raise ResourceCapError.  The van der Corput
+visited (off the grid), raise ResourceCapError, and so does a scan that
+passes its state cap or, on a Markov shift, shifts spread further than
+the matrix powers it may take, before any integral.  The van der Corput
 tables take one grid integral or inner product per distinct pair of rows
 (x_n, x_{n+h}), both moved by one shift so that the first starts at 0.
 
@@ -60,7 +53,7 @@ from operator import sub
 from typing import Sequence
 
 from .intpoly import IntPoly2
-from .sets import _MAX_ROWS, ArcUnion, CylinderUnion
+from .sets import ArcUnion
 from .systems import CircleRotation, GaussMap, LatticeAction, SampledSystem, _PointSystem
 from .util import ResourceCapError
 
@@ -96,25 +89,6 @@ class Observable:
         den = math.lcm(self.constant.denominator, *(c.denominator for c, _ in self.terms))
         scaled = lambda c: c.numerator * (den // c.denominator)
         return den, scaled(self.constant), tuple((scaled(c), S) for c, S in self.terms if c)
-
-    @cached_property
-    def atoms(self) -> list[tuple[int, CylinderUnion, tuple]]:
-        """On a shift system, the numerator cnum + sum num * 1_S of
-        ``integer_form`` as weighted atoms (weight, cylinder, row), equal ones
-        merged: the whole space for the constant, and per set its rows, or,
-        where its complement has fewer rows, the whole space minus those, as
-        disjoint cylinders (``_split``)."""
-        _, cnum, terms = self.integer_form
-        alphabet = terms[0][1].alphabet if terms else 1
-        weights = {((), ()): cnum}
-        for num, S in terms:
-            rows = S.rows
-            if 2 * len(rows) > alphabet ** len(S.coords) + 1:
-                weights[(), ()] += num
-                rows, num = S.complement().rows, -num
-            for key in _split(S.coords, rows, alphabet):
-                weights[key] = weights.get(key, 0) + num
-        return [(w, CylinderUnion(coords, frozenset((row,)), alphabet), row) for (coords, row), w in weights.items() if w]
 
     def sup_bound(self) -> Fraction:
         """Upper bound for the sup norm (triangle inequality)."""
@@ -202,31 +176,29 @@ def _product_of_integrals(system, observables) -> Fraction:
 
 
 class _Engine:
-    """Moves sets and factors and integrates products for one computation."""
+    """Moves sets and integrates products for one computation."""
 
     def __init__(self, system, vector_shifts: bool = False):
         self.system = system
         self.vector = vector_shifts
-        self.move = system.translate_preimage if vector_shifts else system.preimage  # uncached
-        self.shifted = cache(self.move)
+        self.shifted = cache(system.translate_preimage if vector_shifts else system.preimage)
         self.independent = getattr(system, "independent_coords", False)
         self.grid = isinstance(system, (CircleRotation, _PointSystem))  # integrals take ``_Grid``
+        # on a grid, rows of shifts are keyed mod the period q
+        q = system.period if self.grid else None
+        self.mod = int if q is None else (lambda v: tuple(x % q for x in v)) if vector_shifts else q.__rmod__
         self.diff = (lambda a, b: tuple(map(sub, a, b))) if vector_shifts else sub
         # one representative of {d, -d} (C_f(d) = C_f(-d))
         self.key = (lambda d: max(d, tuple(-x for x in d))) if vector_shifts else abs
 
-    def factor(self, obs: Observable, shift):
-        """(den, atoms) on a shift system: the observable over its
-        denominator as atoms (``Observable.atoms``), each moved by the shift."""
-        return obs.integer_form[0], [(w, self.move(C, shift).coords, row) for w, C, row in obs.atoms]
-
-    def masses(self, factors, acc, h: int = 1) -> None:
-        """Add the factors' atom product (``_atom_product``) to acc: a map of
-        weight w that the system weighs m / (_unit * _den^e) adds h*w*m to acc[e]."""
-        weigh = self.system._weigh
-        for w, A in _atom_product([atoms for _, atoms in factors]):
-            m, e = weigh(A)
-            acc[e] += h * w * m
+    def scan(self, observables, rows=()):
+        """The shift system's integral of products of the observables moved by
+        this engine's shifts (``_ShiftSystem.integral``).  On a Markov shift,
+        whose integrals take matrix powers, the shifts one product may take
+        lie in one of the rows (1-vectors for a lattice action)."""
+        lead = (lambda s: s[0]) if self.vector else (lambda s: s)
+        spread = 0 if self.independent else max((max(map(lead, r)) - min(map(lead, r)) for r in rows), default=0)
+        return self.system.integral([f.integer_form for f in observables], self.vector, spread)
 
     def integral(self, acc, den: int) -> Fraction:
         """sum_e acc[e] / (den * _unit * _den^e), over the largest e, by
@@ -236,85 +208,10 @@ class _Engine:
             total, top = total * D ** (e - top) + acc[e], e
         return Fraction(total, den * self.system._unit * D**top)
 
-    def inner(self, factors) -> Fraction:
-        """Exact integral of the product of the given factors (``factor``)."""
-        acc: dict = defaultdict(int)  # exponent -> weighted masses
-        self.masses(factors, acc)
-        return self.integral(acc, math.prod(den for den, _ in factors))
-
 
 _ZERO = Fraction(0)
 _MAX_CLASSES = 4096  # classes a pair sum may visit pairwise
 _TRIM_FRACTION = Fraction(1, 20)  # share of the largest |values| the vdc diagnostic drops
-
-
-def _split(coords, rows, alphabet: int) -> list[tuple[tuple, tuple]]:
-    """Disjoint cylinders (coords, row) whose union is the given rows over
-    coords: rows that share a prefix and take every completion of it merge
-    into the cylinder of that prefix."""
-    if len(rows) == alphabet ** len(coords):
-        return [((), ())]
-    groups = defaultdict(list)
-    for row in rows:
-        groups[row[0]].append(row[1:])
-    return [((coords[0], *c), (s, *r)) for s, rest in groups.items() for c, r in _split(coords[1:], rest, alphabet)]
-
-
-def _agreeing(atoms):
-    """A function from a coordinate -> symbol map A to the atoms (weight,
-    coords, row) whose row agrees with A where A fixes their coordinates,
-    or None when the atoms average at most four per coords, where trying
-    each atom costs less than a lookup.  Atoms are grouped by coords and,
-    per group and set of positions that A fixes, indexed once by their
-    symbols there, so a lookup costs one probe per group however many atoms
-    disagree."""
-    if len(atoms) <= 4:
-        return None
-    groups = defaultdict(list)
-    for atom in atoms:
-        groups[atom[1]].append(atom)
-    if len(atoms) <= 4 * len(groups):
-        return None
-    tables: dict = {}
-
-    def agreeing(A):
-        for coords, group in groups.items():
-            fixed = tuple(map(A.__contains__, coords))
-            table = tables.get((coords, fixed))
-            if table is None:
-                table = tables[coords, fixed] = defaultdict(list)
-                for atom in group:
-                    table[tuple(itertools.compress(atom[2], fixed))].append(atom)
-            yield from table.get(tuple(map(A.__getitem__, itertools.compress(coords, fixed))), ())
-
-    return agreeing
-
-
-def _atom_product(atom_lists) -> list[tuple[int, dict]]:
-    """The product of factors given as lists of atoms (weight, coords, row),
-    as (weight, coordinate -> symbol map) pairs: every choice of one atom
-    per factor whose rows agree where they share a coordinate, merged into
-    a copy of the map; atoms that crowd on shared coords are looked up
-    (``_agreeing``) rather than tried one by one.  Raises once the maps fix
-    more than ``_MAX_ROWS`` coordinates in total."""
-    out = [(1, {})]
-    for atoms in atom_lists:
-        nxt = []
-        size = 0
-        index = _agreeing(atoms)
-        for W, A in out:
-            for w, coords, row in atoms if index is None else index(A):
-                B = A.copy()
-                for c, s in zip(coords, row):
-                    if B.setdefault(c, s) != s:
-                        break
-                else:
-                    nxt.append((W * w, B))
-                    size += len(B)
-            if size > _MAX_ROWS:
-                raise ResourceCapError(f"atom expansion fixing over {_MAX_ROWS} coordinates exceeds the cap")
-        out = nxt
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,38 +219,28 @@ def _atom_product(atom_lists) -> list[tuple[int, dict]]:
 
 
 class _Correlation:
-    """C_f(d) for one observable through ``_Engine.inner``.  ``total`` is
-    sum_d w_d C_f(d) over a map of differences to weights, and ``sweep`` the
-    pair sum over a list of shifts, whose differences it folds by
-    ``_Engine.key``.  On independent coordinates C_f(d) = (integral f)^2
-    once d moves the support of f off itself, past its diameter ``reach``:
-    per axis on a lattice, where a vector shift needs one axis past it and
-    the diagonal shift of a scalar d needs |d| past the smallest.  Other
-    systems have no diameter (``reach`` None)."""
+    """C_f(d) for one observable through ``_Engine.scan`` (its shifts lie in
+    rows).  ``total`` is sum_d w_d C_f(d) over a map of differences to
+    weights, and ``sweep`` the pair sum over a list of shifts, whose
+    differences it folds by ``_Engine.key``.  On independent coordinates
+    with scalar shifts C_f(d) = (integral f)^2 once |d| passes the support
+    diameter ``reach`` of f (its smallest along an axis, for the diagonal
+    shift of a lattice); elsewhere ``reach`` is None."""
 
-    def __init__(self, eng: _Engine, f: Observable, zero):
+    def __init__(self, eng: _Engine, f: Observable, zero, rows=()):
         self.eng = eng
-        self.f = f
         self.zero = zero
-        self.base = eng.factor(f, zero)
-        self.mean = eng.inner([self.base])
+        self.integral = eng.scan([f], rows)
+        self.mean = self.integral.exact([(0, zero)])
         self.square = self.mean * self.mean
         self.reach = None
-        if eng.independent:
-            points = [c if isinstance(c, tuple) else (c,) for _, S in f.integer_form[2] for c in S.coords]
-            reach = [max(axis) - min(axis) for axis in zip(*points)] or [-1] * (len(zero) if eng.vector else 1)
-            self.reach = reach if eng.vector else min(reach)
-
-    def far(self, d) -> bool:
-        if self.reach is None:
-            return False
-        if self.eng.vector:
-            return any(abs(x) > r for x, r in zip(d, self.reach))
-        return abs(d) > self.reach
+        if eng.independent and not eng.vector:
+            points = [c if isinstance(c, tuple) else (c,) for c in self.integral.supports[0]]
+            self.reach = min((max(axis) - min(axis) for axis in zip(*points)), default=-1)
 
     def total(self, weights) -> Fraction:
-        eng, f, base = self.eng, self.f, self.base
-        return sum((w * (self.square if self.far(d) else eng.inner([eng.factor(f, d), base])) for d, w in weights.items()), _ZERO)
+        inner, base = self.integral.exact, (0, self.zero)
+        return sum((w * inner([(0, d), base]) for d, w in weights.items()), _ZERO)
 
     def sweep(self, shifts) -> Fraction:
         """sum_{t,u} C_f(s_u - s_t) as sum_d w_d C_f(d).  Shifts linear in t
@@ -405,8 +292,7 @@ class _Grid:
         self.eng = eng
         self.forms = [f.integer_form for f in observables]
         self.scale = math.prod(den for den, _, _ in self.forms)
-        system, q = eng.system, eng.system.period
-        self.mod = (lambda v: tuple(x % q for x in v)) if eng.vector else q.__rmod__
+        system = eng.system
         if isinstance(system, CircleRotation):
             self.Q, self.step, arcs = system.cells([S for _, _, terms in self.forms for _, S in terms])
             arcs = iter(arcs)
@@ -476,9 +362,9 @@ class _Grid:
         weighted by its multiplicity."""
         start, acc = 0, defaultdict(int)
         if len(self.forms) == 1:  # the term is its factor
-            start = self.add(0, Counter(map(self.mod, columns[0])).items(), acc)
+            start = self.add(0, Counter(map(self.eng.mod, columns[0])).items(), acc)
         else:
-            for row, h in Counter(zip(*(map(self.mod, col) for col in columns))).items():
+            for row, h in Counter(zip(*(map(self.eng.mod, col) for col in columns))).items():
                 start += self.term(row, h, acc)
         one, two = self.sweep(start, acc)
         return Fraction(one, self.Q * self.scale), Fraction(two, self.Q * self.scale**2)
@@ -499,32 +385,18 @@ def _distance(eng: _Engine, observables, columns, c: Fraction) -> Fraction:
     term is a correlation, <x_t, x_u> = C_f(s_u - s_t), and
     ``_Correlation.sweep`` takes the pair sum.
 
-    With more factors the terms are grouped into classes of equal rows,
-    class r with multiplicity h_r.  On independent coordinates
-    ``_counted_sums`` takes both sums from the classes' atoms.  Elsewhere the
-    mean sum is sum_r h_r <x_r> and the pair sum is sum_{r,r'} h_r h_r'
-    <x_r, x_r'>, taken over unordered pairs with factor 2 off the diagonal,
-    each as integer masses per exponent (``_Engine.masses``).
+    With more factors ``_class_sums`` takes both sums over the classes of
+    terms with equal rows.
     """
     terms = len(columns[0])
     if eng.grid:
         mean_sum, pair_sum = _Grid(eng, observables).sums(columns)
     elif len(observables) == 1:
         (shifts,) = columns
-        corr = _Correlation(eng, observables[0], eng.diff(shifts[0], shifts[0]))
+        corr = _Correlation(eng, observables[0], eng.diff(shifts[0], shifts[0]), [shifts])
         return corr.sweep(shifts) / terms**2 - 2 * c * corr.mean + c * c
-    elif eng.independent:
-        mean_sum, pair_sum = _counted_sums(eng, observables, _classes(zip(*columns)))
     else:
-        classes = [([eng.factor(f, s) for f, s in zip(observables, k)], h) for k, h in _classes(zip(*columns)).items()]
-        means, pairs = defaultdict(int), defaultdict(int)  # exponent -> masses
-        for i, (xr, h) in enumerate(classes):
-            eng.masses(xr, means, h)
-            for j in range(i, len(classes)):
-                xs, g = classes[j]
-                eng.masses(xr + xs, pairs, (1 if i == j else 2) * h * g)
-        scale = math.prod(f.integer_form[0] for f in observables)
-        mean_sum, pair_sum = eng.integral(means, scale), eng.integral(pairs, scale * scale)
+        mean_sum, pair_sum = _class_sums(eng, observables, columns)
     return pair_sum / terms**2 - 2 * c * mean_sum / terms + c * c
 
 
@@ -537,59 +409,44 @@ def _classes(keys) -> Counter:
     return mult
 
 
-def _counted_sums(eng: _Engine, observables, mult) -> tuple[Fraction, Fraction]:
-    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) over ordered pairs of terms on an
-    independent-coordinates system, for the classes of terms in ``mult``
-    (row of shifts -> multiplicity h).
+def _class_sums(eng: _Engine, observables, columns) -> tuple[Fraction, Fraction]:
+    """(sum_t <x_t>, sum_{t,u} <x_t, x_u>) off the grid with ell >= 2, over
+    the classes of equal rows of shifts, class r of multiplicity h_r.
 
-    Each class r expands into weighted maps (``Observable.atoms``,
-    ``_atom_product``), and m_r = h_r <x_r> sums their masses (``_weigh``).
-    Classes on disjoint coordinates are independent, so the pair sum is
-    (sum_r m_r)^2 plus k (h_r h_r' <x_r, x_r'> - m_r m_r'), k = 2 off the
-    diagonal, over only the pairs of classes that share a coordinate; the
-    joint term streams the maps of r against those of r' as atoms
-    (``_agreeing``).  Every sum is an integer over den^(2 top), top the
-    most coordinates a map fixes.
+    Each class integrates once (``_Engine.scan``) to m_r = h_r <x_r>, and a
+    pair of classes adds k h_r h_r' <x_r, x_r'>, k = 2 off the diagonal.
+    On independent coordinates classes on disjoint coordinates are
+    independent, so only the pairs that share a coordinate join, each less
+    k m_r m_r', and (sum_r m_r)^2 adds the rest; elsewhere every pair joins.
+    Sums are integers per exponent of the system's denominator.
     """
-    weigh, nums, den = eng.system._weigh, eng.system._nums, eng.system._den
-    move = eng.move  # ``_Engine.factor`` inlined: one call per class and factor costs 5 %
-    classes = []  # per class: its maps (map, weight * mass), as atoms (weight, coords, row), ``_agreeing``
-    where = defaultdict(set)  # coordinate -> indices of the classes that fix it
-    for i, (row, h) in enumerate(mult.items()):
-        maps, atoms = [], []
-        for w, A in _atom_product([[(v, move(C, s).coords, r) for v, C, r in f.atoms] for f, s in zip(observables, row)]):
-            maps.append((A, h * w * weigh(A)[0]))
-            atoms.append((h * w, tuple(A), tuple(A.values())))
-            for c in A:
-                where[c].add(i)
-        classes.append((maps, atoms, _agreeing(atoms)))
-
-    top = max((len(A) for maps, _, _ in classes for A, _ in maps), default=0)
-    pows = [den**e for e in range(2 * top + 1)]
-    means = [sum(mass * pows[top - len(A)] for A, mass in maps) for maps, _, _ in classes]
-    mean_sum = sum(means)
-    pair_sum = mean_sum * mean_sum
-    for i, (maps, _, _) in enumerate(classes):
-        for j in {j for A, _ in maps for c in A for j in where[c] if j >= i}:
-            _, atoms, index = classes[j]
-            joint = 0
-            for A, mass in maps:
-                fixed = len(A)
-                for v, coords, row in atoms if index is None else index(A):
-                    m, n = mass * v, fixed
-                    for c, s in zip(coords, row):
-                        r = A.get(c)
-                        if r is None:
-                            m *= nums[s]
-                            n += 1
-                        elif r != s:
-                            break
-                    else:
-                        joint += m * pows[2 * top - n]
-            pair_sum += (1 if i == j else 2) * (joint - means[i] * means[j])
-
-    scale = math.prod(f.integer_form[0] for f in observables) * pows[top]
-    return Fraction(mean_sum, scale), Fraction(pair_sum, scale * scale)
+    integral = eng.scan(observables, [[s for col in columns for s in col]])
+    classes = [(list(enumerate(row)), h) for row, h in _classes(zip(*columns)).items()]
+    means = []  # per class: (h_r times the numerator of <x_r>, its exponent)
+    for xr, h in classes:
+        m, e = integral(xr)
+        means.append((h * m, e))
+    where = defaultdict(set)  # on independent coordinates: coordinate -> the classes that visit it
+    coords = [integral.coords(xr) for xr, _ in classes] if eng.independent else []
+    for i, visited in enumerate(coords):
+        for c in visited:
+            where[c].add(i)
+    sums, pairs = defaultdict(int), defaultdict(int)  # exponent -> integers
+    for i, (xr, h) in enumerate(classes):
+        mi, ei = means[i]
+        sums[ei] += mi
+        partners = {j for c in coords[i] for j in where[c] if j >= i} if eng.independent else range(i, len(classes))
+        for j in partners:
+            k, (xs, g), (mj, ej) = 1 if i == j else 2, classes[j], means[j]
+            m, e = integral(xr + xs)
+            pairs[e] += k * h * g * m
+            if eng.independent:
+                pairs[ei + ej] -= k * mi * mj
+    if eng.independent:
+        for (e1, m1), (e2, m2) in itertools.product(sums.items(), repeat=2):
+            pairs[e1 + e2] += m1 * m2
+    scale = math.prod(f.integer_form[0] for f in observables)
+    return eng.integral(sums, scale), eng.integral(pairs, scale * scale)
 
 
 def _shift_columns(spec: ArraySpec, N: int, n_start: int, count: int) -> list[list[int]]:
@@ -598,22 +455,24 @@ def _shift_columns(spec: ArraySpec, N: int, n_start: int, count: int) -> list[li
     return [list(p.values_along_n(N, n_start, count)) for p in spec.exponents]
 
 
-def _row_integral(eng: _Engine, observables):
-    """(mod, unit, integral) for rows of 2*ell shifts: integral(row) is unit
+def _row_integral(eng: _Engine, observables, rows=()):
+    """(unit, integral) for rows of 2*ell shifts: integral(row) is unit
     times the integral of prod_j T^{row[j]} f_{j mod ell}, an integer on a
-    grid (``_Grid``), else by ``_Engine.inner``, and mod reduces a shift
-    without changing that."""
+    grid (``_Grid``), else by ``_Engine.scan`` over the given rows;
+    ``_Engine.mod`` reduces a shift without changing that."""
     if eng.grid:
         grid = _Grid(eng, observables)
-        return grid.mod, grid.Q * grid.scale**2, lambda row: grid.sweep(grid.term(row, 1, acc := defaultdict(int)), acc)[0]
-    factor = cache(lambda j, s: eng.factor(observables[j % len(observables)], s))
-    return int, 1, lambda row: eng.inner([factor(j, s) for j, s in enumerate(row)])
+        return grid.Q * grid.scale**2, lambda row: grid.sweep(grid.term(row, 1, acc := defaultdict(int)), acc)[0]
+    integral, ell = eng.scan(observables, rows), len(observables)
+    return 1, lambda row: integral.exact((j % ell, s) for j, s in enumerate(row))
 
 
 def array_term_inner(spec: ArraySpec, N: int, n1: int, n2: int) -> Fraction:
     """Exact <x_{n1,N}, x_{n2,N}> for the array terms of the spec."""
-    _, unit, integral = _row_integral(_Engine(spec.system), spec.observables)
-    return Fraction(integral([p.eval(n, N) for n in (n1, n2) for p in spec.exponents]), unit)
+    eng = _Engine(spec.system)
+    row = [p.eval(n, N) for n in (n1, n2) for p in spec.exponents]
+    unit, integral = _row_integral(eng, spec.observables, [row])
+    return Fraction(integral(row), unit)
 
 
 def l2_distance_exact(
@@ -820,14 +679,15 @@ def vdc_correlations(spec: ArraySpec, N: int, H: int) -> VdcReport:
     if isinstance(spec.system, SampledSystem):
         raise ValueError("sampled-tier system: correlations need the exact tier")
     columns = _shift_columns(spec, N, 1, N + H)
-    mod, unit, inner = _row_integral(_Engine(spec.system), spec.observables)
+    eng = _Engine(spec.system)
     # <x_n, x_{n+h}> integrates the product over the joined rows of shifts,
     # which T^{-s_1(n)} moves to start at 0: one integral per distinct key
+    pairs = [Counter(zip(*(map(eng.mod, map(sub, col[k : k + N], columns[0])) for k in (0, h) for col in columns))) for h in range(1, H + 1)]
+    unit, inner = _row_integral(eng, spec.observables, [key for keys in pairs for key in keys])
     rows, inners = [], {}
-    for h in range(1, H + 1):
+    for h, keys in enumerate(pairs, 1):
         total = 0
-        pairs = Counter(zip(*(map(mod, map(sub, col[k : k + N], columns[0])) for k in (0, h) for col in columns)))
-        for key, count in pairs.items():
+        for key, count in keys.items():
             ip = inners.get(key)
             if ip is None:
                 ip = inners[key] = inner(key)

@@ -5,24 +5,15 @@ with (p_0, q_0) = (0, 0), computed exactly on the exact tier: every term is
 an integer over one denominator per series, and each N takes one Fraction.
 With ``system.period`` q a term depends only on (n mod q, N mod q): O(q^2)
 terms plus O(N_max) additions; aperiodic systems pay O(N_max^2) terms.  The
-system type picks the term kernel, which moves A once per shift (reduced
-mod q, or mod each modulus for vectors on a product of cyclic rotations):
-rational rotations intersect integer cell intervals (``CircleRotation.cells``),
-O(ell*k^2) integer steps for k arcs; finite point systems AND int bitmasks
-and count bits; on Bernoulli and Markov shifts and Bernoulli lattices the
-sorted shifts {0, s_1, .., s_ell} split into clusters where neighbours lie
-more than A's spread along the first axis apart (its support diameter on
-Z), so the copies of A in two clusters cover disjoint coordinates; on a
-lattice, diagonal scalar shifts and d-vector shifts both sort along that
-axis.  On Bernoulli shifts and lattices the clusters' memoized (numerator,
-coordinate count) pairs multiply by independence and translation
-invariance, O(ell log ell).  On Markov shifts each cluster's intersection
-is memoized as a sparse integer transfer matrix between the states at its
-first and last coordinate, and a term chains them from the stationary
-vector, bridging the gaps with powers of A = D*P: an integer over
-pi_den * D^W, W the largest span of any term, which is convex in (n, N) and
-so read at the corners of 1 <= n <= N <= N_max; O(ell log ell + ell*s^2)
-for s states.
+system type picks the term kernel.  On the periodic systems it moves A
+once per shift (reduced mod q, or mod each modulus for vectors on a
+product of cyclic rotations): rational rotations intersect integer cell
+intervals (``CircleRotation.cells``), O(ell*k^2) integer steps for k arcs;
+finite point systems AND int bitmasks and count bits.  On Bernoulli and Markov shifts and Bernoulli lattices a
+term is the shift system's integral of 1_A moved by 0 and every s_j
+(``_ShiftSystem.integral``), whose clusters of overlapping copies of A are
+memoized by their relative shifts: O(ell log ell) a term once the clusters
+are known.
 Syndeticity is certified only inside the computed window [1, N_max];
 reports always say so.  The grid-extraction routine turns a two-parameter
 family of nonnegative values whose every M-square contains a large entry
@@ -37,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate
-from operator import and_, mod, sub
+from operator import and_, mod
 from typing import Mapping, Sequence
 
-from .systems import CircleRotation, ExactSystem, LatticeAction, MarkovShift, _PointSystem
+from .systems import CircleRotation, ExactSystem, LatticeAction, _PointSystem
 from .util import box_sums
 
 
@@ -129,83 +120,25 @@ def _kernel(system, A, preimage, shift_fns, n_max: int, vector: bool):
         mask = lambda S: int("".join("01"[x in S.members] for x in points), 2)
         a, back = mask(A), cache(lambda s: mask(preimage(A, s)))
         return len(points), lambda shifts: reduce(and_, map(back, shifts), a).bit_count()
-    if isinstance(system, MarkovShift):
-        pi, pi_den = system._pi
-        D, states, bridge = system._den, range(system.alphabet), system._bridge
-        diam = A.coords[-1] - A.coords[0] if A.coords else 0
-        corners = ((1, 1), (1, n_max), (n_max, n_max))  # the span below is convex in (n, N)
-        W = diam + max(max([0, *s]) - min([0, *s]) for s in ([f(n, N) for f in shift_fns] for n, N in corners))
-        den, scale = pi_den * D**W, cache(lambda span: D ** (W - span))
-
-        @cache
-        def transfer(offsets):
-            """(first, last, sparse transfer matrix) of A & T^{-o}A & ..., its
-            coordinates relative to the cluster's first shift: an entry
-            (a, b, x) weighs its rows from state a at first to b at last.
-            () for the full set, None for the empty one."""
-            inter = reduce(type(A).intersect, (preimage(A, o) for o in offsets), A)
-            if not inter.rows or not inter.coords:
-                return () if inter.rows else None
-            ones, coords = [1] * len(states), inter.coords
-            rows_from = ([row for row in inter.rows if row[0] == a] for a in states)
-            M = [(a, b, x) for a, rows in enumerate(rows_from)
-                 for b, x in enumerate(system._forward(ones, coords, rows)) if x]
-            return coords[0], coords[-1], M
-
-        def term(shifts):
-            # as on Bernoulli shifts, clusters more than diam apart touch
-            # disjoint coordinate ranges; their transfer matrices chain from
-            # pi, bridged by powers of A, over pi_den * D^(last - first)
-            us = sorted({0, *shifts})
-            w, start = None, 0
-            for i in range(1, len(us) + 1):
-                if i < len(us) and us[i] - us[i - 1] <= diam:
-                    continue
-                u = us[start]
-                c = transfer(tuple(map(u.__rsub__, us[start + 1 : i])) if i - start > 1 else ())
-                start = i
-                if c is None:
-                    return 0
-                if c:
-                    lo, hi, M = c
-                    if w is None:
-                        v, first = pi, u + lo
-                    else:
-                        v = bridge(w, u + lo - last)
-                    w = [0] * len(pi)
-                    for a, b, x in M:
-                        w[b] += v[a] * x
-                    last = u + hi
-            return den if w is None else sum(w) * scale(last - first)
-
-        return den, term
-    # Bernoulli shifts and lattices, on independent coordinates: copies of A
-    # more than its spread along the first axis apart share no coordinate,
-    # and scalar (diagonal) and d-vector shifts both sort along that axis
-    nums, den, k, copies = system._nums, system._den, len(A.coords), len(shift_fns) + 1
-    firsts = [c[0] for c in A.coords] if k and isinstance(A.coords[0], tuple) else A.coords
-    spread = firsts[-1] - firsts[0] if k else 0  # the support is sorted, lexicographically on Z^d
-    if vector:
-        zero, rel = (0,) * system.d, lambda us, u: tuple(tuple(map(sub, v, u)) for v in us)
+    # shift systems, over _unit * _den^top for the largest exponent of a term:
+    # on independent coordinates, the coordinates of its copies of A; else its
+    # widest span, convex in (n, N) and so read at the corners of 1 <= n <= N <= n_max
+    integral, D = system.integral([(1, 0, ((1, A),))], vector), system._den
+    zero = (0,) * system.d if vector else 0
+    if system.independent_coords:
+        top = (len(shift_fns) + 1) * len(A.coords)
     else:
-        zero, rel = 0, lambda us, u: tuple(map(u.__rsub__, us))
-
-    @cache
-    def cluster(offsets):  # (numerator, coordinate count) of A & T^{-o}A & ... over den^count
-        inter = reduce(type(A).intersect, (preimage(A, o) for o in offsets), A)
-        return sum(math.prod(map(nums.__getitem__, row)) for row in inter.rows), len(inter.coords)
+        corners = ((1, 1), (1, n_max), (n_max, n_max))
+        top = (A.coords[-1] - A.coords[0] if A.coords else 0) + max(
+            max([0, *s]) - min([0, *s]) for s in ([f(n, N) for f in shift_fns] for n, N in corners)
+        )
+    scale = cache(lambda e: D ** (top - e))
 
     def term(shifts):
-        us = sorted({zero, *shifts})
-        lead = [u[0] for u in us] if vector else us
-        out, count, first = 1, 0, 0
-        for i in range(1, len(us) + 1):
-            if i == len(us) or lead[i] - lead[i - 1] > spread:
-                num, c = cluster(rel(us[first + 1 : i], us[first]))
-                out, count, first = out * num, count + c, i
-        return out * den ** (copies * k - count)
+        m, e = integral([(0, zero), *((0, s) for s in shifts)])
+        return m * scale(e)
 
-    return den ** (copies * k), term
+    return system._unit * D**top, term
 
 
 def _series(system, A, preimage, shift_fns, n_max: int, label: str, vector: bool = False) -> RecurrenceSeries:

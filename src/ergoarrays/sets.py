@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 from .util import ResourceCapError, frac_mod1
@@ -158,6 +159,25 @@ class CylinderUnion:
 
     def is_empty(self) -> bool:
         return not self.rows
+
+    @cached_property
+    def layers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The minimal layered automaton of the set: layers[i][q][a] is the
+        state after symbol a at coords[i] from state q, a layer's states its
+        distinct sets of row suffixes; -1 rejects and indexes the row of -1s
+        that ends each layer, and the one state past the last layer accepts."""
+        states, layers = {self.rows: 0}, []
+        for _ in self.coords:
+            nxt, table = {}, []
+            for suffixes in states:
+                follow = [set() for _ in range(self.alphabet)]
+                for row in suffixes:
+                    follow[row[0]].add(row[1:])
+                table.append(tuple(nxt.setdefault(frozenset(f), len(nxt)) if f else -1 for f in follow))
+            table.append((-1,) * self.alphabet)
+            layers.append(tuple(table))
+            states = nxt
+        return tuple(layers)
 
     def shift(self, offset) -> "CylinderUnion":
         """Rename coordinates by +offset (int, or vector for tuple coords).

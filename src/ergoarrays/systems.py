@@ -8,8 +8,9 @@ measure-distributed sampling; they feed the Monte Carlo paths.
 All exact systems implement: full_set, measure, preimage(S, k), complement,
 random_set(rng) and period.  Shift-type and lattice systems additionally
 implement translate_preimage(S, v) for commuting-family actions.  The shifts
-share their cylinder-union methods through ``_ShiftSystem``, and the
-finite-point systems share counting measure through ``_PointSystem``.
+share their cylinder-union methods and one exact integral of products of
+moved observables (``_ShiftSystem.integral``) through ``_ShiftSystem``, and
+the finite-point systems share counting measure through ``_PointSystem``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
@@ -186,12 +188,21 @@ def _stationary_of(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, 
     return pi
 
 
+_MAX_STATES = 1 << 16  # live scan states a coordinate of ``_Integral`` may hold
+
+
 class _ShiftSystem(ExactSystem):
     """Shift on alphabet^Z: sets are cylinder unions, T^{-k} renames
     coordinates by +k.  ``random_set`` fixes 1 to 3 symbols at coordinates
-    within +-_RANDOM_SPAN."""
+    within +-_RANDOM_SPAN.  Every exact integral of a product of moved
+    observables is ``integral`` (``_Integral``), an integer over _unit * _den^e."""
 
     _RANDOM_SPAN = 6
+
+    def integral(self, forms, vector: bool = False, spread: int = 0) -> "_Integral":
+        """Integrals of products of the forms moved by shifts (vector ones for
+        ``translate_preimage``) at most spread apart."""
+        return _Integral(self, forms, vector, spread)
 
     def cylinder(self, constraints: Mapping[int, int]) -> CylinderUnion:
         return CylinderUnion.cylinder(constraints, self.alphabet)
@@ -216,6 +227,166 @@ class _ShiftSystem(ExactSystem):
             for _ in range(rng.randint(1, 3))
         }
         return self.cylinder(constraints)
+
+
+class _Integral:
+    """Exact integrals of products of moved observables on a shift system.
+
+    ``forms`` have the shape of ``Observable.integer_form``.  Called on
+    factors [(j, shift), ...] it returns (m, e): the product of the forms'
+    numerators cnum + sum num * 1_S, each moved, integrates to
+    m / (_unit * _den^e).  Factors split into clusters where their spans
+    (along the first axis, on a lattice) stop overlapping; a cluster is one
+    scan over its sorted coordinates, memoized by its factors' offsets
+    relative to its first.  A state is the tuple of its sets' automaton
+    states (``CylinderUnion.layers``) with the integer mass of its paths; a
+    factor's value multiplies in where its support ends, and a plain
+    indicator drops a path once its set rejects.  Clusters multiply on
+    independent coordinates.  On a Markov shift a state also carries its
+    first and last symbol, so a cluster is a sparse transfer matrix, chained
+    from the stationary vector through entries of powers of A = D*P.  Over
+    ``_MAX_STATES`` live states at a coordinate raise ResourceCapError."""
+
+    def __init__(self, system, forms, vector: bool, spread: int):
+        self.system, self.memo, self.markov = system, {}, not system.independent_coords
+        self.lattice = hasattr(system, "d")  # coordinates are d-vectors
+        # a shift's coordinate offset, or None where it is the shift
+        if self.lattice:  # a scalar shift is the diagonal one
+            self.offset = None if vector else lambda k: (k,) * system.d
+        else:  # a vector shift on Z is a 1-vector
+            self.offset = operator.itemgetter(0) if vector else None
+        ops = (operator.add, operator.sub)
+        self.add, self.sub = [lambda c, o, op=op: tuple(map(op, c, o)) for op in ops] if self.lattice else ops
+        self.zero = (0,) * system.d if self.lattice else 0
+        self.dens, self.forms, self.supports = [], [], []
+        for den, cnum, terms in forms:
+            sets = [(num, S.coords, S.layers) for num, S in terms if S.coords]
+            cnum += sum(num for num, S in terms if not S.coords and S.rows)  # the whole space
+            support = sorted({c for _, coords, _ in sets for c in coords})
+            lead = [c[0] for c in support] if self.lattice else support
+            self.dens.append(den)
+            self.supports.append(support)
+            self.forms.append((cnum, sets, min(lead, default=None), max(lead, default=None), not cnum and len(sets) == 1))
+        if self.markov and spread:  # refuse the largest power a product may take before any is taken
+            ends = [c for _, _, lo, hi, _ in self.forms if lo is not None for c in (lo, hi)]
+            system._powers.check(spread + max(ends, default=0) - min(ends, default=0))
+
+    def coords(self, factors) -> set:
+        """The coordinates the factors [(j, shift), ...] depend on."""
+        offset, add, supports = self.offset, self.add, self.supports
+        return {add(c, offset(s) if offset else s) for j, s in factors for c in supports[j]}
+
+    def exact(self, factors) -> Fraction:
+        """The integral of the product of the factors [(j, shift), ...]."""
+        factors = list(factors)
+        m, e = self(factors)
+        scale = math.prod(self.dens[j] for j, _ in factors)
+        return Fraction(m, scale * self.system._unit * self.system._den**e)
+
+    def __call__(self, factors) -> tuple[int, int]:
+        forms, offset, lattice, sub, memo = self.forms, self.offset, self.lattice, self.sub, self.memo
+        const, placed = 1, []
+        for j, s in factors:
+            cnum, _, lo, hi, _ = forms[j]
+            if lo is None:
+                const *= cnum
+                continue
+            if offset:
+                s = offset(s)
+            t = s[0] if lattice else s
+            placed.append((lo + t, hi + t, j, s))
+        placed.sort()
+        placed.append(None)  # closes the last cluster
+        markov, key, count, first = self.markov, None, 0, None
+        for item in placed:
+            if key is not None:
+                if item is not None and item[0] <= end:  # the cluster goes on
+                    _, hi, j, s = item
+                    key += (j, sub(s, base))
+                    end = max(end, hi)
+                    continue
+                key = tuple(key)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = self._scan(key)
+                if not markov:
+                    const *= value[0]
+                    count += value[1]
+                elif first is None:  # the first cluster, from the stationary numerators
+                    w, first = value[1], start
+                else:  # from the last cluster across A^gap
+                    P, nxt = self.system._powers[start - last], {}
+                    for a, outs in value[0]:
+                        v = sum([x * P[b][a] for b, x in w])
+                        for b, x in outs if v else ():
+                            nxt[b] = nxt.get(b, 0) + v * x
+                    w = nxt.items()
+                last = end
+            if item is not None:
+                start, end, j, base = item
+                key = [j]
+        if not markov:
+            return const, count
+        if first is None:
+            return const * self.system._unit, 0
+        return const * sum(x for _, x in w), last - first
+
+    def _scan(self, key):
+        """The cluster of form key[0] unmoved and forms key[2i+1] moved by
+        key[2i+2]: (m, e) on independent coordinates, e the coordinates it
+        visits; on a Markov shift its transfer matrix [(first symbol, [(last
+        symbol, m), ...]), ...] over D^(last - first) and the weights it gives
+        the stationary numerators, [(last symbol, m), ...]."""
+        markov, add, system = self.markov, self.add, self.system
+        moves, ends = defaultdict(list), defaultdict(list)  # coordinate -> its steps, the factors ending there
+        slot = 2 if markov else 0  # a Markov state leads with its first and last symbol
+        for j, s in [(key[0], self.zero), *zip(key[1::2], key[2::2])]:
+            cnum, sets, _, _, plain = self.forms[j]
+            slots = []
+            for num, coords, layers in sets:
+                for c, table in zip(coords, layers):
+                    moves[add(c, s)].append((slot, table, plain))
+                slots.append((slot, num))
+                slot += 1
+            ends[add(self.supports[j][-1], s)].append((cnum, slots))
+        cur, prev, weights = {(0,) * slot: 1}, None, None if markov else system._nums
+        for c in sorted(moves):
+            move, end = moves[c], ends.get(c, ())
+            if markov:  # weights from the last symbol, none at the first coordinate
+                step = (1,) * system.alphabet if prev is None else system._powers[c - prev]
+            nxt = {}
+            for state, w in cur.items():
+                for a, x in enumerate(weights or (step if prev is None else step[state[1]])):
+                    if not x:
+                        continue
+                    st = list(state)
+                    for i, table, plain in move:
+                        if (q := table[st[i]][a]) < 0 and plain:
+                            break
+                        st[i] = q
+                    else:
+                        for value, slots in end:
+                            for i, num in slots:
+                                if st[i] >= 0:
+                                    value += num
+                                st[i] = 0
+                            x *= value
+                        if x:
+                            if markov:
+                                st[1] = a
+                                st[0] = a if prev is None else st[0]
+                            st = tuple(st)
+                            nxt[st] = nxt.get(st, 0) + w * x
+            if len(nxt) > _MAX_STATES:
+                raise ResourceCapError(f"coordinate scan of over {_MAX_STATES} states exceeds the cap")
+            cur, prev = nxt, c
+        if not markov:
+            return sum(cur.values()), len(moves)
+        M, start = defaultdict(list), defaultdict(int)
+        for (a, b, *_), x in cur.items():
+            M[a].append((b, x))
+            start[b] += system._pi[0][a] * x
+        return list(M.items()), list(start.items())
 
 
 @dataclass(frozen=True)
@@ -246,14 +417,8 @@ class BernoulliShift(_ShiftSystem):
         return len(self.probs)
 
     def measure(self, S: CylinderUnion) -> Fraction:
-        nums = self._nums
-        total = sum(math.prod(map(nums.__getitem__, row)) for row in S.rows)
+        total = sum(math.prod(map(self._nums.__getitem__, row)) for row in S.rows)
         return Fraction(total, self._den ** len(S.coords))
-
-    def _weigh(self, A: Mapping) -> tuple[int, int]:
-        """(m, e): the cylinder that the coordinate -> symbol map A fixes has
-        measure m / (_unit * _den^e), its symbols' numerators over den^len(A)."""
-        return math.prod(map(self._nums.__getitem__, A.values())), len(A)
 
     def sample_point(self, seed: int, idx: int) -> "LazySequence":
         return LazySequence(seed, idx, self.probs)
@@ -287,13 +452,17 @@ class _IntPowers(dict):
         self.max_load = _POWER_MEMO_BITS // (len(A) ** 2 * max(1, bits_per_step))
         self.load = self.base_load = 3  # units of A^0 and A^1
 
-    def __missing__(self, t: int) -> tuple[tuple[int, ...], ...]:
+    def check(self, t: int) -> None:
+        """Raise unless A^t is within the bit budget."""
         if not 0 <= t <= self.max_t:
             if t < 0:
                 raise ValueError("matrix power must be >= 0")
             raise ResourceCapError(
                 f"matrix power {t} would pass {_MAX_POWER_BITS} bits an entry (at most {self.max_t} here)"
             )
+
+    def __missing__(self, t: int) -> tuple[tuple[int, ...], ...]:
+        self.check(t)
         prev = self.get(t - 1)
         if prev is not None:
             out = _matmul(prev, self.cols)
@@ -373,34 +542,13 @@ class MarkovShift(_ShiftSystem):
         At, scale = self._powers[t], self._den**t
         return tuple(tuple(Fraction(x, scale) for x in row) for row in At)
 
-    def _bridge(self, w: Sequence[int], gap: int) -> list[int]:
-        """The state weights w carried ``gap`` coordinates on: w * A^gap."""
-        return [sum(map(operator.mul, w, col)) for col in zip(*self._powers[gap])]
-
-    def _forward(self, incoming: Sequence[int], coords: Sequence[int], rows: Iterable[Sequence[int]]) -> list[int]:
-        """Per state b, the sum over the rows ending in b of
-        incoming[r_0] * prod_t A^(c_{t+1} - c_t)[r_t][r_{t+1}]."""
-        steps = [self._powers[b - a] for a, b in zip(coords, coords[1:])]
-        w = [0] * len(self.matrix)
-        for row in rows:
-            p = incoming[row[0]]
-            for A, a, b in zip(steps, row, row[1:]):
-                p *= A[a][b]
-            w[row[-1]] += p
-        return w
-
     def block_measure(self, blocks: Iterable[tuple[Sequence[int], Collection[Sequence[int]]]]) -> Fraction:
-        """mu of the intersection of events on ordered blocks of coordinates.
-
-        Each block is (coords, rows): the admissible rows of symbols at the
-        increasing coords, all of them after the previous block's.  One
-        integer forward pass (``_forward``) carries, per state, the weight
-        of the admitted paths that sit in that state at the block's last
-        coordinate; steps inside a row and gaps between blocks (``_bridge``)
-        multiply by powers of A, so the total is one Fraction over
-        pi_den * D^(last - first).  A block with no coordinates is the full
-        set (one empty row) or the empty set (no rows).
-        """
+        """mu of the intersection of events on ordered blocks of coordinates,
+        each (coords, rows): the admissible rows of symbols at the increasing
+        coords, all after the previous block's, or, with no coordinates, the
+        full set (one empty row) or the empty set (no rows).  One integer
+        forward pass carries per state the weight of the admitted paths in
+        that state at the block's last coordinate, over pi_den * D^(last - first)."""
         pi, pi_den = self._pi
         w = first = last = None
         for coords, rows in blocks:
@@ -412,9 +560,15 @@ class MarkovShift(_ShiftSystem):
                 first, incoming = coords[0], pi
             elif coords[0] <= last:
                 raise ValueError("blocks must be ordered and disjoint")
-            else:
-                incoming = self._bridge(w, coords[0] - last)
-            w = self._forward(incoming, coords, rows)
+            else:  # w carried across the gap: w * A^gap
+                incoming = [sum(map(operator.mul, w, col)) for col in zip(*self._powers[coords[0] - last])]
+            steps = [self._powers[b - a] for a, b in zip(coords, coords[1:])]
+            w = [0] * len(pi)
+            for row in rows:
+                p = incoming[row[0]]
+                for A, a, b in zip(steps, row, row[1:]):
+                    p *= A[a][b]
+                w[row[-1]] += p
             last = coords[-1]
         if w is None:
             return Fraction(1)
@@ -422,24 +576,12 @@ class MarkovShift(_ShiftSystem):
 
     def path_measure(self, constraints: Mapping[int, int]) -> Fraction:
         """mu of the cylinder fixing symbols at the given coordinates."""
-        m, e = self._weigh(constraints)
-        return Fraction(m, self._unit * self._den**e)
+        coords = sorted(constraints)
+        return self.block_measure([(coords, [tuple(map(constraints.__getitem__, coords))])])
 
     def measure(self, S: CylinderUnion) -> Fraction:
         return self.block_measure([(S.coords, S.rows)])
 
-    def _weigh(self, A: Mapping[int, int]) -> tuple[int, int]:
-        """(m, e): the cylinder that the coordinate -> symbol map A fixes has
-        measure m / (_unit * _den^e), the class formula over pi_den * D^(c_k - c_0):
-        ``_forward`` on one row, unrolled (a third of its time per map); the
-        empty map weighs 1."""
-        if not A:
-            return self._unit, 0
-        (first, r), *rest = sorted(A.items())
-        m, c = self._pi[0][r], first
-        for c2, r2 in rest:
-            m, c, r = m * self._powers[c2 - c][r][r2], c2, r2
-        return m, c - first
 
 
 @dataclass(frozen=True)
@@ -604,9 +746,10 @@ class LazySequence:
 class LatticeAction:
     """Commuting translations T_j, That_j given by integer vectors.
 
-    ``system`` must expose translate_preimage(S, v) and measure(S); the
-    generator vectors z_j must be pairwise distinct and nonzero (the hatted
-    vectors are unconstrained).
+    ``system`` must expose translate_preimage(S, v) and measure(S); every
+    generator vector has the system's dimension (``d`` of a lattice, else
+    1), and the vectors z_j must be pairwise distinct and nonzero (the
+    hatted vectors are unconstrained).
     """
 
     system: ExactSystem
@@ -622,9 +765,9 @@ class LatticeAction:
             raise ValueError("need as many hatted vectors as unhatted ones")
         if not z:
             raise ValueError("need at least one generator pair")
-        dims = {len(v) for v in z} | {len(v) for v in zhat}
-        if len(dims) != 1:
-            raise ValueError("generator vectors must share one dimension")
+        dim = getattr(self.system, "d", 1)
+        if any(len(v) != dim for v in z + zhat):
+            raise ValueError(f"generator vectors must have {dim} coordinates, the dimension of {type(self.system).__name__}")
         if any(all(x == 0 for x in v) for v in z):
             raise ValueError("z vectors must be nonzero")
         if len(set(z)) != len(z):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergoarrays import averages
+from ergoarrays import averages, systems
 from ergoarrays.averages import (
     ArraySpec,
     CommutingArraySpec,
@@ -25,6 +25,8 @@ from ergoarrays.averages import (
     _Engine,
     _shift_columns,
 )
+from ergoarrays.intpoly import IntPoly2
+from ergoarrays.recurrence import RecurrenceSpec, recurrence_series
 from ergoarrays.sets import ArcUnion, CylinderUnion, FiniteSubset, intersect
 from ergoarrays.systems import (
     BernoulliLattice,
@@ -264,9 +266,8 @@ def test_constant_observables_trivial():
 
 
 def _single_mean(spec, N, n):
-    eng = _Engine(spec.system)
-    factors = [eng.factor(f, p.eval(n, N)) for f, p in zip(spec.observables, spec.exponents)]
-    return eng.inner(factors)
+    integral = _Engine(spec.system).scan(spec.observables)
+    return integral.exact((j, p.eval(n, N)) for j, p in enumerate(spec.exponents))
 
 
 def test_fast_indicator_path_matches_generic_expansion():
@@ -398,41 +399,93 @@ def test_counted_path_caps_classes_not_terms():
             l2_distance_exact(ArraySpec.create(bern, obs, ["n", "2*N"]), 2)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_atom_lookups_match_trying_every_atom(data):
-    # a union of two cylinders over three coordinates can have 13 rows, and
-    # a product of factors many maps on one support: where atoms average
-    # more than four per coords they are looked up by symbol
-    # (``_agreeing``); trying every atom is what the oracle tests check
-    system, cylinder = data.draw(iid_systems())
-    narrow = cylinder.filter(lambda S: len(S.coords) <= 2)
-    union = st.tuples(narrow, narrow).map(lambda p: p[0].union(p[1])).filter(lambda S: len(S.coords) <= 3)
-    obs = [data.draw(affine_observables(system, union)), data.draw(affine_observables(system, narrow))]
-    exps = data.draw(st.lists(st.sampled_from(ORACLE_EXPONENTS), min_size=2, max_size=2))
-    spec = ArraySpec.create(system, obs, exps, center=data.draw(st.booleans()))
-    N = data.draw(st.integers(1, 6))
-    with mock.patch.object(averages, "_agreeing", lambda atoms: None):
-        expected = l2_distance_exact(spec, N), vdc_correlations(spec, N, 2).rows
-    assert (l2_distance_exact(spec, N), vdc_correlations(spec, N, 2).rows) == expected
+def rank_mod3(forms) -> int:
+    """The rank over F_3 of a list of integer vectors."""
+    rows, rank = [list(v) for v in forms], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % 3), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[rank] = [x * rows[rank][col] % 3 for x in rows[rank]]  # 1 and 2 are their own inverses mod 3
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % 3:
+                rows[i] = [(x - rows[i][col] * y) % 3 for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
-def test_atom_expansion_of_wide_unions():
-    # the cylinder union {symbol sum = 0 mod 3} over 8 coordinates has 2187
-    # rows and its complement 4374, so the complement is 1 minus 2187 atoms
+def sum_condition_integral(width: int, a: Fraction, b: Fraction, shifts) -> Fraction:
+    """The integral of prod_s (b + a 1_{U_s}) on the uniform shift on 3
+    symbols, U_s = {x_s + ... + x_{s+width-1} = 0 mod 3}, by
+    inclusion-exclusion: an intersection of copies of U is a homogeneous
+    linear system over F_3, of measure 3^-rank."""
+    lo = min(shifts, default=0)
+    span = max(shifts, default=0) - lo + width
+    forms = [[int(0 <= c - (s - lo) < width) for c in range(span)] for s in shifts]
+    return sum(
+        (a ** len(J) * b ** (len(forms) - len(J)) * Fraction(1, 3 ** rank_mod3(J))
+         for k in range(len(forms) + 1) for J in itertools.combinations(forms, k)),
+        Fraction(0),
+    )
+
+
+def sum_condition_set(width: int) -> CylinderUnion:
+    rows = frozenset(r for r in itertools.product(range(3), repeat=width) if sum(r) % 3 == 0)
+    return CylinderUnion(tuple(range(width)), rows, 3)
+
+
+def test_wide_unions_match_rank_count():
+    # the cylinder union U = {symbol sum = 0 mod 3} over 8 coordinates has
+    # 2187 rows and its complement 4374, but at most 3 scan states a
+    # coordinate; f = 1 - 1_U, and the oracle counts ranks over F_3
     bern = BernoulliShift.uniform(3)
-    rows = frozenset(r for r in itertools.product(range(3), repeat=8) if sum(r) % 3 == 0)
-    f = Observable.indicator(bern.complement(CylinderUnion(tuple(range(8)), rows, 3)))
-    # factors on one support, or on overlapping ones, keep few atoms (the
-    # values are those of the set-intersection kernel)
-    assert l2_distance_exact(ArraySpec.create(bern, [f], ["N"]), 8) == Fraction(2, 9)
-    assert l2_distance_exact(ArraySpec.create(bern, [f], ["n"]), 5) == Fraction(2, 45)
-    assert l2_distance_exact(ArraySpec.create(bern, [f] * 3, ["N", "N", "N"]), 3) == Fraction(262, 729)
-    # three factors three coordinates apart fix more than 2^20 coordinates
-    with pytest.raises(ResourceCapError, match="atom expansion"):
-        l2_distance_exact(ArraySpec.create(bern, [f] * 3, ["n", "2*n", "3*n"]), 3)
-    with pytest.raises(ResourceCapError, match="atom expansion"):
-        vdc_correlations(ArraySpec.create(bern, [f] * 3, ["n", "2*n", "3*n"]), 3, 1)
+    f = Observable.indicator(bern.complement(sum_condition_set(8)))
+    integral = functools.partial(sum_condition_integral, 8, Fraction(-1), Fraction(1))
+
+    def oracle(exponents, N):
+        rows = [[IntPoly2.parse(p).eval(n, N) for p in exponents] for n in range(1, N + 1)]
+        c = Fraction(2, 3) ** len(exponents)
+        pairs = sum((integral(r + t) for r in rows for t in rows), Fraction(0))
+        return pairs / N**2 - 2 * c * sum(map(integral, rows), Fraction(0)) / N + c * c
+
+    cases = [(["N"], 8, Fraction(2, 9)), (["n"], 5, Fraction(2, 45)), (["N", "N", "N"], 3, Fraction(262, 729)),
+             (["N", "N + 8", "N + 16"], 3, Fraction(152, 729)), (["n", "2*n", "3*n"], 3, Fraction(8, 81))]
+    for exponents, N, value in cases:
+        assert l2_distance_exact(ArraySpec.create(bern, [f] * len(exponents), exponents), N) == oracle(exponents, N) == value
+    spec = ArraySpec.create(bern, [f] * 3, ["n", "2*n", "3*n"])
+    x = [[p.eval(n, 3) for p in spec.exponents] for n in range(5)]
+    assert vdc_correlations(spec, 3, 1).rows == ((1, sum((integral(x[n] + x[n + 1]) for n in range(1, 4)), Fraction(0)) / 3),)
+    # the centered indicator of the 27-row union over 4 coordinates, ell = 2
+    g = Observable.indicator(sum_condition_set(4))
+    spec = ArraySpec.create(bern, [g, g], ["n", "2*n"], center=True)
+    rows = [[n, 2 * n] for n in range(1, 25)]
+    integral = functools.partial(sum_condition_integral, 4, Fraction(1), Fraction(-1, 3))
+    assert l2_distance_exact(spec, 24) == sum((integral(r + t) for r in rows for t in rows), Fraction(0)) / 24**2 == Fraction(1, 486)
+
+
+def test_scan_state_cap_raises():
+    bern = BernoulliShift.uniform(3)
+    f = Observable.indicator(bern.complement(sum_condition_set(8)))
+    spec = ArraySpec.create(bern, [f] * 3, ["n", "2*n", "3*n"])
+    assert l2_distance_exact(spec, 3) == Fraction(8, 81)
+    with mock.patch.object(systems, "_MAX_STATES", 8), pytest.raises(ResourceCapError, match="scan of over 8 states"):
+        l2_distance_exact(spec, 3)
+
+
+def test_markov_power_cap_is_checked_before_any_integral():
+    # D = 2^16, so A^t may reach t = 4096; N = 5000 spreads the shifts over
+    # 4999 coordinates, which is refused before any power past the support
+    # span (0 here) is taken
+    p = Fraction(12345, 2**16)
+    chain = MarkovShift(((p, 1 - p), (1 - p, p)))
+    spec = ArraySpec.create(chain, [Observable.indicator(chain.cylinder({0: 0}))], ["n"], center=True)
+    with pytest.raises(ResourceCapError, match="matrix power 4999 would pass"):
+        l2_distance_exact(spec, 5000)
+    with pytest.raises(ResourceCapError, match="matrix power 5000 would pass"):
+        vdc_correlations(spec, 1, 5000)
+    assert max(chain._powers) <= 1
+    assert l2_distance_exact(spec, 20) > 0
 
 
 @st.composite
@@ -448,21 +501,36 @@ def observables(draw, system):
 
 
 def shift_systems():
-    """The shift systems of the zoo: ``_Engine.inner`` integrates on these."""
+    """The shift systems of the zoo: ``_Engine.scan`` integrates on these."""
     return [system for system in exact_zoo() if hasattr(system, "cylinder")]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_engine_inner_matches_reference_expansion(data):
-    system = data.draw(st.sampled_from(shift_systems()))
-    k = data.draw(st.integers(1, 4))
-    obs = [data.draw(affine_observables(system)) for _ in range(k)]
-    shifts = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-    eng = _Engine(system)
-    factors = [eng.factor(f, s) for f, s in zip(obs, shifts)]
-    raw = [raw_factor(f, lambda S, s=s: system.preimage(S, s)) for f, s in zip(obs, shifts)]
-    assert eng.inner(factors) == reference_inner(system, raw)
+    # the coordinate scan (``_ShiftSystem.integral``) on Bernoulli shifts and
+    # lattices and on random chains: affine observables over single
+    # cylinders, unions of two and complements, scalar and vector shifts,
+    # near ones whose supports meet and far ones that the cluster split
+    # must keep apart
+    if data.draw(st.booleans()):
+        system = markov_chain(data)
+        pool = [markov_sets(data, system), markov_sets(data, system)]
+    else:
+        system, cylinder = data.draw(iid_systems())
+        narrow = cylinder.filter(lambda S: len(S.coords) <= 2)
+        union = st.tuples(narrow, narrow).map(lambda p: p[0].union(p[1])).filter(lambda S: len(S.coords) <= 3)
+        pool = [data.draw(union | cylinder), data.draw(union | cylinder)]
+    # the reference intersects one set per factor, so wide sets take fewer factors
+    wide = max(len(T.rows) for S in pool for T in (S, system.complement(S)))
+    k = data.draw(st.integers(1, max(k for k in range(1, 5) if wide**k <= 4096 or k == 1)))
+    obs = [data.draw(affine_observables(system, st.sampled_from(pool))) for _ in range(k)]
+    vector = data.draw(st.booleans())
+    scalar = st.integers(-3, 3) | st.integers(-40, 40)
+    shifts = data.draw(st.lists(st.tuples(*[scalar] * getattr(system, "d", 1)) if vector else scalar, min_size=k, max_size=k))
+    move = system.translate_preimage if vector else system.preimage
+    raw = [raw_factor(f, lambda S, s=s: move(S, s)) for f, s in zip(obs, shifts)]
+    assert _Engine(system, vector_shifts=vector).scan(obs).exact(enumerate(shifts)) == reference_inner(system, raw)
 
 
 @settings(max_examples=200, deadline=None)
@@ -481,12 +549,16 @@ def test_grid_row_integral_matches_reference_expansion(data):
 
 @pytest.mark.parametrize("system", exact_zoo(), ids=lambda s: type(s).__name__)
 def test_exact_paths_intersect_no_sets(system):
-    # the grid and the atom kernel integrate products without set algebra
+    # the grid and the coordinate scan integrate products, and recurrence
+    # terms, without set algebra
     rng = random.Random(5)
     S, U = system.random_set(rng), system.random_set(rng)
     f, g = Observable.indicator(S), Observable(Fraction(1, 3), ((Fraction(-2), U), (Fraction(1, 2), system.complement(S))))
     specs = [ArraySpec.create(system, [f], ["n**2"], center=True), ArraySpec.create(system, [f, g], ["n", "2*n + N"])]
-    answers = lambda: [(l2_distance_exact(s, 5), vdc_correlations(s, 5, 2).rows, array_term_inner(s, 5, 1, 3)) for s in specs]
+    recurrence = RecurrenceSpec(system, S, [(1, 0), (2, 1)])
+    answers = lambda: [(l2_distance_exact(s, 5), vdc_correlations(s, 5, 2).rows, array_term_inner(s, 5, 1, 3)) for s in specs] + [
+        recurrence_series(recurrence, 6).values
+    ]
     expected = answers()
 
     def refuse(*_):
@@ -502,7 +574,7 @@ def test_exact_paths_intersect_no_sets(system):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_markov_atom_kernel_matches_reference_expansion(data):
+def test_markov_paths_match_reference_expansion(data):
     # random 2-4-state chains with zero entries; affine observables over
     # single cylinders, unions and complements spanning up to 4 coordinates
     system = markov_chain(data)
@@ -514,10 +586,9 @@ def test_markov_atom_kernel_matches_reference_expansion(data):
     obs = [data.draw(affine_observables(system, sets)) for _ in range(ell)]
     vector = data.draw(st.booleans())
     shifts = data.draw(st.lists(st.integers(-4, 4).map(lambda s: (s,) if vector else s), min_size=2 * ell, max_size=2 * ell))
-    eng = _Engine(system, vector_shifts=vector)
     move = system.translate_preimage if vector else system.preimage
     raw = [raw_factor(f, lambda S, s=s: move(S, s)) for f, s in zip(obs * 2, shifts)]
-    assert eng.inner([eng.factor(f, s) for f, s in zip(obs * 2, shifts)]) == reference_inner(system, raw)
+    assert _Engine(system, vector_shifts=vector).scan(obs * 2).exact(enumerate(shifts)) == reference_inner(system, raw)
     N = data.draw(st.integers(1, 4))
     if vector:  # a lattice action on the chain: commuting_average
         z = data.draw(st.lists(st.integers(-2, 2).filter(bool), min_size=ell, max_size=ell, unique=True))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ergoarrays import pet, szemeredi
+from ergoarrays import pet, systems, szemeredi
 from ergoarrays.cli import _build_parser, main
 from ergoarrays.util import fraction_to_json
 
@@ -503,6 +503,17 @@ def test_markov_power_past_the_bit_budget_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("resource cap: matrix power 30000 would pass")
     assert not (tmp_path / "series.csv").exists()
+
+
+def test_scan_past_the_state_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # two overlapping centered copies of a 3-coordinate cylinder reach 3
+    # live scan states at a coordinate
+    monkeypatch.setattr(systems, "_MAX_STATES", 2)
+    spec = {"observables": [{"set": {"cylinder": {"0": 0, "1": 1, "2": 0}}}] * 2, "exponents": ["n", "2*n"], "center": True}
+    assert run(["--out-dir", str(tmp_path), "avg-sweep", "--system", BERN, "--spec", json.dumps(spec), "--Ns", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("resource cap: coordinate scan of over 2 states")
+    assert not list(tmp_path.iterdir())
 
 
 # a dense two-generator system whose descent grows past any desk-scale size

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergoarrays import systems
+from ergoarrays.recurrence import CommutingRecurrenceSpec, commuting_recurrence_series
 from ergoarrays.sets import _MAX_ROWS, ArcUnion, CylinderUnion, intersect
 from ergoarrays.util import ResourceCapError
 from ergoarrays.systems import (
@@ -175,6 +176,23 @@ def test_lattice_action_basics():
         build_lattice_action(lat, [(1, 0), (0, 0)], [(0, 0), (0, 0)])
     with pytest.raises(ValueError, match="distinct"):
         build_lattice_action(lat, [(1, 0), (1, 0)], [(0, 0), (0, 0)])
+
+
+def test_lattice_action_vectors_have_the_system_dimension():
+    # a 1-vector on a 2-d lattice once moved only the first axis: with
+    # A = {(0, 0): 0, (1, 0): 1}, S(1) came out 4/81 where z = (1, 0) gives 0
+    lat = BernoulliLattice((Fraction(1, 3), Fraction(2, 3)), 2)
+    with pytest.raises(ValueError, match="must have 2 coordinates"):
+        build_lattice_action(lat, [(1,)], [(0,)])
+    with pytest.raises(ValueError, match="must have 2 coordinates"):
+        build_lattice_action(CyclicLattice((4, 6)), [(1,)], [(0,)])
+    with pytest.raises(ValueError, match="must have 1 coordinates"):
+        build_lattice_action(BernoulliShift.uniform(2), [(1, 0)], [(0, 0)])
+    with pytest.raises(ValueError, match="must have 2 coordinates"):
+        build_lattice_action(lat, [(1, 0)], [(0, 0, 0)])
+    A = lat.cylinder({(0, 0): 0, (1, 0): 1})
+    spec = CommutingRecurrenceSpec(build_lattice_action(lat, [(1, 0)], [(0, 0)]), A)
+    assert commuting_recurrence_series(spec, 1).values == ((1, Fraction(0)),)
 
 
 def test_bernoulli_lattice_uniform():
