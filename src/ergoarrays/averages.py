@@ -16,10 +16,12 @@ The system type picks one of two kernels, both in integers:
   classes (q^(ell*d) for d-vector shifts), any ell;
 * shift systems (Bernoulli and Markov shifts, Bernoulli lattices): every
   integral of a product is the system's memoized coordinate scan
-  (``_ShiftSystem.integral``).  With ell >= 2 on independent coordinates
-  only the pairs of classes that share a coordinate join (``_class_sums``):
-  O(N*ell + overlapping class pairs) integrals; on Markov shifts every pair
-  of classes joins, O(N*ell + classes^2).
+  (``_ShiftSystem.integral``), an integer over a unit fixed before any
+  scan, so every sum below adds integers into one Fraction.  With ell >= 2
+  on independent coordinates only the pairs of classes that share a
+  coordinate join (``_class_sums``): O(N*ell + overlapping class pairs)
+  integrals; on Markov shifts every pair of classes joins,
+  O(N*ell + classes^2).
 
 Off the grid, with one factor (ell = 1, or one commuting generator pair)
 every pair term is a correlation C_f(d) = <T^d f, f>, C_f(d) = C_f(-d), so
@@ -43,7 +45,6 @@ cross-check of the exact path.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -191,7 +192,7 @@ class _Engine:
         # one representative of {d, -d} (C_f(d) = C_f(-d))
         self.key = (lambda d: max(d, tuple(-x for x in d))) if vector_shifts else abs
 
-    def scan(self, observables, rows=()):
+    def scan(self, observables, rows):
         """The shift system's integral of products of the observables moved by
         this engine's shifts (``_ShiftSystem.integral``).  On a Markov shift,
         whose integrals take matrix powers, the shifts one product may take
@@ -200,16 +201,7 @@ class _Engine:
         spread = 0 if self.independent else max((max(map(lead, r)) - min(map(lead, r)) for r in rows), default=0)
         return self.system.integral([f.integer_form for f in observables], self.vector, spread)
 
-    def integral(self, acc, den: int) -> Fraction:
-        """sum_e acc[e] / (den * _unit * _den^e), over the largest e, by
-        Horner's rule over the increasing exponents."""
-        D, total, top = self.system._den, 0, 0
-        for e in sorted(acc):
-            total, top = total * D ** (e - top) + acc[e], e
-        return Fraction(total, den * self.system._unit * D**top)
 
-
-_ZERO = Fraction(0)
 _MAX_CLASSES = 4096  # classes a pair sum may visit pairwise
 _TRIM_FRACTION = Fraction(1, 20)  # share of the largest |values| the vdc diagnostic drops
 
@@ -221,26 +213,28 @@ _TRIM_FRACTION = Fraction(1, 20)  # share of the largest |values| the vdc diagno
 class _Correlation:
     """C_f(d) for one observable through ``_Engine.scan`` (its shifts lie in
     rows).  ``total`` is sum_d w_d C_f(d) over a map of differences to
-    weights, and ``sweep`` the pair sum over a list of shifts, whose
-    differences it folds by ``_Engine.key``.  On independent coordinates
-    with scalar shifts C_f(d) = (integral f)^2 once |d| passes the support
-    diameter ``reach`` of f (its smallest along an axis, for the diagonal
-    shift of a lattice); elsewhere ``reach`` is None."""
+    weights, one integer over the unit of two factors, and ``sweep`` the
+    pair sum over a list of shifts, whose differences it folds by
+    ``_Engine.key``.  On independent coordinates with scalar shifts
+    C_f(d) = (integral f)^2 once |d| passes the support diameter ``reach``
+    of f (its smallest along an axis, for the diagonal shift of a lattice);
+    elsewhere ``reach`` is None."""
 
-    def __init__(self, eng: _Engine, f: Observable, zero, rows=()):
+    def __init__(self, eng: _Engine, f: Observable, zero, rows):
         self.eng = eng
         self.zero = zero
         self.integral = eng.scan([f], rows)
         self.mean = self.integral.exact([(0, zero)])
         self.square = self.mean * self.mean
+        self.unit = self.integral.unit([0, 0])
         self.reach = None
         if eng.independent and not eng.vector:
             points = [c if isinstance(c, tuple) else (c,) for c in self.integral.supports[0]]
             self.reach = min((max(axis) - min(axis) for axis in zip(*points)), default=-1)
 
     def total(self, weights) -> Fraction:
-        inner, base = self.integral.exact, (0, self.zero)
-        return sum((w * inner([(0, d), base]) for d, w in weights.items()), _ZERO)
+        inner, base = self.integral, (0, self.zero)
+        return Fraction(sum(w * inner([(0, d), base]) for d, w in weights.items()), self.unit)
 
     def sweep(self, shifts) -> Fraction:
         """sum_{t,u} C_f(s_u - s_t) as sum_d w_d C_f(d).  Shifts linear in t
@@ -418,35 +412,30 @@ def _class_sums(eng: _Engine, observables, columns) -> tuple[Fraction, Fraction]
     On independent coordinates classes on disjoint coordinates are
     independent, so only the pairs that share a coordinate join, each less
     k m_r m_r', and (sum_r m_r)^2 adds the rest; elsewhere every pair joins.
-    Sums are integers per exponent of the system's denominator.
+    Means are integers over the unit of a row of factors and pairs over
+    that of two rows, which on independent coordinates is its square, so
+    products of means add in.
     """
-    integral = eng.scan(observables, [[s for col in columns for s in col]])
+    integral, ell = eng.scan(observables, [[s for col in columns for s in col]]), len(observables)
     classes = [(list(enumerate(row)), h) for row, h in _classes(zip(*columns)).items()]
-    means = []  # per class: (h_r times the numerator of <x_r>, its exponent)
-    for xr, h in classes:
-        m, e = integral(xr)
-        means.append((h * m, e))
+    means = [h * integral(xr) for xr, h in classes]  # h_r times the numerator of <x_r>
     where = defaultdict(set)  # on independent coordinates: coordinate -> the classes that visit it
     coords = [integral.coords(xr) for xr, _ in classes] if eng.independent else []
     for i, visited in enumerate(coords):
         for c in visited:
             where[c].add(i)
-    sums, pairs = defaultdict(int), defaultdict(int)  # exponent -> integers
+    mean_sum, pair_sum = sum(means), 0
     for i, (xr, h) in enumerate(classes):
-        mi, ei = means[i]
-        sums[ei] += mi
         partners = {j for c in coords[i] for j in where[c] if j >= i} if eng.independent else range(i, len(classes))
         for j in partners:
-            k, (xs, g), (mj, ej) = 1 if i == j else 2, classes[j], means[j]
-            m, e = integral(xr + xs)
-            pairs[e] += k * h * g * m
+            k, (xs, g) = 1 if i == j else 2, classes[j]
+            pair_sum += k * h * g * integral(xr + xs)
             if eng.independent:
-                pairs[ei + ej] -= k * mi * mj
+                pair_sum -= k * means[i] * means[j]
     if eng.independent:
-        for (e1, m1), (e2, m2) in itertools.product(sums.items(), repeat=2):
-            pairs[e1 + e2] += m1 * m2
-    scale = math.prod(f.integer_form[0] for f in observables)
-    return eng.integral(sums, scale), eng.integral(pairs, scale * scale)
+        pair_sum += mean_sum * mean_sum
+    js = range(ell)
+    return Fraction(mean_sum, integral.unit(js)), Fraction(pair_sum, integral.unit([*js, *js]))
 
 
 def _shift_columns(spec: ArraySpec, N: int, n_start: int, count: int) -> list[list[int]]:
@@ -455,7 +444,7 @@ def _shift_columns(spec: ArraySpec, N: int, n_start: int, count: int) -> list[li
     return [list(p.values_along_n(N, n_start, count)) for p in spec.exponents]
 
 
-def _row_integral(eng: _Engine, observables, rows=()):
+def _row_integral(eng: _Engine, observables, rows):
     """(unit, integral) for rows of 2*ell shifts: integral(row) is unit
     times the integral of prod_j T^{row[j]} f_{j mod ell}, an integer on a
     grid (``_Grid``), else by ``_Engine.scan`` over the given rows;
@@ -463,8 +452,8 @@ def _row_integral(eng: _Engine, observables, rows=()):
     if eng.grid:
         grid = _Grid(eng, observables)
         return grid.Q * grid.scale**2, lambda row: grid.sweep(grid.term(row, 1, acc := defaultdict(int)), acc)[0]
-    integral, ell = eng.scan(observables, rows), len(observables)
-    return 1, lambda row: integral.exact((j % ell, s) for j, s in enumerate(row))
+    integral, js = eng.scan(observables, rows), [j % len(observables) for j in range(2 * len(observables))]
+    return integral.unit(js), lambda row: integral(zip(js, row))
 
 
 def array_term_inner(spec: ArraySpec, N: int, n1: int, n2: int) -> Fraction:
@@ -549,6 +538,8 @@ def l2_distance_mc(
     """Seeded Monte Carlo estimate of || A_N - c ||^2 with its standard error."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     system = spec.system
     if not hasattr(system, "sample_point"):
         raise ValueError(f"{type(system).__name__} has no sampler: use the exact method")
@@ -674,6 +665,8 @@ class VdcReport:
 
 
 def vdc_correlations(spec: ArraySpec, N: int, H: int) -> VdcReport:
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if H < 1:
         raise ValueError("H must be >= 1")
     if isinstance(spec.system, SampledSystem):

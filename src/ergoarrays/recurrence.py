@@ -13,7 +13,9 @@ finite point systems AND int bitmasks and count bits.  On Bernoulli and Markov s
 term is the shift system's integral of 1_A moved by 0 and every s_j
 (``_ShiftSystem.integral``), whose clusters of overlapping copies of A are
 memoized by their relative shifts: O(ell log ell) a term once the clusters
-are known.
+are known.  Its unit is the series' denominator; on a Markov shift it is
+fixed by the widest spread of a term, so a series whose powers would pass
+the bit budget is refused before any term.
 Syndeticity is certified only inside the computed window [1, N_max];
 reports always say so.  The grid-extraction routine turns a two-parameter
 family of nonnegative values whose every M-square contains a large entry
@@ -120,25 +122,15 @@ def _kernel(system, A, preimage, shift_fns, n_max: int, vector: bool):
         mask = lambda S: int("".join("01"[x in S.members] for x in points), 2)
         a, back = mask(A), cache(lambda s: mask(preimage(A, s)))
         return len(points), lambda shifts: reduce(and_, map(back, shifts), a).bit_count()
-    # shift systems, over _unit * _den^top for the largest exponent of a term:
-    # on independent coordinates, the coordinates of its copies of A; else its
-    # widest span, convex in (n, N) and so read at the corners of 1 <= n <= N <= n_max
-    integral, D = system.integral([(1, 0, ((1, A),))], vector), system._den
-    zero = (0,) * system.d if vector else 0
-    if system.independent_coords:
-        top = (len(shift_fns) + 1) * len(A.coords)
-    else:
+    # shift systems; a Markov integral is built for the widest spread of a term,
+    # convex in (n, N) and so read at the corners of 1 <= n <= N <= n_max
+    spread = 0
+    if not system.independent_coords:
         corners = ((1, 1), (1, n_max), (n_max, n_max))
-        top = (A.coords[-1] - A.coords[0] if A.coords else 0) + max(
-            max([0, *s]) - min([0, *s]) for s in ([f(n, N) for f in shift_fns] for n, N in corners)
-        )
-    scale = cache(lambda e: D ** (top - e))
-
-    def term(shifts):
-        m, e = integral([(0, zero), *((0, s) for s in shifts)])
-        return m * scale(e)
-
-    return system._unit * D**top, term
+        spread = max(max([0, *s]) - min([0, *s]) for s in ([f(n, N) for f in shift_fns] for n, N in corners))
+    integral = system.integral([(1, 0, ((1, A),))], vector, spread)
+    zero = (0,) * system.d if vector else 0
+    return integral.unit([0] * (len(shift_fns) + 1)), lambda shifts: integral([(0, zero), *((0, s) for s in shifts)])
 
 
 def _series(system, A, preimage, shift_fns, n_max: int, label: str, vector: bool = False) -> RecurrenceSeries:

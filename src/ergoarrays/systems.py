@@ -195,7 +195,8 @@ class _ShiftSystem(ExactSystem):
     """Shift on alphabet^Z: sets are cylinder unions, T^{-k} renames
     coordinates by +k.  ``random_set`` fixes 1 to 3 symbols at coordinates
     within +-_RANDOM_SPAN.  Every exact integral of a product of moved
-    observables is ``integral`` (``_Integral``), an integer over _unit * _den^e."""
+    observables is ``integral`` (``_Integral``), an integer over a unit
+    fixed before the scan."""
 
     _RANDOM_SPAN = 6
 
@@ -233,13 +234,18 @@ class _Integral:
     """Exact integrals of products of moved observables on a shift system.
 
     ``forms`` have the shape of ``Observable.integer_form``.  Called on
-    factors [(j, shift), ...] it returns (m, e): the product of the forms'
-    numerators cnum + sum num * 1_S, each moved, integrates to
-    m / (_unit * _den^e).  Factors split into clusters where their spans
-    (along the first axis, on a lattice) stop overlapping; a cluster is one
-    scan over its sorted coordinates, memoized by its factors' offsets
-    relative to its first.  A state is the tuple of its sets' automaton
-    states (``CylinderUnion.layers``) with the integer mass of its paths; a
+    factors [(j, shift), ...] of the forms js it returns m: the product of
+    the forms' numerators cnum + sum num * 1_S, each moved, integrates to
+    m / ``unit(js)``, prod dens * _unit * _den^top.  On independent
+    coordinates top sums the forms' support sizes (a coordinate factors
+    share is padded by _den); on a Markov shift it is spread plus the
+    forms' support span, the largest power a call within spread takes,
+    refused before any past the bit budget (a call spanning further raises
+    ValueError).  Factors split into clusters where their spans (along the
+    first axis, on a lattice) stop overlapping; a cluster is one scan over
+    its sorted coordinates, memoized by its factors' offsets relative to
+    its first.  A state is the tuple of its sets' automaton states
+    (``CylinderUnion.layers``) with the integer mass of its paths; a
     factor's value multiplies in where its support ends, and a plain
     indicator drops a path once its set rejects.  Clusters multiply on
     independent coordinates.  On a Markov shift a state also carries its
@@ -267,23 +273,28 @@ class _Integral:
             self.dens.append(den)
             self.supports.append(support)
             self.forms.append((cnum, sets, min(lead, default=None), max(lead, default=None), not cnum and len(sets) == 1))
-        if self.markov and spread:  # refuse the largest power a product may take before any is taken
+        if self.markov:  # refuse the largest power a product may take before any is taken
             ends = [c for _, _, lo, hi, _ in self.forms if lo is not None for c in (lo, hi)]
-            system._powers.check(spread + max(ends, default=0) - min(ends, default=0))
+            self.top = spread + max(ends, default=0) - min(ends, default=0)
+            system._powers.check(self.top)
 
     def coords(self, factors) -> set:
         """The coordinates the factors [(j, shift), ...] depend on."""
         offset, add, supports = self.offset, self.add, self.supports
         return {add(c, offset(s) if offset else s) for j, s in factors for c in supports[j]}
 
+    def unit(self, js) -> int:
+        """The denominator of a call on factors of the forms js."""
+        js = list(js)
+        e = self.top if self.markov else sum(len(self.supports[j]) for j in js)
+        return math.prod(self.dens[j] for j in js) * self.system._unit * self.system._den**e
+
     def exact(self, factors) -> Fraction:
         """The integral of the product of the factors [(j, shift), ...]."""
         factors = list(factors)
-        m, e = self(factors)
-        scale = math.prod(self.dens[j] for j, _ in factors)
-        return Fraction(m, scale * self.system._unit * self.system._den**e)
+        return Fraction(self(factors), self.unit(j for j, _ in factors))
 
-    def __call__(self, factors) -> tuple[int, int]:
+    def __call__(self, factors) -> int:
         forms, offset, lattice, sub, memo = self.forms, self.offset, self.lattice, self.sub, self.memo
         const, placed = 1, []
         for j, s in factors:
@@ -297,7 +308,7 @@ class _Integral:
             placed.append((lo + t, hi + t, j, s))
         placed.sort()
         placed.append(None)  # closes the last cluster
-        markov, key, count, first = self.markov, None, 0, None
+        markov, key, first = self.markov, None, None
         for item in placed:
             if key is not None:
                 if item is not None and item[0] <= end:  # the cluster goes on
@@ -310,8 +321,7 @@ class _Integral:
                 if value is None:
                     value = memo[key] = self._scan(key)
                 if not markov:
-                    const *= value[0]
-                    count += value[1]
+                    const *= value
                 elif first is None:  # the first cluster, from the stationary numerators
                     w, first = value[1], start
                 else:  # from the last cluster across A^gap
@@ -326,17 +336,19 @@ class _Integral:
                 start, end, j, base = item
                 key = [j]
         if not markov:
-            return const, count
-        if first is None:
-            return const * self.system._unit, 0
-        return const * sum(x for _, x in w), last - first
+            return const
+        if first is None:  # the integral of 1 is _unit / _unit
+            w, first, last = [(0, self.system._unit)], 0, 0
+        if last - first > self.top:
+            raise ValueError(f"factors spanning {last - first} coordinates pass the {self.top} this integral was built for")
+        return const * sum(x for _, x in w) * self.system._den ** (self.top - last + first)
 
     def _scan(self, key):
         """The cluster of form key[0] unmoved and forms key[2i+1] moved by
-        key[2i+2]: (m, e) on independent coordinates, e the coordinates it
-        visits; on a Markov shift its transfer matrix [(first symbol, [(last
-        symbol, m), ...]), ...] over D^(last - first) and the weights it gives
-        the stationary numerators, [(last symbol, m), ...]."""
+        key[2i+2]: on independent coordinates its integer over _den^(its
+        forms' support sizes); on a Markov shift its transfer matrix [(first
+        symbol, [(last symbol, m), ...]), ...] over D^(last - first) and the
+        weights it gives the stationary numerators, [(last symbol, m), ...]."""
         markov, add, system = self.markov, self.add, self.system
         moves, ends = defaultdict(list), defaultdict(list)  # coordinate -> its steps, the factors ending there
         slot = 2 if markov else 0  # a Markov state leads with its first and last symbol
@@ -380,8 +392,8 @@ class _Integral:
             if len(nxt) > _MAX_STATES:
                 raise ResourceCapError(f"coordinate scan of over {_MAX_STATES} states exceeds the cap")
             cur, prev = nxt, c
-        if not markov:
-            return sum(cur.values()), len(moves)
+        if not markov:  # coordinates the factors share are padded
+            return sum(cur.values()) * system._den ** (sum(len(self.supports[j]) for j in (key[0], *key[1::2])) - len(moves))
         M, start = defaultdict(list), defaultdict(int)
         for (a, b, *_), x in cur.items():
             M[a].append((b, x))

@@ -266,8 +266,8 @@ def test_constant_observables_trivial():
 
 
 def _single_mean(spec, N, n):
-    integral = _Engine(spec.system).scan(spec.observables)
-    return integral.exact((j, p.eval(n, N)) for j, p in enumerate(spec.exponents))
+    row = [p.eval(n, N) for p in spec.exponents]
+    return _Engine(spec.system).scan(spec.observables, [row]).exact(enumerate(row))
 
 
 def test_fast_indicator_path_matches_generic_expansion():
@@ -488,6 +488,29 @@ def test_markov_power_cap_is_checked_before_any_integral():
     assert l2_distance_exact(spec, 20) > 0
 
 
+@pytest.mark.parametrize("a, b", [(Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 10), Fraction(1, 5)), (Fraction(6, 7), Fraction(4, 5)), (1, 1)])
+def test_two_state_distance_matches_geometric_correlations(a, b):
+    # with f = 1{x_0 = 0} - pi_0, C_f(d) = pi_0 pi_1 lam^|d| for lam = 1 - a - b,
+    # so ||A_N||^2 = N^-2 sum_{n,m <= N} pi_0 pi_1 lam^|n-m|: the Markov
+    # distances at their largest fixed denominators, D^(N - 1)
+    chain = MarkovShift(((1 - a, a), (b, 1 - b)))
+    pi0, pi1 = chain.stationary
+    lam = 1 - Fraction(a) - Fraction(b)
+    spec = ArraySpec.create(chain, [Observable.indicator(chain.cylinder({0: 0}))], ["n"], center=True)
+    for N in (1, 2, 50, 500):
+        pairs = N + 2 * sum((N - k) * lam**k for k in range(1, N))
+        assert l2_distance_exact(spec, N) == pi0 * pi1 * pairs / N**2
+
+
+def test_markov_integral_refuses_calls_past_its_spread():
+    chain = MarkovShift(((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 2))))
+    for s in (0, 1, 7):
+        integral = chain.integral([(1, 0, ((1, chain.cylinder({0: 0})),))], spread=s)
+        assert integral.exact([(0, 0), (0, s)]) == chain.stationary[0] * chain.power(s)[0][0]
+        with pytest.raises(ValueError, match=f"spanning {s + 1} coordinates pass the {s}"):
+            integral([(0, 0), (0, s + 1)])
+
+
 @st.composite
 def observables(draw, system):
     """An affine combination of up to two of the system's random sets."""
@@ -530,7 +553,7 @@ def test_engine_inner_matches_reference_expansion(data):
     shifts = data.draw(st.lists(st.tuples(*[scalar] * getattr(system, "d", 1)) if vector else scalar, min_size=k, max_size=k))
     move = system.translate_preimage if vector else system.preimage
     raw = [raw_factor(f, lambda S, s=s: move(S, s)) for f, s in zip(obs, shifts)]
-    assert _Engine(system, vector_shifts=vector).scan(obs).exact(enumerate(shifts)) == reference_inner(system, raw)
+    assert _Engine(system, vector_shifts=vector).scan(obs, [shifts]).exact(enumerate(shifts)) == reference_inner(system, raw)
 
 
 @settings(max_examples=200, deadline=None)
@@ -588,7 +611,7 @@ def test_markov_paths_match_reference_expansion(data):
     shifts = data.draw(st.lists(st.integers(-4, 4).map(lambda s: (s,) if vector else s), min_size=2 * ell, max_size=2 * ell))
     move = system.translate_preimage if vector else system.preimage
     raw = [raw_factor(f, lambda S, s=s: move(S, s)) for f, s in zip(obs * 2, shifts)]
-    assert _Engine(system, vector_shifts=vector).scan(obs * 2).exact(enumerate(shifts)) == reference_inner(system, raw)
+    assert _Engine(system, vector_shifts=vector).scan(obs * 2, [shifts]).exact(enumerate(shifts)) == reference_inner(system, raw)
     N = data.draw(st.integers(1, 4))
     if vector:  # a lattice action on the chain: commuting_average
         z = data.draw(st.lists(st.integers(-2, 2).filter(bool), min_size=ell, max_size=ell, unique=True))
@@ -700,7 +723,7 @@ def test_sweep_matches_constant_step_weights(data):
     for k in range(T):
         weights[lag(k)] += 2 * (T - k) if k else T
     eng = _Engine(system, vector_shifts=vector)
-    corr = averages._Correlation(eng, f, lag(0))
+    corr = averages._Correlation(eng, f, lag(0), [shifts])
     assert corr.sweep(shifts) == corr.total(weights)
 
 
@@ -897,6 +920,8 @@ def test_vdc_constant_observable():
     spec = ArraySpec.create(bern, [Observable.const(3)], ["n"], center=True)
     table = vdc_correlations(spec, 8, 4)
     assert all(v == 0 for _, v in table.rows)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        vdc_correlations(spec, 0, 4)
 
 
 # -- Monte Carlo ---------------------------------------------------------------

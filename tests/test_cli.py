@@ -495,13 +495,14 @@ def test_resource_cap_exit_code(tmp_path):
 
 
 def test_markov_power_past_the_bit_budget_exits_3(tmp_path, capsys):
-    # D = 6, so A^30000 would hold entries of about 77500 bits, past the
-    # 65536-bit budget: refused before it is built
+    # D = 6, so A^60000, the widest span of a term (at n = N = 2), would
+    # hold entries of about 155000 bits, past the 65536-bit budget: refused
+    # before any power is built
     args = ["--out-dir", str(tmp_path), "recurrence", "--system", MARKOV, "--set", '{"cylinder": {"0": 0}}',
             "--pq", "(30000,0)", "--Nmax", "2"]
     assert run(args) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("resource cap: matrix power 30000 would pass")
+    assert err.count("\n") == 1 and err.startswith("resource cap: matrix power 60000 would pass")
     assert not (tmp_path / "series.csv").exists()
 
 
@@ -661,13 +662,15 @@ CHAIN = json.dumps({"matrix": [["9/10", "1/10"], ["1/10", "9/10"]]})
         (["pattern-search", "--set", "random 0.5 7 a,b", *SEARCH[5:]], "'random <density> <seed> lo,hi' must be lo,hi"),
         ([*SEARCH[:6], "(0,0),(1,0", *SEARCH[7:]], "pattern spec must be pairs (p,q)"),
         ([*SEARCH[:6], "((0,0),(1,0))", *SEARCH[7:]], "pattern spec must be pairs (p,q)"),
+        (["avg-sweep", "--system", BERN, "--spec", json.dumps({"observables": [{"set": {"cylinder": {"0": 0}}}], "exponents": ["n"]}),
+          "--Ns", "0", "--method", "mc"], "N must be >= 1"),
     ],
     ids=[
         "syndetic-eps-0", "syndetic-eps-negative", "syndetic-zero-den", "syndetic-no-num-column",
         "syndetic-fraction-cell", "syndetic-short-row", "syndetic-empty-file", "spectral-samples-0", "spectral-samples-negative",
         "mixing-check-trials", "mixing-check-k", "mixing-check-horizon", "repro-unknown-criterion",
         "pattern-search-nmax-0", "window-one-value", "window-not-integers", "inline-window-one-value",
-        "inline-window-not-integers", "spec-unclosed", "spec-double-parentheses",
+        "inline-window-not-integers", "spec-unclosed", "spec-double-parentheses", "avg-sweep-mc-N-0",
     ],
 )
 def test_degenerate_arguments_name_the_bad_input(tmp_path, capsys, args, message):

@@ -28,7 +28,7 @@ from ergoarrays.systems import (
     RelabeledSystem,
     build_lattice_action,
 )
-from ergoarrays.util import box_sums
+from ergoarrays.util import ResourceCapError, box_sums
 
 from conftest import markov_chain, markov_sets, periodic_systems
 
@@ -379,6 +379,17 @@ def test_markov_series_edge_sets_and_pairs():
     for B, value in ((mk.full_set(), 1), (CylinderUnion.empty(mk.alphabet), 0)):
         series = recurrence_series(RecurrenceSpec(mk, B, [(1, 0), (-2, 1)]), 9)
         assert series.values == tuple((N, Fraction(value)) for N in range(1, 10)) and series.mu_A == value
+
+
+def test_markov_series_power_cap_is_checked_before_any_term():
+    # D = 2^16, so A^t may reach t = 4096; at n = N = 5 the pair (1000, 0)
+    # spreads a term over 5000 coordinates, refused before any power is
+    # taken, although each term's cluster gap alone (1000 * n) would fit
+    p = Fraction(12345, 2**16)
+    chain = MarkovShift(((p, 1 - p), (1 - p, p)))
+    with pytest.raises(ResourceCapError, match="matrix power 5000 would pass"):
+        recurrence_series(RecurrenceSpec(chain, chain.cylinder({0: 0}), [(1000, 0)]), 5)
+    assert max(chain._powers) <= 1
 
 
 def test_periodic_series_preimages_stay_bounded(monkeypatch):
